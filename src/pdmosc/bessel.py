@@ -3,9 +3,12 @@
 Evaluations of J_nu and Y_nu (real order nu >= 0) are delegated to the
 cephes/AMOS routines behind :mod:`scipy.special`; derivatives use the
 two-term recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2 and its Y analogue.
-Zeros of integer-order J_n are located here with a rightward scan plus a
-safeguarded Newton polish, so the zero finder does not share code with any
-library zero table.
+Zeros of integer-order J_n are located here, so the zero finder shares no
+code with any library zero table: one rightward unit-step scan brackets
+every zero of an order up to the one wanted, and a safeguarded Newton
+iteration polishes each bracket.  :func:`bessel_zeros` returns all zeros
+up to N_max from that single scan; :func:`bessel_zero` polishes only the
+last one.
 
 Accuracy is guaranteed (relative error <= 1e-10 away from zeros) inside the
 box x <= 1e3, nu <= 50.  Outside the box the functions still return
@@ -118,53 +121,58 @@ def mcmahon_zero_estimate(n: int, N: int) -> float:
     """Leading McMahon approximation (N + n/2 - 1/4) * pi for j_{n,N}.
 
     Overestimates the true zero for n >= 1, so it doubles as an upper bound
-    for the scan in :func:`bessel_zero`.
+    for the zero scan.
     """
     return (N + 0.5 * n - 0.25) * np.pi
 
 
-def bessel_zero(n: int, N: int) -> float:
-    """N-th positive zero j_{n,N} of J_n for integer n >= 1, N >= 1.
-
-    Brackets the zero by scanning rightward from x = n in unit steps
-    (consecutive zeros of J_n are more than pi apart for n >= 1, so a unit
-    step cannot straddle two of them), counting sign changes up to the N-th.
-    The bracket is then polished by Newton iteration with bisection fallback
-    whenever an iterate leaves the bracket.  Absolute accuracy ~1e-12.
-    """
+def _check_zero_args(n, *indices) -> tuple[int, ...]:
+    """Validate the order n, then each zero index in turn; return them as ints."""
     if int(n) != n or n < 1:
         raise ValueError(f"integer order n >= 1 required, got {n!r}")
-    if int(N) != N or N < 1:
-        raise ValueError(f"zero index N >= 1 required, got {N!r}")
-    n, N = int(n), int(N)
+    for N in indices:
+        if int(N) != N or N < 1:
+            raise ValueError(f"zero index N >= 1 required, got {N!r}")
+    return (int(n), *map(int, indices))
 
-    # J_n(x) > 0 on (0, j_{n,1}); scan terminates before the McMahon bound.
-    x_lo = float(n) if n >= 1 else 0.5
+
+def _zero_brackets(n: int, N_max: int) -> list[tuple[float, float]]:
+    """Brackets of j_{n,1..N_max} from one rightward unit-step scan.
+
+    The scan starts at x = n (J_n > 0 on (0, j_{n,1})) and steps by 1
+    (consecutive zeros of J_n are more than pi apart for n >= 1, so a unit
+    step cannot straddle two of them), recording each sign change.  A scan
+    point where J_n is exactly 0.0 is recorded as the degenerate bracket
+    (x, x), which :func:`_polish_zero` returns unchanged.  The McMahon bound
+    of the N_max-th zero ends the scan.
+    """
+    x_lo = float(n)
     f_lo = _sp.jv(n, x_lo)
-    x_max = mcmahon_zero_estimate(n, N) + 2.0
-    crossings = 0
-    bracket = None
+    x_max = mcmahon_zero_estimate(n, N_max) + 2.0
+    brackets = []
     while x_lo < x_max:
         x_hi = x_lo + 1.0
         f_hi = _sp.jv(n, x_hi)
         if f_hi == 0.0:
-            crossings += 1
-            if crossings == N:
-                return x_hi
+            brackets.append((x_hi, x_hi))
+            if len(brackets) == N_max:
+                return brackets
             x_lo, f_lo = x_hi + 1e-9, _sp.jv(n, x_hi + 1e-9)
             continue
         if f_lo * f_hi < 0.0:
-            crossings += 1
-            if crossings == N:
-                bracket = (x_lo, x_hi)
-                break
+            brackets.append((x_lo, x_hi))
+            if len(brackets) == N_max:
+                return brackets
         x_lo, f_lo = x_hi, f_hi
-    if bracket is None:
-        raise ZeroRefinementError(
-            f"failed to bracket zero {N} of J_{n} while scanning up to {x_max:.3f}",
-            bracket=(float(n), x_max),
-        )
+    raise ZeroRefinementError(
+        f"failed to bracket zero {len(brackets) + 1} of J_{n} while scanning up to {x_max:.3f}",
+        bracket=(float(n), x_max),
+    )
 
+
+def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
+    """Newton iteration from the bracket midpoint, with bisection fallback
+    whenever an iterate leaves the bracket.  Absolute accuracy ~1e-12."""
     a, b = bracket
     fa = _sp.jv(n, a)
     x = 0.5 * (a + b)
@@ -189,3 +197,31 @@ def bessel_zero(n: int, N: int) -> float:
         f"Newton refinement for zero {N} of J_{n} did not converge",
         bracket=(a, b),
     )
+
+
+def _zeros(n: int, indices) -> list[float]:
+    """j_{n,N} for each validated N in indices: one scan up to the largest,
+    and only the brackets asked for are polished."""
+    brackets = _zero_brackets(n, max(indices))
+    return [_polish_zero(n, N, brackets[N - 1]) for N in indices]
+
+
+def bessel_zeros(n: int, N_max: int) -> list[float]:
+    """The first N_max positive zeros [j_{n,1}, ..., j_{n,N_max}] of J_n.
+
+    One scan brackets all of them and each bracket is polished on its own,
+    so entry N-1 equals :func:`bessel_zero` (n, N) bit for bit, at a cost
+    linear rather than quadratic in N_max.
+    """
+    n, N_max = _check_zero_args(n, N_max)
+    return _zeros(n, range(1, N_max + 1))
+
+
+def bessel_zero(n: int, N: int) -> float:
+    """N-th positive zero j_{n,N} of J_n for integer n >= 1, N >= 1.
+
+    Scans for the first N brackets (see :func:`_zero_brackets`) and polishes
+    only the last one.  Absolute accuracy ~1e-12.
+    """
+    n, N = _check_zero_args(n, N)
+    return _zeros(n, (N,))[0]

@@ -119,6 +119,8 @@ def parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"start, stop and step must be finite in {spec!r}")
     if step <= 0.0 or stop < start:
         raise ValueError(f"need stop >= start and step > 0 in {spec!r}")
     count = int(round((stop - start) / step)) + 1

@@ -32,7 +32,8 @@ import numpy as np
 from scipy import special as _sp
 from scipy.integrate import quad
 
-from .bessel import bessel_j, bessel_zero
+# bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
+from .bessel import _check_zero_args, _zeros, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
 from .reporting import VerificationReport, residual_report
 
 CONSTRAINT_TOL = 1e-12
@@ -120,6 +121,11 @@ class SingleTermOrdering:
     gamma1: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha1, self.beta1, self.gamma1))):
+            raise ValueError(
+                "ordering exponents must be finite, got "
+                f"alpha1={self.alpha1}, beta1={self.beta1}, gamma1={self.gamma1}"
+            )
         if abs(self.alpha1 + self.beta1 + self.gamma1 + 1.0) > CONSTRAINT_TOL:
             raise ValueError(
                 "ordering constraint alpha1 + beta1 + gamma1 = -1 violated: "
@@ -490,8 +496,7 @@ def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxS
     if int(N_max) != N_max or N_max < 1:
         raise ValueError(f"N_max must be a positive integer, got {N_max!r}")
     states = []
-    for N in range(1, int(N_max) + 1):
-        j = bessel_zero(n, N)
+    for N, j in enumerate(bessel_zeros(n, N_max), start=1):
         energy = 0.25 * hbar**2 * j * j * eps * eps
         norm_const = eps / bessel_j(n + 1, j)
         states.append(BoxState(eps=eps, n=int(n), N=N, energy=energy, norm_const=norm_const))
@@ -504,8 +509,8 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     Equals delta_{NM} within quadrature accuracy (Fourier-Bessel
     orthogonality on the interval fixed by the box radius).
     """
-    jN = bessel_zero(n, N)
-    jM = bessel_zero(n, M)
+    n, N, M = _check_zero_args(n, N, M)
+    jN, jM = _zeros(n, (N, M))  # one scan up to max(N, M), two polishes
     cN = eps / bessel_j(n + 1, jN)
     cM = eps / bessel_j(n + 1, jM)
     value, err = quad(

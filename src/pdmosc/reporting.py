@@ -8,10 +8,6 @@ PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
-#: provenance tags: value asserted by the source analysis, a trivial
-#: arithmetic fact, or derived here from an independent numerical oracle
-PROVENANCES = ("PAPER", "TRIVIAL", "DERIVED")
-
 
 @dataclass(frozen=True)
 class VerificationReport:

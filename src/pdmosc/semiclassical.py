@@ -19,6 +19,7 @@ with the condition above quantizes the coupling:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,6 +101,7 @@ def action_integral_regularized(A: float, eps: float) -> float:
     return 2.0 * value
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def finite_part_action(A: float) -> ActionResult:
     """Hadamard finite part of the two-sided action integral; equals -pi.
 
@@ -108,6 +110,10 @@ def finite_part_action(A: float) -> ActionResult:
     and Richardson-extrapolates the remainder to eps -> 0 (two levels,
     killing the eps and eps^2 terms of the remainder).  The result is
     independent of A.
+
+    Memoized on A: the result is a pure function of A, so repeat calls
+    (every wkb_condition_check at the same A) return the same frozen
+    ActionResult instead of redoing the four quadratures.
     """
     if A <= 0.0:
         raise ValueError(f"A must be positive, got {A}")

@@ -242,7 +242,9 @@ def check_bessel_kernel(cfg: SuiteConfig) -> VerificationReport:
                 - 2.0 * nu / xs * bessel.bessel_j(nu, xs)
             )
             worst = max(worst, float(np.max(np.abs(rec))))
-    zeros = {(n, N): bessel.bessel_zero(n, N) for n in (1, 2, 3) for N in (1, 2, 3)}
+    zeros = {
+        (n, N): j for n in (1, 2, 3) for N, j in enumerate(bessel.bessel_zeros(n, 3), start=1)
+    }
     for (n, N), j in zeros.items():
         worst = max(worst, abs(bessel.bessel_j(n, j)))
     interlaced = all(

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from pdmosc import bessel
 from oracles import series_j, series_j_prime, series_zero
@@ -157,3 +159,30 @@ def test_vectorized_evaluation():
     out = bessel.bessel_j(1, xs)
     assert out.shape == xs.shape
     assert out[1] == pytest.approx(bessel.bessel_j(1, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_zeros_single_scan_equals_per_zero_calls(n):
+    zeros = bessel.bessel_zeros(n, 200)
+    assert zeros == [bessel.bessel_zero(n, N) for N in range(1, 201)]
+    # the Newton stopping rule |x_new - x| < 1e-12 leaves errors up to ~1.02e-12
+    # near x ~ 540 (checked against mpmath.besseljzero), hence 1.5e-12 here
+    assert np.max(np.abs(np.array(zeros) - special.jn_zeros(n, 200))) < 1.5e-12
+
+
+def test_zeros_argument_validation_matches_bessel_zero():
+    for args in [(0, 1), (1, 0), (1.5, 1), (1, 2.5), (-1, 3), (2, -4)]:
+        with pytest.raises(ValueError) as single:
+            bessel.bessel_zero(*args)
+        with pytest.raises(ValueError) as scan:
+            bessel.bessel_zeros(*args)
+        assert str(scan.value) == str(single.value)
+
+
+def test_exact_zero_at_a_scan_point_is_returned_as_is(monkeypatch):
+    # J_1 replaced by (4 - x)(x - 8.5): exactly 0.0 at the scan point x = 4,
+    # then a sign change in (8 + 1e-9, 9 + 1e-9)
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=lambda nu, x: (4.0 - x) * (x - 8.5)))
+    zeros = bessel.bessel_zeros(1, 2)
+    assert zeros[0] == 4.0 == bessel.bessel_zero(1, 1)
+    assert zeros[1] == bessel.bessel_zero(1, 2) == pytest.approx(8.5, abs=1e-9)

@@ -233,3 +233,34 @@ def test_grid_parsing():
         cli.parse_grid("1:0:0.1")
     with pytest.raises(ValueError):
         cli.parse_grid("0:1:-0.1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--alpha1", "nan"],
+        ["spectrum", "--gamma1", "nan"],
+        ["spectrum", "--alpha1", "inf"],
+        ["spectrum", "--gamma1=-inf"],
+        ["verify", "--checks", "ode_residual", "--alpha1", "nan"],
+    ],
+)
+def test_non_finite_ordering_exits_1(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pdmosc: ") and err.count("\n") == 1
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+def test_non_finite_time_grid_exits_1(field, token, capsys):
+    parts = ["0", "10", "0.1"]
+    parts[field] = token
+    code, out, err = run_cli(["trajectory", "--lambda", "1", "--t=" + ":".join(parts)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pdmosc: ") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert "Traceback" not in err

@@ -403,3 +403,42 @@ def test_similarity_check_potential_cancels():
 def test_similarity_check_scalar_testfn():
     disc = quantum.similarity_check(CLEAN, lambda x: math.exp(-((x - 2.0) ** 2)))
     assert disc < 1e-6
+
+
+@pytest.mark.parametrize("n,N_max,eps,hbar", [(1, 60, 0.1, 1.0), (4, 37, 0.3, 1.7)])
+def test_box_spectrum_bit_identical_to_per_zero_path(n, N_max, eps, hbar):
+    states = quantum.box_spectrum(n, N_max, eps, hbar)
+    for N, s in enumerate(states, start=1):
+        j = bessel.bessel_zero(n, N)
+        assert s.energy == 0.25 * hbar**2 * j * j * eps * eps
+        assert s.norm_const == eps / bessel.bessel_j(n + 1, j)
+
+
+@pytest.mark.parametrize(
+    "n,N,M,first_bad",
+    [(0, 1, 1, (0, 1)), (1.5, 1, 2, (1.5, 1)), (1, 0, 3, (1, 0)), (1, 3, 0, (1, 0)),
+     (1, 2, 1.5, (1, 1.5))],
+)
+def test_box_orthonormality_bad_arguments_raise_the_bessel_zero_errors(n, N, M, first_bad):
+    with pytest.raises(ValueError) as expected:
+        bessel.bessel_zero(*first_bad)
+    with pytest.raises(ValueError) as got:
+        quantum.box_orthonormality(n, N, M, eps=0.1)
+    assert str(got.value) == str(expected.value)
+
+
+def test_box_spectrum_bad_order_raises_the_bessel_zero_error():
+    for n in (0, 1.5):
+        with pytest.raises(ValueError) as expected:
+            bessel.bessel_zero(n, 1)
+        with pytest.raises(ValueError) as got:
+            quantum.box_spectrum(n, 3, eps=0.1)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("field", ["alpha1", "beta1", "gamma1"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_single_term_ordering_rejects_non_finite_exponents(field, bad):
+    exponents = {"alpha1": 0.0, "beta1": -1.75, "gamma1": 0.75, field: bad}
+    with pytest.raises(ValueError, match="must be finite"):
+        SingleTermOrdering(**exponents)

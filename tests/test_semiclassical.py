@@ -3,6 +3,7 @@ import math
 import pytest
 
 from pdmosc import semiclassical as sc
+from pdmosc import verification
 from oracles import action_exact
 
 # frozen from the antiderivative oracle: 2(sqrt(A^2-e^2)/e + asin(e/A) - pi/2)
@@ -113,3 +114,28 @@ def test_contour_action_values():
     assert sc.contour_action(1.0, 1.0 / 16.0) == pytest.approx(math.pi, abs=1e-6)
     # E enters only through the turning point and drops out
     assert sc.contour_action(0.3, 1.0) == pytest.approx(sc.contour_action(7.0, 1.0), abs=1e-6)
+
+
+def test_finite_part_cache_returns_the_uncached_value():
+    sc.finite_part_action.cache_clear()
+    for A in (0.5, 1.0, 3.7):
+        fresh = sc.finite_part_action.__wrapped__(A)
+        assert sc.finite_part_action(A) == fresh
+        assert sc.finite_part_action(A) is sc.finite_part_action(A)
+
+
+def test_wkb_identity_computes_one_finite_part_per_distinct_A(monkeypatch):
+    upper_limits = []
+    real_quad = sc.quad
+
+    def counting_quad(func, a, b, **kwargs):
+        upper_limits.append(b)
+        return real_quad(func, a, b, **kwargs)
+
+    monkeypatch.setattr(sc, "quad", counting_quad)
+    sc.finite_part_action.cache_clear()
+    report = verification.check_wkb_identity(verification.SuiteConfig())
+    assert report.status == "pass"
+    # 33 (n, hbar) conditions, all at A = 1: one finite part, one quadrature per cutoff
+    assert upper_limits == [1.0] * sc.EPS_COUNT
+    sc.finite_part_action.cache_clear()
