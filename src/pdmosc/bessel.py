@@ -1,8 +1,10 @@
-"""Bessel-function kernel shared by every other module.
+"""Bessel-function kernel: the only module that evaluates J and Y.
 
 Evaluations of J_nu and Y_nu (real order nu >= 0) are delegated to the
 cephes/AMOS routines behind :mod:`scipy.special`; derivatives use the
 two-term recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2 and its Y analogue.
+:func:`jv`, :func:`yv` and :func:`jv_derivatives` take any real order and
+skip the order/domain checks and the warning below.
 Zeros of integer-order J_n are located here, so the zero finder shares no
 code with any library zero table: one rightward unit-step scan brackets
 every zero of an order up to the one wanted, and a safeguarded Newton
@@ -45,27 +47,54 @@ class ZeroRefinementError(RuntimeError):
         self.bracket = bracket
 
 
-def _check_order(nu: float) -> float:
+def _checked(nu: float, x, domain_error: str, positive: bool = True):
+    """Validated (nu, x as a float array); warns outside the accuracy box."""
     nu = float(nu)
     if not np.isfinite(nu) or nu < 0.0:
         raise ValueError(f"Bessel order must be finite and non-negative, got {nu!r}")
-    return nu
-
-
-def _maybe_warn(nu: float, x) -> None:
-    if nu > ORDER_GUARANTEED_MAX or np.any(np.asarray(x) > ARGUMENT_GUARANTEED_MAX):
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa <= 0.0) if positive else np.any(xa < 0.0):
+        raise ValueError(domain_error)
+    if nu > ORDER_GUARANTEED_MAX or np.any(xa > ARGUMENT_GUARANTEED_MAX):
         warnings.warn(
             "evaluation outside the guaranteed-accuracy box "
             f"(x <= {ARGUMENT_GUARANTEED_MAX:g}, nu <= {ORDER_GUARANTEED_MAX:g}); "
             "result is best effort",
             AccuracyLossWarning,
-            stacklevel=3,
+            stacklevel=3,  # the caller of the public function
         )
+    return nu, xa
 
 
 def _as_result(x_in, out):
     arr = np.asarray(out)
     return float(arr) if np.ndim(x_in) == 0 else arr
+
+
+def jv(nu: float, x):
+    """J_nu(x) for any real order (J_{-m} = (-1)^m J_m for integer m).
+
+    No order or domain check and no accuracy-box warning, for inner loops
+    such as quadrature integrands, where a check costs more than the value.
+    """
+    return _sp.jv(nu, x)
+
+
+def yv(nu: float, x):
+    """Y_nu(x) for any real order; unchecked like :func:`jv`."""
+    return _sp.yv(nu, x)
+
+
+def _jv_prime(nu: float, x):
+    return 0.5 * (_sp.jv(nu - 1.0, x) - _sp.jv(nu + 1.0, x))
+
+
+def jv_derivatives(nu: float, x):
+    """(J_nu, J'_nu, J''_nu) at x, unchecked like :func:`jv`; J' = (J_{nu-1} -
+    J_{nu+1})/2 applied twice gives J'' = (J_{nu-2} - 2 J_nu + J_{nu+2})/4."""
+    j = _sp.jv(nu, x)
+    jpp = 0.25 * (_sp.jv(nu - 2.0, x) - 2.0 * j + _sp.jv(nu + 2.0, x))
+    return j, _jv_prime(nu, x), jpp
 
 
 def bessel_j(nu: float, x) -> float:
@@ -75,11 +104,9 @@ def bessel_j(nu: float, x) -> float:
     error: callers that need x < 0 are expected to apply the parity relation
     J_n(-z) = (-1)^n J_n(z) explicitly.
     """
-    nu = _check_order(nu)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise ValueError("bessel_j requires x >= 0; map negative arguments via parity")
-    _maybe_warn(nu, xa)
+    nu, xa = _checked(
+        nu, x, "bessel_j requires x >= 0; map negative arguments via parity", positive=False
+    )
     return _as_result(x, _sp.jv(nu, xa))
 
 
@@ -89,31 +116,19 @@ def bessel_y(nu: float, x) -> float:
     Diverges to -inf as x -> 0+ for every nu >= 0; the returned values grow
     without bound there, and x <= 0 itself is a domain error.
     """
-    nu = _check_order(nu)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("bessel_y requires x > 0 (logarithmic/pole divergence at 0)")
-    _maybe_warn(nu, xa)
+    nu, xa = _checked(nu, x, "bessel_y requires x > 0 (logarithmic/pole divergence at 0)")
     return _as_result(x, _sp.yv(nu, xa))
 
 
 def bessel_j_prime(nu: float, x) -> float:
     """dJ_nu/dx via (J_{nu-1}(x) - J_{nu+1}(x)) / 2, x > 0."""
-    nu = _check_order(nu)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("bessel_j_prime requires x > 0")
-    _maybe_warn(nu, xa)
-    return _as_result(x, 0.5 * (_sp.jv(nu - 1.0, xa) - _sp.jv(nu + 1.0, xa)))
+    nu, xa = _checked(nu, x, "bessel_j_prime requires x > 0")
+    return _as_result(x, _jv_prime(nu, xa))
 
 
 def bessel_y_prime(nu: float, x) -> float:
     """dY_nu/dx via (Y_{nu-1}(x) - Y_{nu+1}(x)) / 2, x > 0."""
-    nu = _check_order(nu)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("bessel_y_prime requires x > 0")
-    _maybe_warn(nu, xa)
+    nu, xa = _checked(nu, x, "bessel_y_prime requires x > 0")
     return _as_result(x, 0.5 * (_sp.yv(nu - 1.0, xa) - _sp.yv(nu + 1.0, xa)))
 
 
@@ -185,7 +200,7 @@ def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
             b = x
         else:
             a, fa = x, f
-        df = 0.5 * (_sp.jv(n - 1, x) - _sp.jv(n + 1, x))
+        df = _jv_prime(n, x)
         step = f / df if df != 0.0 else np.inf
         x_new = x - step
         if not (a < x_new < b):

@@ -6,7 +6,8 @@ Subcommands map one-to-one onto the library surfaces: `trajectory`,
 datasets diff reproducibly.  Exit codes: 0 success, 1 validation error,
 2 numerical failure (non-convergence, blow-up, failed verification).
 
-Every option can also come from a flat key=value config file (``--config``);
+Every option but ``--emit-plot-script`` can also come from a flat key=value
+config file (``--config``), keyed by its dest in :data:`SUBCOMMANDS`;
 command-line flags take precedence over config entries, which take
 precedence over built-in defaults.  Plots are never rendered here: the
 figure-producing subcommands can emit a small companion matplotlib script
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,8 +81,31 @@ def write_rows(header: list[str], rows: list[tuple], fmt: str, output: str | Non
         sys.stdout.write(text)
 
 
+class Option(NamedTuple):
+    """One option of one subcommand: dest is also its config-file key, type casts
+    flag and config values alike, and a default of None makes it required."""
+
+    flag: str
+    dest: str
+    type: Callable
+    default: object
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+FORMATS = ("csv", "json")
+
+#: options every subcommand takes, ahead of its own
+COMMON_OPTIONS = [
+    Option("--format", "fmt", str, "csv", choices=FORMATS),
+    Option("--output", "output", str, "", "output path (default: stdout)"),
+    Option("--config", "config", str, "", "flat key=value config file"),
+]
+
+
 def load_config(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments allowed."""
+    """Flat key=value file; blank lines and # comments allowed.  Keys are the
+    dests of :data:`SUBCOMMANDS` options (``-`` reads as ``_``); others are errors."""
     cfg: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -89,28 +114,26 @@ def load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        cfg[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        cfg[key] = value.strip()
     return cfg
 
 
-# user-facing flag spellings for dests that differ from them
-FLAG_LABELS = {"lam": "--lambda", "energy": "--E", "fmt": "--format"}
-
-
-def _resolve(args, cfg: dict[str, str], dest: str, cast, default):
+def _resolve(args, cfg: dict[str, str], opt: Option):
     """flag > config file entry > built-in default."""
-    value = getattr(args, dest, None)
+    value = getattr(args, opt.dest)
     if value is not None:
         return value
-    if dest in cfg:
+    if opt.dest in cfg:
         try:
-            return cast(cfg[dest])
+            return opt.type(cfg[opt.dest])
         except ValueError as exc:
-            raise UsageError(f"config entry {dest}={cfg[dest]!r}: {exc}") from exc
-    if default is None:
-        flag = FLAG_LABELS.get(dest, "--" + dest.replace("_", "-"))
-        raise UsageError(f"missing required option {flag}")
-    return default
+            raise UsageError(f"config entry {opt.dest}={cfg[opt.dest]!r}: {exc}") from exc
+    if opt.default is None:
+        raise UsageError(f"missing required option {opt.flag}")
+    return opt.default
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -123,8 +146,10 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"start, stop and step must be finite in {spec!r}")
     if step <= 0.0 or stop < start:
         raise ValueError(f"need stop >= start and step > 0 in {spec!r}")
-    count = int(round((stop - start) / step)) + 1
-    return start + step * np.arange(count)
+    count = (stop - start) / step  # finite fields can still overflow to inf
+    if not math.isfinite(count):
+        raise ValueError(f"too many grid points in {spec!r}")
+    return start + step * np.arange(int(round(count)) + 1)
 
 
 def parse_floats(spec: str) -> list[float]:
@@ -142,17 +167,12 @@ def parse_window(spec: str) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (header, rows, exit_code)
+# subcommand handlers: each takes the resolved options, returns (header, rows, exit_code)
 
 
-def run_trajectory(args, cfg):
-    params = ModelParams(
-        lam=_resolve(args, cfg, "lam", float, None),
-        hbar=_resolve(args, cfg, "hbar", float, 1.0),
-        c1=_resolve(args, cfg, "c1", float, 1.0),
-        c2=_resolve(args, cfg, "c2", float, 0.0),
-    )
-    ts = parse_grid(_resolve(args, cfg, "t", str, "0:10:0.01"))
+def run_trajectory(o):
+    params = ModelParams(lam=o.lam, hbar=o.hbar, c1=o.c1, c2=o.c2)
+    ts = parse_grid(o.t)
     xs = classical.exact_solution(ts, params)
     ps = classical.exact_momentum(ts, params)
     es = classical.hamiltonian(xs, ps, params.lam)
@@ -160,114 +180,81 @@ def run_trajectory(args, cfg):
     return ["t", "x", "p", "E"], rows, EXIT_OK
 
 
-def run_lambda_map(args, cfg):
-    c1 = _resolve(args, cfg, "c1", float, 1.0)
-    c2 = _resolve(args, cfg, "c2", float, -5.0)
-    lo = _resolve(args, cfg, "lambda_min", float, -2.0)
-    hi = _resolve(args, cfg, "lambda_max", float, 2.0)
-    count = _resolve(args, cfg, "count", int, 81)
-    window = parse_window(_resolve(args, cfg, "window", str, "0:10"))
-    if count < 2:
+def run_lambda_map(o):
+    window = parse_window(o.window)
+    if o.count < 2:
         raise UsageError("--count must be at least 2")
     rows = []
-    for lam in np.linspace(lo, hi, count):
-        params = ModelParams(lam=float(lam), c1=c1, c2=c2)
+    for lam in np.linspace(o.lambda_min, o.lambda_max, o.count):
+        params = ModelParams(lam=float(lam), c1=o.c1, c2=o.c2)
         status = classical.classify_lambda(params, window)
         t_star = classical.singularity_time(params)
         rows.append((float(lam), status, t_star))
     return ["lambda", "status", "singular_time"], rows, EXIT_OK
 
 
-def run_phase_portrait(args, cfg):
-    lam = _resolve(args, cfg, "lam", float, None)
-    energies = parse_floats(_resolve(args, cfg, "energies", str, "0.5,0.7,0.8,1"))
-    points = _resolve(args, cfg, "points", int, 400)
-    floor_frac = _resolve(args, cfg, "x_floor_frac", float, 0.05)
+def run_phase_portrait(o):
+    energies = parse_floats(o.energies)
     if not energies:
         raise UsageError("--energies must name at least one energy")
-    if not (0.0 < floor_frac < 1.0):
+    if not (0.0 < o.x_floor_frac < 1.0):
         raise UsageError("--x-floor-frac must be in (0, 1)")
     rows = []
     for E in energies:
-        amp = semiclassical.turning_point(E, lam)
-        half = np.linspace(floor_frac * amp, amp, points // 2)
+        amp = semiclassical.turning_point(E, o.lam)
+        half = np.linspace(o.x_floor_frac * amp, amp, o.points // 2)
         grid = np.concatenate([-half[::-1], half])
-        for x, p_plus, p_minus in classical.phase_curve(E, lam, grid):
+        for x, p_plus, p_minus in classical.phase_curve(E, o.lam, grid):
             rows.append((float(E), float(x), float(p_plus), float(p_minus)))
     return ["E", "x", "p_plus", "p_minus"], rows, EXIT_OK
 
 
-def run_wkb(args, cfg):
-    n_max = _resolve(args, cfg, "n_max", int, 10)
-    hbar = _resolve(args, cfg, "hbar", float, 1.0)
-    A = _resolve(args, cfg, "turning_point", float, 1.0)
+def run_wkb(o):
     rows = []
-    for n in range(n_max + 1):
-        lam = semiclassical.wkb_lambda(n, hbar)
-        report = semiclassical.wkb_condition_check(n, hbar, A)
-        rhs = (n + 0.5) * hbar * math.pi
+    for n in range(o.n_max + 1):
+        lam = semiclassical.wkb_lambda(n, o.hbar)
+        report = semiclassical.wkb_condition_check(n, o.hbar, o.turning_point)
+        rhs = (n + 0.5) * o.hbar * math.pi
         lhs = rhs + report.measured
         rows.append((n, lam, lhs, rhs, report.measured))
     return ["n", "lambda_n", "lhs", "rhs", "residual"], rows, EXIT_OK
 
 
-def run_spectrum(args, cfg):
-    alpha1 = _resolve(args, cfg, "alpha1", float, 0.0)
-    gamma1 = _resolve(args, cfg, "gamma1", float, 0.75)
-    n_max = _resolve(args, cfg, "n_max", int, 10)
-    hbar = _resolve(args, cfg, "hbar", float, 1.0)
-    ordering = SingleTermOrdering.from_alpha_gamma(alpha1, gamma1)
+def run_spectrum(o):
+    ordering = SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
     rows = []
-    for n in range(1, n_max + 1):
-        lam = quantum.lambda_quantized(n, ordering, hbar)
-        nu = quantum.nu_from_params(ordering, lam, hbar)
-        rows.append((n, alpha1, gamma1, ordering.s, lam, nu))
+    for n in range(1, o.n_max + 1):
+        lam = quantum.lambda_quantized(n, ordering, o.hbar)
+        nu = quantum.nu_from_params(ordering, lam, o.hbar)
+        rows.append((n, o.alpha1, o.gamma1, ordering.s, lam, nu))
     return ["n", "alpha1", "gamma1", "s", "lambda_n", "nu_roundtrip"], rows, EXIT_OK
 
 
-def run_eigenfunction(args, cfg):
-    n = _resolve(args, cfg, "n", int, None)
-    E = _resolve(args, cfg, "energy", float, None)
-    hbar = _resolve(args, cfg, "hbar", float, 1.0)
-    amplitude = _resolve(args, cfg, "amplitude", float, 1.0)
-    xs = parse_grid(_resolve(args, cfg, "x", str, "0.02:3:0.005"))
+def run_eigenfunction(o):
+    xs = parse_grid(o.x)
     xs = np.concatenate([-xs[::-1], xs]) if xs[0] > 0.0 else xs
-    state = quantum.ContinuumState(n=n, E=E, amplitude=amplitude)
-    psi = quantum.eigenfunction(xs, state, hbar)
+    state = quantum.ContinuumState(n=o.n, E=o.energy, amplitude=o.amplitude)
+    psi = quantum.eigenfunction(xs, state, o.hbar)
     rows = [(float(x), float(v)) for x, v in zip(xs, psi)]
     return ["x", "psi"], rows, EXIT_OK
 
 
-def run_box_spectrum(args, cfg):
-    n = _resolve(args, cfg, "n", int, None)
-    n_zeros = _resolve(args, cfg, "n_zeros", int, 5)
-    eps = _resolve(args, cfg, "eps", float, 0.1)
-    hbar = _resolve(args, cfg, "hbar", float, 1.0)
-    states = quantum.box_spectrum(n, n_zeros, eps, hbar)
+def run_box_spectrum(o):
+    states = quantum.box_spectrum(o.n, o.n_zeros, o.eps, o.hbar)
     rows = [(s.n, s.N, s.eps, s.energy, s.norm_const) for s in states]
     return ["n", "N", "eps", "E", "C"], rows, EXIT_OK
 
 
-def run_verify(args, cfg):
-    checks_spec = _resolve(args, cfg, "checks", str, "all")
-    seed = _resolve(args, cfg, "seed", int, verification.DEFAULT_SEED)
-    params = ModelParams(
-        lam=_resolve(args, cfg, "lam", float, 1.0),
-        hbar=_resolve(args, cfg, "hbar", float, 1.0),
-        c1=_resolve(args, cfg, "c1", float, 1.0),
-        c2=_resolve(args, cfg, "c2", float, -5.0),
-    )
-    ordering = SingleTermOrdering.from_alpha_gamma(
-        _resolve(args, cfg, "alpha1", float, 0.0),
-        _resolve(args, cfg, "gamma1", float, 0.75),
-    )
-    if checks_spec.strip() == "all":
+def run_verify(o):
+    params = ModelParams(lam=o.lam, hbar=o.hbar, c1=o.c1, c2=o.c2)
+    ordering = SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
+    if o.checks.strip() == "all":
         selection = verification.all_check_ids()
     else:
-        selection = [c.strip() for c in checks_spec.split(",") if c.strip()]
+        selection = [c.strip() for c in o.checks.split(",") if c.strip()]
     try:
         reports = verification.run_suite(
-            selection, verification.SuiteConfig(params=params, ordering=ordering, seed=seed)
+            selection, verification.SuiteConfig(params=params, ordering=ordering, seed=o.seed)
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -286,16 +273,73 @@ def run_verify(args, cfg):
     return ["check_id", "status", "measured", "tolerance", "provenance", "notes"], rows, code
 
 
-HANDLERS = {
-    "trajectory": run_trajectory,
-    "lambda-map": run_lambda_map,
-    "phase-portrait": run_phase_portrait,
-    "wkb": run_wkb,
-    "spectrum": run_spectrum,
-    "eigenfunction": run_eigenfunction,
-    "box-spectrum": run_box_spectrum,
-    "verify": run_verify,
+#: subcommand -> (handler, help, options): the parser, the option resolution
+#: and the dispatch all read this one table
+SUBCOMMANDS = {
+    "trajectory": (run_trajectory, "closed-form trajectory samples (t, x, p, E)", [
+        Option("--lambda", "lam", float, None),
+        Option("--hbar", "hbar", float, 1.0),
+        Option("--c1", "c1", float, 1.0),
+        Option("--c2", "c2", float, 0.0),
+        Option("--t", "t", str, "0:10:0.01", "time grid start:stop:step"),
+    ]),
+    "lambda-map": (run_lambda_map, "bounded/singular classification over a lambda grid", [
+        Option("--lambda-min", "lambda_min", float, -2.0),
+        Option("--lambda-max", "lambda_max", float, 2.0),
+        Option("--count", "count", int, 81),
+        Option("--c1", "c1", float, 1.0),
+        Option("--c2", "c2", float, -5.0),
+        Option("--window", "window", str, "0:10", "time window t0:t1"),
+    ]),
+    "phase-portrait": (run_phase_portrait, "momentum branches between the turning points", [
+        Option("--lambda", "lam", float, None),
+        Option("--energies", "energies", str, "0.5,0.7,0.8,1", "comma-separated energies"),
+        Option("--points", "points", int, 400),
+        Option("--x-floor-frac", "x_floor_frac", float, 0.05),
+    ]),
+    "wkb": (run_wkb, "semiclassical quantization table (n, lambda_n, lhs, rhs)", [
+        Option("--n-max", "n_max", int, 10),
+        Option("--hbar", "hbar", float, 1.0),
+        Option("--turning-point", "turning_point", float, 1.0),
+    ]),
+    "spectrum": (run_spectrum, "quantized coupling table lambda_n = (n^2 - s^2) hbar^2/4", [
+        Option("--alpha1", "alpha1", float, 0.0),
+        Option("--gamma1", "gamma1", float, 0.75),
+        Option("--n-max", "n_max", int, 10),
+        Option("--hbar", "hbar", float, 1.0),
+    ]),
+    "eigenfunction": (run_eigenfunction, "bound-state samples (x, psi) on a symmetric grid", [
+        Option("--n", "n", int, None),
+        Option("--E", "energy", float, None),
+        Option("--hbar", "hbar", float, 1.0),
+        Option("--amplitude", "amplitude", float, 1.0),
+        Option("--x", "x", str, "0.02:3:0.005", "positive half-grid start:stop:step (mirrored)"),
+    ]),
+    "box-spectrum": (run_box_spectrum, "box-regularized spectrum rows (n, N, eps, E, C)", [
+        Option("--n", "n", int, None),
+        Option("--n-zeros", "n_zeros", int, 5),
+        Option("--eps", "eps", float, 0.1),
+        Option("--hbar", "hbar", float, 1.0),
+    ]),
+    "verify": (run_verify, "run the named verification checks", [
+        Option("--checks", "checks", str, "all", "'all' or comma-separated ids"),
+        Option("--seed", "seed", int, verification.DEFAULT_SEED),
+        Option("--lambda", "lam", float, 1.0),
+        Option("--hbar", "hbar", float, 1.0),
+        Option("--c1", "c1", float, 1.0),
+        Option("--c2", "c2", float, -5.0),
+        Option("--alpha1", "alpha1", float, 0.0),
+        Option("--gamma1", "gamma1", float, 0.75),
+    ]),
 }
+
+#: main dispatches through this mapping, whose entries perfbench/tracing.py wraps
+HANDLERS = {name: handler for name, (handler, _, _) in SUBCOMMANDS.items()}
+
+#: a config file may set any option of any subcommand, so one file can serve several
+CONFIG_KEYS = frozenset(
+    opt.dest for _, _, options in SUBCOMMANDS.values() for opt in COMMON_OPTIONS + options
+)
 
 PLOTTABLE = {
     "trajectory": ("t", ["x"]),
@@ -338,78 +382,12 @@ def emit_plot_script(subcommand: str, output: str) -> Path:
 def build_parser() -> _Parser:
     parser = _Parser(prog="pdmosc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--config", default=None, help="flat key=value config file")
-
-    p = sub.add_parser("trajectory", help="closed-form trajectory samples (t, x, p, E)")
-    add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--t", type=str, default=None, help="time grid start:stop:step")
-    p.add_argument("--emit-plot-script", action="store_true")
-
-    p = sub.add_parser("lambda-map", help="bounded/singular classification over a lambda grid")
-    add_common(p)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--window", type=str, default=None, help="time window t0:t1")
-
-    p = sub.add_parser("phase-portrait", help="momentum branches between the turning points")
-    add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--energies", type=str, default=None, help="comma-separated energies")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--x-floor-frac", dest="x_floor_frac", type=float, default=None)
-    p.add_argument("--emit-plot-script", action="store_true")
-
-    p = sub.add_parser("wkb", help="semiclassical quantization table (n, lambda_n, lhs, rhs)")
-    add_common(p)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--turning-point", dest="turning_point", type=float, default=None)
-
-    p = sub.add_parser("spectrum", help="quantized coupling table lambda_n = (n^2 - s^2) hbar^2/4")
-    add_common(p)
-    p.add_argument("--alpha1", type=float, default=None)
-    p.add_argument("--gamma1", type=float, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-
-    p = sub.add_parser("eigenfunction", help="bound-state samples (x, psi) on a symmetric grid")
-    add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--E", dest="energy", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--x", type=str, default=None, help="positive half-grid start:stop:step (mirrored)")
-    p.add_argument("--emit-plot-script", action="store_true")
-
-    p = sub.add_parser("box-spectrum", help="box-regularized spectrum rows (n, N, eps, E, C)")
-    add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-zeros", dest="n_zeros", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-
-    p = sub.add_parser("verify", help="run the named verification checks")
-    add_common(p)
-    p.add_argument("--checks", type=str, default=None, help="'all' or comma-separated ids")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--alpha1", type=float, default=None)
-    p.add_argument("--gamma1", type=float, default=None)
-
+    for name, (_, help_text, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt in COMMON_OPTIONS + options:
+            p.add_argument(opt.flag, dest=opt.dest, type=opt.type, choices=opt.choices, help=opt.help)
+        if name in PLOTTABLE:
+            p.add_argument("--emit-plot-script", action="store_true")
     return parser
 
 
@@ -422,14 +400,15 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         cfg = load_config(args.config) if args.config else {}
-        fmt = _resolve(args, cfg, "fmt", str, "csv")
-        if fmt not in ("csv", "json"):
-            raise UsageError(f"unknown format {fmt!r}")
-        output = _resolve(args, cfg, "output", str, "") or None
-        header, rows, code = HANDLERS[args.command](args, cfg)
-        write_rows(header, rows, fmt, output)
+        options = COMMON_OPTIONS + SUBCOMMANDS[args.command][2]
+        o = argparse.Namespace(**{opt.dest: _resolve(args, cfg, opt) for opt in options})
+        if o.fmt not in FORMATS:
+            raise UsageError(f"unknown format {o.fmt!r}")
+        output = o.output or None
+        header, rows, code = HANDLERS[args.command](o)
+        write_rows(header, rows, o.fmt, output)
         if getattr(args, "emit_plot_script", False):
-            if not output or fmt != "csv":
+            if not output or o.fmt != "csv":
                 raise UsageError("--emit-plot-script requires --output and csv format")
             emit_plot_script(args.command, output)
         return code

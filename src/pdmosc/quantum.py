@@ -29,12 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 from scipy.integrate import quad
 
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, _zeros, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
-from .reporting import VerificationReport, residual_report
+from .bessel import jv, jv_derivatives, yv
 
 CONSTRAINT_TOL = 1e-12
 
@@ -56,60 +55,7 @@ class QuadratureFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# ordering schemes
-
-
-@dataclass(frozen=True)
-class OrderingTerm:
-    w: float
-    alpha: float
-    beta: float
-    gamma: float
-
-
-@dataclass(frozen=True)
-class OrderingScheme:
-    """Weighted multi-term ordering; validated data type only."""
-
-    terms: tuple[OrderingTerm, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValueError("OrderingScheme needs at least one term")
-
-    @property
-    def alpha_bar(self) -> float:
-        return sum(t.w * t.alpha for t in self.terms)
-
-    @property
-    def gamma_bar(self) -> float:
-        return sum(t.w * t.gamma for t in self.terms)
-
-    @property
-    def alphagamma_bar(self) -> float:
-        return sum(t.w * t.alpha * t.gamma for t in self.terms)
-
-
-def validate_ordering(scheme: OrderingScheme) -> VerificationReport:
-    """Check sum(w) = 1 and alpha + beta + gamma = -1 for every term."""
-    weight_dev = abs(sum(t.w for t in scheme.terms) - 1.0)
-    worst = weight_dev
-    notes = []
-    if weight_dev > CONSTRAINT_TOL:
-        notes.append(f"weights sum to 1{weight_dev:+.3e}")
-    for i, t in enumerate(scheme.terms):
-        dev = abs(t.alpha + t.beta + t.gamma + 1.0)
-        if dev > CONSTRAINT_TOL:
-            notes.append(f"term {i}: alpha+beta+gamma = -1{dev:+.3e}")
-        worst = max(worst, dev)
-    return residual_report(
-        check_id="ordering_constraints",
-        measured=worst,
-        tolerance=CONSTRAINT_TOL,
-        provenance="TRIVIAL",
-        notes="; ".join(notes) if notes else "all constraints hold",
-    )
+# orderings
 
 
 @dataclass(frozen=True)
@@ -204,36 +150,6 @@ def lambda_quantized(n: int, ordering: SingleTermOrdering, hbar: float) -> float
     return (n * n - ordering.s**2) * hbar**2 / 4.0
 
 
-@dataclass(frozen=True)
-class TransformChain:
-    """Substitution chain mapping the wave equation onto Bessel's equation.
-
-    d is the psi = x^d phi exponent; scale = 2 sqrt(E)/hbar so that
-    tau(x) = -scale/x.  For x > 0 the raw tau is negative; evaluation uses
-    the equivalent positive argument scale/|x| (J_n(-z) = (-1)^n J_n(z) for
-    the integer orders that survive the parity condition), which
-    :func:`eigenfunction` applies through an explicit parity factor.
-    """
-
-    d: float
-    scale: float
-
-    def g(self, x):
-        return -0.5 / np.asarray(x, dtype=float)
-
-    def tau(self, x):
-        return 2.0 * self.scale * self.g(x)
-
-    def bessel_argument(self, x):
-        return self.scale / np.abs(np.asarray(x, dtype=float))
-
-
-def transform_chain(ordering: SingleTermOrdering, E: float, hbar: float) -> TransformChain:
-    if E <= 0.0:
-        raise ValueError(f"E must be positive, got {E}")
-    return TransformChain(d=ordering.d_bessel, scale=2.0 * math.sqrt(E) / hbar)
-
-
 def general_solution(x, nu: float, E: float, C: float, D: float, d: float, hbar: float):
     """x^d [C J_nu(2 sqrt(E)/(hbar x)) + D Y_nu(2 sqrt(E)/(hbar x))] for x > 0.
 
@@ -246,9 +162,9 @@ def general_solution(x, nu: float, E: float, C: float, D: float, d: float, hbar:
     if np.any(xa <= 0.0):
         raise ValueError("general_solution is defined on x > 0; use parity for x < 0")
     arg = 2.0 * math.sqrt(E) / (hbar * xa)
-    out = C * _sp.jv(nu, arg)
+    out = C * jv(nu, arg)
     if D != 0.0:
-        out = out + D * _sp.yv(nu, arg)
+        out = out + D * yv(nu, arg)
     out = xa**d * out
     return float(out) if np.ndim(x) == 0 else out
 
@@ -297,17 +213,10 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0, x_floor: float | 
     scale = 2.0 * math.sqrt(state.E) / hbar
     safe = ax >= x_floor
     out = np.empty_like(ax)
-    out[safe] = _sp.jv(state.n, scale / ax[safe])
+    out[safe] = jv(state.n, scale / ax[safe])
     out[~safe] = np.sqrt(hbar * ax[~safe] / (math.pi * math.sqrt(state.E)))
     out = state.amplitude * sign * out
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
-
-
-def _jn_signed(order: int, x):
-    """J_order for possibly negative integer order: J_{-m} = (-1)^m J_m."""
-    if order >= 0:
-        return _sp.jv(order, x)
-    return (-1.0) ** (-order) * _sp.jv(-order, x)
 
 
 def ode_residual(
@@ -320,9 +229,8 @@ def ode_residual(
     """Max absolute wave-equation residual of psi_n over a grid.
 
     Derivatives of psi = C J_n(a/x), a = 2 sqrt(E)/hbar, are taken
-    analytically through the recurrence (no finite differences):
-    J' = (J_{n-1} - J_{n+1})/2 applied twice gives
-    J'' = (J_{n-2} - 2 J_n + J_{n+2})/4.  The residual is below 1e-8
+    analytically through the recurrence (see
+    :func:`pdmosc.bessel.jv_derivatives`).  The residual is below 1e-8
     exactly when the ordering reduces cleanly (gamma1 - alpha1 = 3/4, so
     the x^d prefactor is absent) *and* lam sits at its quantized value; it
     is insensitive to E, which is the continuous-energy statement at the
@@ -339,9 +247,7 @@ def ode_residual(
     n = state.n
     a = 2.0 * math.sqrt(state.E) / hbar
     u = a / xs
-    j = _sp.jv(n, u)
-    jp = 0.5 * (_jn_signed(n - 1, u) - _sp.jv(n + 1, u))
-    jpp = 0.25 * (_jn_signed(n - 2, u) - 2.0 * j + _sp.jv(n + 2, u))
+    j, jp, jpp = jv_derivatives(n, u)
 
     # chain rule for psi(x) = C J(a/x):  u' = -a/x^2,  u'' = 2a/x^3
     psi = state.amplitude * j
@@ -397,9 +303,7 @@ def pct_reduce(
 
     a = 2.0 * math.sqrt(E) / hbar
     u = 2.0 * a * t
-    j = _sp.jv(nu, u)
-    jp = 0.5 * (_sp.jv(nu - 1.0, u) - _sp.jv(nu + 1.0, u))
-    jpp = 0.25 * (_sp.jv(nu - 2.0, u) - 2.0 * j + _sp.jv(nu + 2.0, u))
+    j, jp, jpp = jv_derivatives(nu, u)
 
     rt = np.sqrt(2.0 * t)
     phi = rt * j
@@ -456,7 +360,7 @@ def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0
     kb = 2.0 * math.sqrt(E_prime) / hbar
 
     value, err = quad(
-        lambda r: r * _sp.jv(n, ka * r) * _sp.jv(n, kb * r),
+        lambda r: r * jv(n, ka * r) * jv(n, kb * r),
         0.0,
         R,
         limit=max(200, int(10 * R)),
@@ -514,7 +418,7 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     cN = eps / bessel_j(n + 1, jN)
     cM = eps / bessel_j(n + 1, jM)
     value, err = quad(
-        lambda r: r * _sp.jv(n, jN * eps * r) * _sp.jv(n, jM * eps * r),
+        lambda r: r * jv(n, jN * eps * r) * jv(n, jM * eps * r),
         0.0,
         1.0 / eps,
         limit=400,
@@ -549,7 +453,7 @@ def hermitian_wavefunction(x, n: int, E: float, C: float = 1.0, hbar: float = 1.
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise ValueError("hermitian_wavefunction is defined on x > 0")
-    out = C * xa**-1.5 * _sp.jv(n, 2.0 * math.sqrt(E) / (hbar * xa))
+    out = C * xa**-1.5 * jv(n, 2.0 * math.sqrt(E) / (hbar * xa))
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -196,6 +196,28 @@ def test_config_file_and_precedence(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "sub, line",
+    [("trajectory", "format = json"), ("trajectory", "lamda = 3"), ("verify", "lambda = -1")],
+)
+def test_unknown_config_key_exits_1(sub, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"lam = 1\nt = 0:1:0.5\n{line}\n")
+    code, out, err = run_cli([sub, "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pdmosc: ") and err.count("\n") == 1
+    assert f"unknown config key {line.split('=')[0].strip()!r}" in err
+
+
+def test_config_keys_of_other_subcommands_are_allowed(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("lam = 1\nt = 0:1:0.5\nfmt = json\nn-zeros = 3\nchecks = parity\n")
+    code, out, _ = run_cli(["trajectory", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert [json.loads(line)["t"] for line in out.splitlines()] == [0.0, 0.5, 1.0]
+
+
 def test_output_file_and_plot_script(tmp_path, capsys):
     out_csv = tmp_path / "eig.csv"
     code, _, _ = run_cli(
@@ -263,4 +285,14 @@ def test_non_finite_time_grid_exits_1(field, token, capsys):
     assert out == ""
     assert err.startswith("pdmosc: ") and err.count("\n") == 1
     assert "must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["0:1e308:1e-300", "-1e308:1e308:1"])
+def test_overflowing_time_grid_exits_1(spec, capsys):
+    code, out, err = run_cli(["trajectory", "--lambda", "1", "--t=" + spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pdmosc: ") and err.count("\n") == 1
+    assert "too many grid points" in err
     assert "Traceback" not in err

@@ -7,8 +7,6 @@ from pdmosc import bessel, quantum
 from pdmosc.quantum import (
     ComplexOrderError,
     ContinuumState,
-    OrderingScheme,
-    OrderingTerm,
     SingleTermOrdering,
 )
 from oracles import mass_form_coefficients, series_zero
@@ -28,31 +26,7 @@ def random_orderings(count, seed=7):
 
 
 # ---------------------------------------------------------------------------
-# ordering schemes
-
-
-def test_validate_ordering_examples():
-    ok = OrderingScheme((OrderingTerm(1.0, 0.0, -1.0, 0.0),))
-    assert quantum.validate_ordering(ok).status == "pass"
-    bad = OrderingScheme((OrderingTerm(1.0, 0.0, 0.0, 0.0),))
-    report = quantum.validate_ordering(bad)
-    assert report.status == "fail"
-    assert "term 0" in report.notes
-    halves = OrderingScheme(
-        (OrderingTerm(0.5, 0.0, -1.0, 0.0), OrderingTerm(0.5, -1.0, 0.0, 0.0))
-    )
-    assert quantum.validate_ordering(halves).status == "pass"
-    with pytest.raises(ValueError):
-        OrderingScheme(())
-
-
-def test_ordering_scheme_weighted_bars():
-    scheme = OrderingScheme(
-        (OrderingTerm(0.25, 1.0, -2.0, 0.0), OrderingTerm(0.75, 0.0, -1.0, 0.0))
-    )
-    assert scheme.alpha_bar == pytest.approx(0.25)
-    assert scheme.gamma_bar == pytest.approx(0.0)
-    assert scheme.alphagamma_bar == pytest.approx(0.0)
+# orderings
 
 
 def test_single_term_constraint_and_derived_values():
@@ -114,19 +88,6 @@ def test_lambda_quantized_examples_and_roundtrip():
         for n in range(1, 11):
             lam = quantum.lambda_quantized(n, ordering, 1.0)
             assert quantum.nu_from_params(ordering, lam, 1.0) == pytest.approx(n, abs=1e-12)
-
-
-def test_transform_chain():
-    chain = quantum.transform_chain(CLEAN, 1.0, 1.0)
-    assert chain.d == pytest.approx(0.0)
-    assert quantum.transform_chain(SingleTermOrdering.from_alpha_gamma(0.0, 0.0), 1.0, 1.0).d == pytest.approx(-1.5)
-    assert chain.g(1.0) == pytest.approx(-0.5)
-    assert abs(chain.tau(1.0)) == pytest.approx(2.0)
-    assert chain.tau(1.0) < 0.0  # raw argument is negative on x > 0
-    assert chain.bessel_argument(1.0) == pytest.approx(2.0)
-    assert chain.bessel_argument(-1.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        quantum.transform_chain(CLEAN, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +197,28 @@ def test_ode_residual_grid_validation():
         quantum.ode_residual(ContinuumState(n=1, E=1.0), CLEAN, -2.0, 1.0, grid=[-1.0, 1.0])
 
 
+# exact floats, per n: (clean ordering at its quantized coupling, broken
+# ordering); n = 1 and 2 reach the orders -1 and 0 of the J'' recurrence
+ODE_RESIDUAL_BITS = {
+    1: (2.2737367544323206e-13, 145.54712353879648),
+    2: (1.7053025658242404e-13, 91.90624325663407),
+    3: (2.2737367544323206e-13, 106.29687744757987),
+    4: (8.526512829121202e-14, 164.58923348393057),
+    5: (2.2737367544323206e-13, 216.4046525796166),
+    6: (1.7053025658242404e-13, 304.3322849034404),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ODE_RESIDUAL_BITS))
+def test_ode_residual_bits_are_pinned(n):
+    broken = SingleTermOrdering.from_alpha_gamma(0.0, 0.5)
+    clean = quantum.ode_residual(
+        ContinuumState(n=n, E=1.3), CLEAN, quantum.lambda_quantized(n, CLEAN, 1.0), 1.0
+    )
+    off = quantum.ode_residual(ContinuumState(n=n, E=0.7, amplitude=2.0), broken, 0.3, 0.8)
+    assert (clean, off) == ODE_RESIDUAL_BITS[n]
+
+
 # ---------------------------------------------------------------------------
 # constant-mass reduction
 
@@ -264,6 +247,23 @@ def test_pct_reduction_verifies_on_grid():
     for ordering in random_orderings(5, seed=21):
         red = quantum.pct_reduce(ordering, 0.9, 1.7, 1.0)
         assert red.residual_max < 1e-7
+
+
+# exact floats at the real orders nu = 1.93, 4.34, 2.66 and 0.632 (whose
+# nu - 1 and nu - 2 are negative non-integers)
+PCT_RESIDUAL_BITS = {
+    ((0.0, 0.0), 0.37, 1.0, 1.0): 7.105427357601002e-14,
+    ((0.0, 0.75), 1.2, 2.5, 0.7): 1.2612133559741778e-13,
+    ((0.2, -0.4), 3.3, 0.4, 1.5): 6.439293542825908e-15,
+    ((-0.75, 0.0), 0.1, 1.7, 1.0): 2.149391775674303e-13,
+}
+
+
+@pytest.mark.parametrize("case", list(PCT_RESIDUAL_BITS))
+def test_pct_reduce_bits_are_pinned(case):
+    (alpha1, gamma1), lam, E, hbar = case
+    ordering = SingleTermOrdering.from_alpha_gamma(alpha1, gamma1)
+    assert quantum.pct_reduce(ordering, lam, E, hbar).residual_max == PCT_RESIDUAL_BITS[case]
 
 
 # ---------------------------------------------------------------------------
