@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .bessel import _as_result
+
 #: closed-form trajectories are only evaluated where the radicand exceeds
 #: this floor, to avoid catastrophic cancellation next to a singular time
 RADICAND_FLOOR = 1e-15
@@ -84,7 +86,7 @@ def radicand(t, params: ModelParams):
     """lam/c1 + (c2 + sqrt(c1) t)^2, the quantity under the trajectory root."""
     w = params.c2 + math.sqrt(params.c1) * np.asarray(t, dtype=float)
     out = params.lam / params.c1 + w * w
-    return float(out) if np.ndim(t) == 0 else out
+    return _as_result(t, out)
 
 
 def radicand_roots(params: ModelParams) -> tuple[float, float] | None:
@@ -99,30 +101,31 @@ def radicand_roots(params: ModelParams) -> tuple[float, float] | None:
     return ((-half - params.c2) / rc1, (half - params.c2) / rc1)
 
 
-def exact_solution(t, params: ModelParams):
-    """Closed-form x(t); strictly positive wherever it is defined."""
+def _regular_radicand(t, params: ModelParams):
+    """radicand(t), refusing any t where it is <= RADICAND_FLOOR."""
     q = radicand(t, params)
     if np.any(np.asarray(q) <= RADICAND_FLOOR):
         raise SingularTrajectoryError(
             f"radicand <= {RADICAND_FLOOR:g} in the requested range "
             f"(singular roots at {radicand_roots(params)})"
         )
+    return q
+
+
+def exact_solution(t, params: ModelParams):
+    """Closed-form x(t); strictly positive wherever it is defined."""
+    q = _regular_radicand(t, params)
     out = 1.0 / np.sqrt(q)
-    return float(out) if np.ndim(t) == 0 else out
+    return _as_result(t, out)
 
 
 def exact_momentum(t, params: ModelParams):
     """Canonical momentum p(t) = 2 xd / x^4 along the closed-form trajectory."""
-    q = radicand(t, params)
-    if np.any(np.asarray(q) <= RADICAND_FLOOR):
-        raise SingularTrajectoryError(
-            f"radicand <= {RADICAND_FLOOR:g} in the requested range "
-            f"(singular roots at {radicand_roots(params)})"
-        )
+    q = _regular_radicand(t, params)
     rc1 = math.sqrt(params.c1)
     w = params.c2 + rc1 * np.asarray(t, dtype=float)
     out = -2.0 * rc1 * w * np.sqrt(q)
-    return float(out) if np.ndim(t) == 0 else out
+    return _as_result(t, out)
 
 
 def hamiltonian(x, p, lam: float):
@@ -131,7 +134,7 @@ def hamiltonian(x, p, lam: float):
     if np.any(xa == 0.0):
         raise ValueError("x = 0 is outside the model domain (mass 2/x^4 is singular)")
     out = xa**4 * np.asarray(p, dtype=float) ** 2 / 4.0 + lam * xa**2
-    return float(out) if np.ndim(x) == 0 else out
+    return _as_result(x, out)
 
 
 def eom_residual(x: float, xdot: float, xddot: float, lam: float) -> float:
@@ -151,7 +154,7 @@ def singularity_time(params: ModelParams) -> float | None:
     """
     if params.lam >= 0.0:
         return None
-    return (math.sqrt(-params.lam / params.c1) - params.c2) / math.sqrt(params.c1)
+    return radicand_roots(params)[1]
 
 
 def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:

@@ -31,11 +31,15 @@ from . import classical, quantum, semiclassical, verification
 from .bessel import ZeroRefinementError
 from .classical import ModelParams, SingularTrajectoryError
 from .quantum import ComplexOrderError, QuadratureFailure, SingleTermOrdering
+from .reporting import FAIL, PASS, SKIPPED
 from .semiclassical import ExtrapolationError, QuadratureError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+
+#: cap on a grid's (stop - start)/step, --count and --points (1e6 rows peak near 0.4 GB)
+MAX_POINTS = 10**7
 
 NUMERICAL_ERRORS = (
     SingularTrajectoryError,
@@ -147,7 +151,7 @@ def parse_grid(spec: str) -> np.ndarray:
     if step <= 0.0 or stop < start:
         raise ValueError(f"need stop >= start and step > 0 in {spec!r}")
     count = (stop - start) / step  # finite fields can still overflow to inf
-    if not math.isfinite(count):
+    if not count < MAX_POINTS:
         raise ValueError(f"too many grid points in {spec!r}")
     return start + step * np.arange(int(round(count)) + 1)
 
@@ -184,6 +188,8 @@ def run_lambda_map(o):
     window = parse_window(o.window)
     if o.count < 2:
         raise UsageError("--count must be at least 2")
+    if o.count > MAX_POINTS:
+        raise UsageError(f"--count must be at most {MAX_POINTS}")
     rows = []
     for lam in np.linspace(o.lambda_min, o.lambda_max, o.count):
         params = ModelParams(lam=float(lam), c1=o.c1, c2=o.c2)
@@ -199,6 +205,8 @@ def run_phase_portrait(o):
         raise UsageError("--energies must name at least one energy")
     if not (0.0 < o.x_floor_frac < 1.0):
         raise UsageError("--x-floor-frac must be in (0, 1)")
+    if o.points > MAX_POINTS:
+        raise UsageError(f"--points must be at most {MAX_POINTS}")
     rows = []
     for E in energies:
         amp = semiclassical.turning_point(E, o.lam)
@@ -262,9 +270,9 @@ def run_verify(o):
         (r.check_id, r.status, r.measured, r.tolerance, r.provenance, r.notes)
         for r in reports
     ]
-    n_pass = sum(r.status == "pass" for r in reports)
-    n_fail = sum(r.status == "fail" for r in reports)
-    n_skip = sum(r.status == "skipped" for r in reports)
+    n_pass = sum(r.status == PASS for r in reports)
+    n_fail = sum(r.status == FAIL for r in reports)
+    n_skip = sum(r.status == SKIPPED for r in reports)
     print(
         f"verify: {n_pass} passed, {n_fail} failed, {n_skip} skipped",
         file=sys.stderr,

@@ -33,7 +33,7 @@ from scipy.integrate import quad
 
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, _zeros, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
-from .bessel import jv, jv_derivatives, yv
+from .bessel import _as_result, jv, jv_derivatives, yv
 
 CONSTRAINT_TOL = 1e-12
 
@@ -86,16 +86,6 @@ class SingleTermOrdering:
     def eta(self) -> float:
         """Similarity exponent: H_her = m^eta H m^-eta with 2 eta = gamma1 - alpha1."""
         return 0.5 * (self.gamma1 - self.alpha1)
-
-    @property
-    def d_bessel(self) -> float:
-        """Prefactor exponent 2 gamma1 - 2 alpha1 - 3/2 of the Bessel reduction."""
-        return 2.0 * self.gamma1 - 2.0 * self.alpha1 - 1.5
-
-    @property
-    def d_pct(self) -> float:
-        """Prefactor exponent 2 gamma1 - 2 alpha1 - 1 of the constant-mass reduction."""
-        return 2.0 * self.gamma1 - 2.0 * self.alpha1 - 1.0
 
     @property
     def s(self) -> float:
@@ -160,13 +150,13 @@ def general_solution(x, nu: float, E: float, C: float, D: float, d: float, hbar:
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
-        raise ValueError("general_solution is defined on x > 0; use parity for x < 0")
+        raise ValueError("the solution is defined on x > 0; use parity for x < 0")
     arg = 2.0 * math.sqrt(E) / (hbar * xa)
     out = C * jv(nu, arg)
     if D != 0.0:
         out = out + D * yv(nu, arg)
     out = xa**d * out
-    return float(out) if np.ndim(x) == 0 else out
+    return _as_result(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +175,6 @@ class ContinuumState:
     n: int
     E: float
     amplitude: float = 1.0
-    normalization: str = "delta"
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
@@ -216,7 +205,7 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0, x_floor: float | 
     out[safe] = jv(state.n, scale / ax[safe])
     out[~safe] = np.sqrt(hbar * ax[~safe] / (math.pi * math.sqrt(state.E)))
     out = state.amplitude * sign * out
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+    return _as_result(x, out.reshape(np.shape(x)))
 
 
 def ode_residual(
@@ -277,14 +266,14 @@ def pct_reduce(
 ) -> PctReduction:
     """Reduce to the constant-mass equation with an inverse-square potential.
 
-    Choosing the prefactor exponent d_pct = 2 gamma1 - 2 alpha1 - 1 removes
-    the first-derivative term entirely, leaving
+    Choosing the prefactor exponent 2 gamma1 - 2 alpha1 - 1 (not the Bessel
+    reduction's 2 gamma1 - 2 alpha1 - 3/2) removes the first derivative, leaving
 
         phi_gg + [16 E/hbar^2 - strength / g^2] phi = 0,
         strength = 4 lam/hbar^2 + (2a+2g+2)(2a+2g+1),
 
     with strength + 1/4 = nu^2 identically.  The reduction is verified on a
-    grid: phi(g) = x^{d_bessel - d_pct} J_nu(2 sqrt(E)/(hbar x)) expressed in
+    grid: phi(g) = x^{-1/2} J_nu(2 sqrt(E)/(hbar x)) expressed in
     t = |g| is sqrt(2t) J_nu(2 a t), whose analytic derivatives must satisfy
     the equation; residual_max reports the worst violation.
     """
@@ -417,6 +406,7 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     jN, jM = _zeros(n, (N, M))  # one scan up to max(N, M), two polishes
     cN = eps / bessel_j(n + 1, jN)
     cM = eps / bessel_j(n + 1, jM)
+    # full_output: quad may flag roundoff short of 1e-13; the err gate below decides
     value, err = quad(
         lambda r: r * jv(n, jN * eps * r) * jv(n, jM * eps * r),
         0.0,
@@ -424,7 +414,8 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
         limit=400,
         epsabs=1e-13,
         epsrel=1e-13,
-    )
+        full_output=True,
+    )[:2]
     if err > 1e-9:
         raise QuadratureFailure(
             f"orthonormality quadrature error {err:.2e} too large (n={n}, N={N}, M={M})"
@@ -450,11 +441,7 @@ def hermitian_wavefunction(x, n: int, E: float, C: float = 1.0, hbar: float = 1.
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if E <= 0.0:
         raise ValueError(f"E must be positive, got {E}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("hermitian_wavefunction is defined on x > 0")
-    out = C * xa**-1.5 * jv(n, 2.0 * math.sqrt(E) / (hbar * xa))
-    return float(out) if np.ndim(x) == 0 else out
+    return general_solution(x, n, E, C, 0.0, -1.5, hbar)
 
 
 # 8th-order central stencils (offsets -4..+4)

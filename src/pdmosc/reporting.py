@@ -18,10 +18,6 @@ class VerificationReport:
     provenance: str  # PAPER | TRIVIAL | DERIVED
     notes: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
 
 def residual_report(
     check_id: str,
@@ -31,8 +27,7 @@ def residual_report(
     notes: str = "",
 ) -> VerificationReport:
     """Report that passes iff |measured| <= tolerance."""
-    status = PASS if abs(measured) <= tolerance else FAIL
-    return VerificationReport(check_id, status, float(measured), float(tolerance), provenance, notes)
+    return predicate_report(check_id, abs(measured) <= tolerance, measured, tolerance, provenance, notes)
 
 
 def predicate_report(

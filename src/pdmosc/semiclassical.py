@@ -126,7 +126,7 @@ def finite_part_action(A: float) -> ActionResult:
     level1 = [(r * subtracted[i + 1] - subtracted[i]) / (r - 1.0) for i in range(EPS_COUNT - 1)]
     level2 = [(r * r * level1[i + 1] - level1[i]) / (r * r - 1.0) for i in range(len(level1) - 1)]
     finite = level2[-1]
-    err_est = abs(level2[-1] - level2[-2]) if len(level2) > 1 else abs(level1[-1] - finite)
+    err_est = abs(level2[-1] - level2[-2])  # EPS_COUNT = 4 gives two level-2 extrapolants
     if err_est > EXTRAPOLATION_TOL:
         raise ExtrapolationError(
             f"successive finite-part extrapolants differ by {err_est:.2e} "

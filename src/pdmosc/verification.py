@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bessel, classical, quantum, semiclassical
 from .reporting import (
+    FAIL,
     SKIPPED,
     VerificationReport,
     predicate_report,
@@ -68,7 +69,7 @@ def check_classical_energy(cfg: SuiteConfig) -> VerificationReport:
 def check_integrator_vs_exact(cfg: SuiteConfig) -> VerificationReport:
     """Adaptive RK trajectory matches the closed form and conserves energy."""
     p = cfg.params
-    if classical.radicand(0.0, p) <= 1e-6 or classify_window_singular(p, (0.0, 10.0)):
+    if classical.radicand(0.0, p) <= 1e-6 or classical.classify_lambda(p, (0.0, 10.0)) == "singular":
         return _skip("integrator_vs_exact", "DERIVED", "trajectory singular on [0, 10]")
     x0 = classical.exact_solution(0.0, p)
     p0 = classical.exact_momentum(0.0, p)
@@ -85,10 +86,6 @@ def check_integrator_vs_exact(cfg: SuiteConfig) -> VerificationReport:
         "integrator_vs_exact", ok, x_dev, 1e-8, "DERIVED",
         notes=f"energy drift {drift:.3e} (tol 1e-9)",
     )
-
-
-def classify_window_singular(p: classical.ModelParams, window) -> bool:
-    return classical.classify_lambda(p, window) == "singular"
 
 
 def check_finite_part(cfg: SuiteConfig) -> VerificationReport:
@@ -297,4 +294,4 @@ def run_suite(selection, config: SuiteConfig | None = None) -> list[Verification
 
 
 def suite_passed(reports) -> bool:
-    return all(r.status != "fail" for r in reports)
+    return all(r.status != FAIL for r in reports)

@@ -115,6 +115,22 @@ def test_singularity_time_examples():
     assert classical.singularity_time(ModelParams(lam=-4.0, c1=4.0, c2=-5.0)) == pytest.approx(3.0)
 
 
+# exact floats of t_plus = (sqrt(-lam/c1) - c2)/sqrt(c1), keyed by (lam, c1, c2)
+SINGULARITY_TIMES = [
+    ((-1.0, 1.0, -5.0), 6.0),
+    ((-0.5, 1.0, -5.0), 5.707106781186548),
+    ((-1.1984, 0.53876, 0.490329), 1.363894410551041),
+    ((-2.0, 3.0, 0.25), 0.32706695349362525),
+    ((-1e-3, 0.7, 1.3), -1.5086217969894493),
+]
+
+
+@pytest.mark.parametrize("lam_c1_c2, t_plus", SINGULARITY_TIMES)
+def test_singularity_time_bits_are_pinned(lam_c1_c2, t_plus):
+    lam, c1, c2 = lam_c1_c2
+    assert classical.singularity_time(ModelParams(lam=lam, c1=c1, c2=c2)) == t_plus
+
+
 def test_radicand_roots():
     params = ModelParams(lam=-1.0, c1=1.0, c2=0.0)
     roots = classical.radicand_roots(params)

@@ -296,3 +296,36 @@ def test_overflowing_time_grid_exits_1(spec, capsys):
     assert err.startswith("pdmosc: ") and err.count("\n") == 1
     assert "too many grid points" in err
     assert "Traceback" not in err
+
+
+class _NoArrays:
+    """Stands in for numpy in cli: any array made before the cap check fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the point cap was checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "--lambda", "1", f"--t=0:{cli.MAX_POINTS}:1"],
+        ["trajectory", "--lambda", "1", "--t=0:1e12:1"],
+        ["eigenfunction", "--n", "1", "--E", "1", "--x=1:1e15:1"],
+        ["lambda-map", "--count", str(cli.MAX_POINTS + 1)],
+        ["phase-portrait", "--lambda", "1", "--points", str(cli.MAX_POINTS + 1)],
+    ],
+)
+def test_point_counts_above_the_cap_exit_1(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "np", _NoArrays())
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pdmosc: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_grid_cap_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_POINTS", 5)
+    assert len(cli.parse_grid("0:4:1")) == 5
+    with pytest.raises(ValueError, match="too many grid points"):
+        cli.parse_grid("0:5:1")

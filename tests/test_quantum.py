@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pdmosc import bessel, quantum
+from pdmosc import bessel, classical, quantum
 from pdmosc.quantum import (
     ComplexOrderError,
     ContinuumState,
@@ -33,13 +34,9 @@ def test_single_term_constraint_and_derived_values():
     with pytest.raises(ValueError):
         SingleTermOrdering(alpha1=0.0, beta1=0.0, gamma1=0.0)
     assert CLEAN.beta1 == pytest.approx(-1.75)
-    assert CLEAN.d_bessel == pytest.approx(0.0)
-    assert CLEAN.d_pct == pytest.approx(0.5)
     assert CLEAN.s == pytest.approx(3.0)
     assert CLEAN.eta == pytest.approx(0.375)
     plain = SingleTermOrdering.from_alpha_gamma(0.0, 0.0)
-    assert plain.d_bessel == pytest.approx(-1.5)
-    assert plain.d_pct == pytest.approx(-1.0)
     assert plain.s == pytest.approx(1.5)
 
 
@@ -125,7 +122,6 @@ def test_continuum_state_validation():
     with pytest.raises(ValueError):
         ContinuumState(n=2, E=-1.0)
     state = ContinuumState(n=2, E=1.0)
-    assert state.normalization == "delta"
     assert state.amplitude == 1.0
 
 
@@ -332,6 +328,14 @@ def test_box_orthonormality(N, M, expected):
     assert overlap == pytest.approx(expected, abs=1e-8)
 
 
+def test_box_orthonormality_roundoff_flag_stays_silent():
+    # quad flags roundoff here (error estimate ~1e-13, far inside the 1e-9 gate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        overlap = quantum.box_orthonormality(1, 1, 2, 0.06329312046572505)
+    assert overlap == -1.7827176106251374e-13
+
+
 def test_box_gram_matrix_is_identity():
     gram = np.array(
         [
@@ -362,6 +366,27 @@ def test_hermitian_wavefunction_tail():
         quantum.hermitian_wavefunction(-1.0, 1, 1.0)
     with pytest.raises(ValueError):
         quantum.hermitian_wavefunction(1.0, 1, -1.0)
+
+
+# exact floats of x^{-3/2} J_n(2 sqrt(E)/(hbar x)) on HERMITIAN_GRID, keyed by (n, E, hbar)
+HERMITIAN_GRID = [0.05, 0.3, 0.7, 1.0, 2.5, 9.0]
+HERMITIAN_PINNED = {
+    (1, 1.0, 1.0): [
+        11.273209876071114, -0.6407735520819297, 0.6665844815584719,
+        0.5767248077568736, 0.09331047699955113, 0.004089875920784151,
+    ],
+    (3, 2.0, 0.5): [
+        4.358751464474971, 0.5848650387957036, -0.4962203503370053,
+        0.2142769033890702, 0.043851529727338225, 0.00018691428486465936,
+    ],
+}
+
+
+@pytest.mark.parametrize("n, E, hbar", sorted(HERMITIAN_PINNED))
+def test_hermitian_wavefunction_bits_are_pinned(n, E, hbar):
+    values = quantum.hermitian_wavefunction(np.array(HERMITIAN_GRID), n, E, hbar=hbar)
+    assert values.tolist() == HERMITIAN_PINNED[(n, E, hbar)]
+    assert quantum.hermitian_wavefunction(0.3, 2, 0.7) == -0.8523252054879374
 
 
 def test_hermitian_windowed_maxima_grow():
@@ -442,3 +467,31 @@ def test_single_term_ordering_rejects_non_finite_exponents(field, bad):
     exponents = {"alpha1": 0.0, "beta1": -1.75, "gamma1": 0.75, field: bad}
     with pytest.raises(ValueError, match="must be finite"):
         SingleTermOrdering(**exponents)
+
+
+# ---------------------------------------------------------------------------
+# the scalar/array convention (bessel._as_result)
+
+FIG1 = classical.ModelParams(lam=1.0, c1=1.0, c2=-5.0)
+SCALAR_OR_ARRAY = {
+    "radicand": lambda x: classical.radicand(x, FIG1),
+    "exact_solution": lambda x: classical.exact_solution(x, FIG1),
+    "exact_momentum": lambda x: classical.exact_momentum(x, FIG1),
+    "hamiltonian": lambda x: classical.hamiltonian(x, x, 1.0),
+    "general_solution": lambda x: quantum.general_solution(x, 1.5, 1.0, 1.0, 0.5, 0.0, 1.0),
+    "hermitian_wavefunction": lambda x: quantum.hermitian_wavefunction(x, 2, 1.0),
+    "eigenfunction": lambda x: quantum.eigenfunction(x, ContinuumState(n=2, E=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_OR_ARRAY))
+def test_scalar_gives_float_and_array_gives_array_of_its_shape(name):
+    fn = SCALAR_OR_ARRAY[name]
+    grid = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    out = fn(grid)
+    assert type(out) is np.ndarray and out.shape == grid.shape
+    assert fn(grid[:1, :1]).shape == (1, 1)
+    for x in (1.0, np.float64(1.0), np.array(1.0)):
+        value = fn(x)
+        assert type(value) is float
+        assert value == pytest.approx(out[0, 1], rel=1e-15)
