@@ -38,14 +38,7 @@ class AccuracyLossWarning(UserWarning):
 
 
 class ZeroRefinementError(RuntimeError):
-    """Zero search failed to bracket or converge.
-
-    Carries the last bracket examined in :attr:`bracket` for diagnostics.
-    """
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """Zero search failed to bracket or converge; the message names the last bracket."""
 
 
 def _checked(nu: float, x, domain_error: str, positive: bool = True):
@@ -182,8 +175,7 @@ def _zero_brackets(n: int, N_max: int) -> list[tuple[float, float]]:
                 return brackets
         x_lo, f_lo = x_hi, f_hi
     raise ZeroRefinementError(
-        f"failed to bracket zero {len(brackets) + 1} of J_{n} while scanning up to {x_max:.3f}",
-        bracket=(float(n), x_max),
+        f"failed to bracket zero {len(brackets) + 1} of J_{n} while scanning [{n}, {x_max:.3f}]"
     )
 
 
@@ -211,8 +203,7 @@ def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
             return x_new
         x = x_new
     raise ZeroRefinementError(
-        f"Newton refinement for zero {N} of J_{n} did not converge",
-        bracket=(a, b),
+        f"Newton refinement for zero {N} of J_{n} did not converge in bracket [{a!r}, {b!r}]"
     )
 
 

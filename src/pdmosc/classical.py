@@ -29,6 +29,9 @@ RADICAND_FLOOR = 1e-15
 #: |x| beyond this declares a finite-time singularity during integration
 BLOWUP_BOUND = 1e6
 
+#: uniform output samples of :func:`integrate_eom` over [0, t_end]
+EOM_SAMPLES = 1001
+
 
 class SingularTrajectoryError(ValueError):
     """The trajectory radicand vanished inside the requested time range."""
@@ -200,23 +203,15 @@ def phase_curve(E: float, lam: float, x_grid) -> np.ndarray:
     return np.column_stack([xs, p, -p])
 
 
-def integrate_eom(
-    x0: float,
-    xdot0: float,
-    lam: float,
-    t_end: float,
-    tol: float,
-    n_samples: int = 1001,
-    blowup_bound: float = BLOWUP_BOUND,
-) -> Trajectory:
+def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float) -> Trajectory:
     """Adaptive Runge-Kutta integration of the equation of motion.
 
     Integrates from t = 0 to t_end (negative t_end integrates backward)
-    with local error tolerance tol, sampling n_samples points uniformly.
-    The run terminates early, with ``blew_up`` set and the reached time in
-    ``singular_time``, when |x| crosses blowup_bound or the step collapses;
-    this is the expected outcome for lam < 0 trajectories heading into the
-    finite-time singularity.
+    with local error tolerance tol, sampling EOM_SAMPLES = 1001 points
+    uniformly.  The run terminates early, with ``blew_up`` set and the
+    reached time in ``singular_time``, when |x| crosses BLOWUP_BOUND = 1e6
+    or the step collapses; this is the expected outcome for lam < 0
+    trajectories heading into the finite-time singularity.
     """
     if x0 == 0.0:
         raise ValueError("x0 = 0 is outside the model domain")
@@ -228,11 +223,11 @@ def integrate_eom(
         return (v, 2.0 * v * v / x - lam * x**5)
 
     def blowup(t, y):
-        return abs(y[0]) - blowup_bound
+        return abs(y[0]) - BLOWUP_BOUND
 
     blowup.terminal = True
 
-    t_eval = np.linspace(0.0, t_end, n_samples)
+    t_eval = np.linspace(0.0, t_end, EOM_SAMPLES)
     sol = solve_ivp(
         rhs,
         (0.0, t_end),

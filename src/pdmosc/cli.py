@@ -30,7 +30,7 @@ import numpy as np
 from . import classical, quantum, semiclassical, verification
 from .bessel import ZeroRefinementError
 from .classical import ModelParams, SingularTrajectoryError
-from .quantum import ComplexOrderError, QuadratureFailure, SingleTermOrdering
+from .quantum import ComplexOrderError, SingleTermOrdering
 from .reporting import FAIL, PASS, SKIPPED
 from .semiclassical import ExtrapolationError, QuadratureError
 
@@ -38,7 +38,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-#: cap on a grid's (stop - start)/step, --count and --points (1e6 rows peak near 0.4 GB)
+#: cap on a grid's (stop - start)/step and on every row-count option (1e6 rows peak near 0.4 GB)
 MAX_POINTS = 10**7
 
 NUMERICAL_ERRORS = (
@@ -46,7 +46,6 @@ NUMERICAL_ERRORS = (
     ZeroRefinementError,
     ExtrapolationError,
     QuadratureError,
-    QuadratureFailure,
     ComplexOrderError,
 )
 
@@ -126,18 +125,29 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args, cfg: dict[str, str], opt: Option):
-    """flag > config file entry > built-in default."""
+    """flag > config file entry > built-in default; a float must be finite
+    and hbar positive, whichever source gave it."""
     value = getattr(args, opt.dest)
-    if value is not None:
-        return value
-    if opt.dest in cfg:
+    if value is None and opt.dest in cfg:
         try:
-            return opt.type(cfg[opt.dest])
+            value = opt.type(cfg[opt.dest])
         except ValueError as exc:
             raise UsageError(f"config entry {opt.dest}={cfg[opt.dest]!r}: {exc}") from exc
-    if opt.default is None:
-        raise UsageError(f"missing required option {opt.flag}")
-    return opt.default
+    if value is None:
+        if opt.default is None:
+            raise UsageError(f"missing required option {opt.flag}")
+        return opt.default
+    if opt.type is float and not math.isfinite(value):
+        raise UsageError(f"{opt.flag} must be finite, got {value}")
+    if opt.dest == "hbar" and value <= 0.0:
+        raise UsageError(f"{opt.flag} must be positive, got {value}")
+    return value
+
+
+def _check_count(value: int, flag: str, low: int) -> None:
+    """Refuse a row count outside [low, MAX_POINTS] before anything is computed."""
+    if not low <= value <= MAX_POINTS:
+        raise UsageError(f"{flag} must be between {low} and {MAX_POINTS}, got {value}")
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -158,9 +168,12 @@ def parse_grid(spec: str) -> np.ndarray:
 
 def parse_floats(spec: str) -> list[float]:
     try:
-        return [float(p) for p in spec.split(",") if p.strip()]
+        values = [float(p) for p in spec.split(",") if p.strip()]
     except ValueError as exc:
         raise ValueError(f"bad float list {spec!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"every value must be finite in {spec!r}")
+    return values
 
 
 def parse_window(spec: str) -> tuple[float, float]:
@@ -186,10 +199,7 @@ def run_trajectory(o):
 
 def run_lambda_map(o):
     window = parse_window(o.window)
-    if o.count < 2:
-        raise UsageError("--count must be at least 2")
-    if o.count > MAX_POINTS:
-        raise UsageError(f"--count must be at most {MAX_POINTS}")
+    _check_count(o.count, "--count", 2)
     rows = []
     for lam in np.linspace(o.lambda_min, o.lambda_max, o.count):
         params = ModelParams(lam=float(lam), c1=o.c1, c2=o.c2)
@@ -205,8 +215,7 @@ def run_phase_portrait(o):
         raise UsageError("--energies must name at least one energy")
     if not (0.0 < o.x_floor_frac < 1.0):
         raise UsageError("--x-floor-frac must be in (0, 1)")
-    if o.points > MAX_POINTS:
-        raise UsageError(f"--points must be at most {MAX_POINTS}")
+    _check_count(o.points, "--points", 2)
     rows = []
     for E in energies:
         amp = semiclassical.turning_point(E, o.lam)
@@ -218,6 +227,7 @@ def run_phase_portrait(o):
 
 
 def run_wkb(o):
+    _check_count(o.n_max, "--n-max", 0)
     rows = []
     for n in range(o.n_max + 1):
         lam = semiclassical.wkb_lambda(n, o.hbar)
@@ -229,6 +239,7 @@ def run_wkb(o):
 
 
 def run_spectrum(o):
+    _check_count(o.n_max, "--n-max", 1)
     ordering = SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
     rows = []
     for n in range(1, o.n_max + 1):
@@ -248,6 +259,7 @@ def run_eigenfunction(o):
 
 
 def run_box_spectrum(o):
+    _check_count(o.n_zeros, "--n-zeros", 1)
     states = quantum.box_spectrum(o.n, o.n_zeros, o.eps, o.hbar)
     rows = [(s.n, s.N, s.eps, s.energy, s.norm_const) for s in states]
     return ["n", "N", "eps", "E", "C"], rows, EXIT_OK

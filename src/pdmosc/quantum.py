@@ -34,11 +34,12 @@ from scipy.integrate import quad
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, _zeros, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
 from .bessel import _as_result, jv, jv_derivatives, yv
+from .semiclassical import QuadratureError
 
 CONSTRAINT_TOL = 1e-12
 
-#: default grid for residual-style checks: Chebyshev points on [0.2, 10],
-#: dense enough to resolve the fastest oscillation for E <= 4, hbar >= 0.5
+#: grid of :func:`ode_residual`: Chebyshev points on [0.2, 10], dense
+#: enough to resolve the fastest oscillation for E <= 4, hbar >= 0.5
 RESIDUAL_GRID_RANGE = (0.2, 10.0)
 RESIDUAL_GRID_SIZE = 400
 
@@ -48,10 +49,6 @@ PARITY_INT_TOL = 1e-9
 
 class ComplexOrderError(ValueError):
     """nu^2 < 0: attractive inverse-square regime, outside this model's scope."""
-
-
-class QuadratureFailure(RuntimeError):
-    """Oscillatory overlap quadrature did not converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +180,22 @@ class ContinuumState:
             raise ValueError(f"E must be positive, got {self.E}")
 
 
-def eigenfunction(x, state: ContinuumState, hbar: float = 1.0, x_floor: float | None = None):
+def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     """psi_n(x) = C J_n(2 sqrt(E)/(hbar |x|)) with parity factor (-1)^n for x < 0.
 
-    Below |x| = x_floor (default 1e-3 * hbar / sqrt(E)) the Bessel factor
+    Below the floor |x| = 1e-3 * hbar / sqrt(E) the Bessel factor
     oscillates infinitely fast; the squeeze-theorem envelope
     C sqrt(hbar |x| / (pi sqrt(E))) is returned there instead, signed so the
     parity relation psi(-x) = (-1)^n psi(x) is preserved exactly.  x = 0 is
     excluded (the limit is 0 by the squeeze argument).
     """
-    if x_floor is None:
-        x_floor = 1e-3 * hbar / math.sqrt(state.E)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xa == 0.0):
         raise ValueError("x = 0 is excluded; psi -> 0 there by the squeeze bound")
     ax = np.abs(xa)
     sign = np.where(xa > 0.0, 1.0, (-1.0) ** state.n)
     scale = 2.0 * math.sqrt(state.E) / hbar
-    safe = ax >= x_floor
+    safe = ax >= 1e-3 * hbar / math.sqrt(state.E)
     out = np.empty_like(ax)
     out[safe] = jv(state.n, scale / ax[safe])
     out[~safe] = np.sqrt(hbar * ax[~safe] / (math.pi * math.sqrt(state.E)))
@@ -209,13 +204,9 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0, x_floor: float | 
 
 
 def ode_residual(
-    state: ContinuumState,
-    ordering: SingleTermOrdering,
-    lam: float,
-    hbar: float,
-    grid=None,
+    state: ContinuumState, ordering: SingleTermOrdering, lam: float, hbar: float
 ) -> float:
-    """Max absolute wave-equation residual of psi_n over a grid.
+    """Max absolute wave-equation residual of psi_n at 400 Chebyshev points in [0.2, 10].
 
     Derivatives of psi = C J_n(a/x), a = 2 sqrt(E)/hbar, are taken
     analytically through the recurrence (see
@@ -225,13 +216,9 @@ def ode_residual(
     is insensitive to E, which is the continuous-energy statement at the
     level of the differential equation.
     """
-    if grid is None:
-        lo, hi = RESIDUAL_GRID_RANGE
-        k = np.arange(RESIDUAL_GRID_SIZE)
-        grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k + 1) * np.pi / (2 * RESIDUAL_GRID_SIZE))
-    xs = np.asarray(grid, dtype=float)
-    if np.any(xs <= 0.0):
-        raise ValueError("residual grid must be strictly positive")
+    lo, hi = RESIDUAL_GRID_RANGE
+    k = np.arange(RESIDUAL_GRID_SIZE)
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k + 1) * np.pi / (2 * RESIDUAL_GRID_SIZE))
 
     n = state.n
     a = 2.0 * math.sqrt(state.E) / hbar
@@ -261,9 +248,7 @@ class PctReduction:
     residual_max: float
 
 
-def pct_reduce(
-    ordering: SingleTermOrdering, lam: float, E: float, hbar: float, grid=None
-) -> PctReduction:
+def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) -> PctReduction:
     """Reduce to the constant-mass equation with an inverse-square potential.
 
     Choosing the prefactor exponent 2 gamma1 - 2 alpha1 - 1 (not the Bessel
@@ -275,7 +260,8 @@ def pct_reduce(
     with strength + 1/4 = nu^2 identically.  The reduction is verified on a
     grid: phi(g) = x^{-1/2} J_nu(2 sqrt(E)/(hbar x)) expressed in
     t = |g| is sqrt(2t) J_nu(2 a t), whose analytic derivatives must satisfy
-    the equation; residual_max reports the worst violation.
+    the equation at the 200 points t = linspace(0.05, 2.5, 200);
+    residual_max reports the worst violation.
     """
     if E <= 0.0:
         raise ValueError(f"E must be positive, got {E}")
@@ -284,12 +270,7 @@ def pct_reduce(
     strength = 4.0 * lam / hbar**2 + (two_ag + 2.0) * (two_ag + 1.0)
     nu = nu_from_params(ordering, lam, hbar)
 
-    if grid is None:
-        grid = np.linspace(0.05, 2.5, 200)
-    t = np.asarray(grid, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("reduction grid must be strictly positive in |g|")
-
+    t = np.linspace(0.05, 2.5, 200)
     a = 2.0 * math.sqrt(E) / hbar
     u = 2.0 * a * t
     j, jp, jpp = jv_derivatives(nu, u)
@@ -357,7 +338,7 @@ def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0
         epsrel=1e-10,
     )
     if err > 1e-6 * max(1.0, abs(value)):
-        raise QuadratureFailure(
+        raise QuadratureError(
             f"overlap quadrature error {err:.2e} too large at R={R}, n={n}"
         )
     return 2.0**0.75 * value
@@ -400,7 +381,9 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     """Overlap 2 C_N C_M int_0^{1/eps} rho J_n(j_N eps rho) J_n(j_M eps rho) drho.
 
     Equals delta_{NM} within quadrature accuracy (Fourier-Bessel
-    orthogonality on the interval fixed by the box radius).
+    orthogonality on the interval fixed by the box radius).  hbar does not
+    enter the result; it stays a parameter only because
+    perfbench/workloads.py passes it positionally.
     """
     n, N, M = _check_zero_args(n, N, M)
     jN, jM = _zeros(n, (N, M))  # one scan up to max(N, M), two polishes
@@ -417,7 +400,7 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
         full_output=True,
     )[:2]
     if err > 1e-9:
-        raise QuadratureFailure(
+        raise QuadratureError(
             f"orthonormality quadrature error {err:.2e} too large (n={n}, N={N}, M={M})"
         )
     return 2.0 * cN * cM * value
@@ -427,21 +410,21 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
 # Hermitian ordering
 
 
-def hermitian_wavefunction(x, n: int, E: float, C: float = 1.0, hbar: float = 1.0):
-    """Similarity-transformed state C x^{-3/2} J_n(2 sqrt(E)/(hbar x)), x > 0.
+def hermitian_wavefunction(x, n: int, E: float, hbar: float = 1.0):
+    """Similarity-transformed state x^{-3/2} J_n(2 sqrt(E)/(hbar x)), x > 0.
 
     This is m^eta psi with eta = 3/8 for the cleanly reducing orderings
-    (gamma1 - alpha1 = 3/4); the constant 2^{3/8} from m^eta = 2^{3/8} x^{-3/2}
-    is folded into C.  Unlike psi itself, the x^{-3/2} prefactor beats the
-    sqrt(x) squeeze envelope, so this function is singular at the origin:
-    its local maxima grow like 1/x.  That growth is the reason only the
-    non-Hermitian-ordered form yields bounded states.
+    (gamma1 - alpha1 = 3/4), at amplitude 1: the constant 2^{3/8} from
+    m^eta = 2^{3/8} x^{-3/2} is dropped.  Unlike psi itself, the x^{-3/2}
+    prefactor beats the sqrt(x) squeeze envelope, so this function is
+    singular at the origin: its local maxima grow like 1/x.  That growth is
+    the reason only the non-Hermitian-ordered form yields bounded states.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if E <= 0.0:
         raise ValueError(f"E must be positive, got {E}")
-    return general_solution(x, n, E, C, 0.0, -1.5, hbar)
+    return general_solution(x, n, E, 1.0, 0.0, -1.5, hbar)
 
 
 # 8th-order central stencils (offsets -4..+4)
@@ -481,26 +464,19 @@ def _apply_ordered_operator(x, f, fp, fpp, alpha, beta, gamma, lam, hbar):
 
 
 def similarity_check(
-    ordering: SingleTermOrdering,
-    testfn,
-    hbar: float = 1.0,
-    lam: float = 0.0,
-    grid: tuple[float, float, int] = (0.5, 5.0, 901),
+    ordering: SingleTermOrdering, testfn, hbar: float = 1.0, lam: float = 0.0
 ) -> float:
-    """Max discrepancy between H f and m^-eta H_her (m^eta f) on a grid.
+    """Max discrepancy between H f and m^-eta H_her (m^eta f) on [0.5, 5].
 
     H is the single-term ordered operator; H_her the Hermitian one with both
-    outer exponents (alpha1+gamma1)/2.  testfn is sampled on a uniform grid
-    (with margin for the stencils) and differentiated by 8th-order central
-    differences, so agreement to ~1e-6 on smooth test functions is the
-    expected signature of the similarity relation.
+    outer exponents (alpha1+gamma1)/2.  testfn is sampled on 901 uniform
+    points of [0.5, 5] (h = 0.005) plus a 4-point stencil margin at each end,
+    and differentiated by 8th-order central differences, so agreement to
+    ~1e-6 on smooth test functions is the expected signature of the
+    similarity relation.
     """
-    lo, hi, npts = grid
-    if npts < 32:
-        raise ValueError("grid too coarse for the 8th-order stencils")
+    lo, hi, npts = 0.5, 5.0, 901
     h = (hi - lo) / (npts - 1)
-    if lo - 4 * h <= 0.0:
-        raise ValueError("grid (with stencil margin) must stay at positive x")
     xs = np.linspace(lo - 4 * h, hi + 4 * h, npts + 8)
     try:
         f = np.asarray(testfn(xs), dtype=float)

@@ -187,7 +187,7 @@ def check_box_orthonormality(cfg: SuiteConfig) -> VerificationReport:
     worst = 0.0
     for N in range(1, 6):
         for M in range(N, 6):
-            g = quantum.box_orthonormality(1, N, M, eps=0.1, hbar=cfg.params.hbar)
+            g = quantum.box_orthonormality(1, N, M, eps=0.1)
             worst = max(worst, abs(g - (1.0 if N == M else 0.0)))
     return residual_report(
         "box_orthonormality", worst, 1e-8, "DERIVED", notes="n = 1, eps = 0.1, N, M <= 5"

@@ -96,10 +96,32 @@ def test_integrator_blowup_recovers_singular_time():
 
 
 def test_trajectory_sequence_protocol():
-    traj = classical.integrate_eom(1.0, 0.0, 1.0, t_end=1.0, tol=1e-9, n_samples=11)
-    assert len(traj) == 11
+    traj = classical.integrate_eom(1.0, 0.0, 1.0, t_end=1.0, tol=1e-9)
+    assert len(traj) == classical.EOM_SAMPLES
     assert traj[0].t == 0.0
     assert all(isinstance(s.x, float) for s in traj)
+
+
+def test_integrate_eom_end_states_are_pinned():
+    bounded = classical.integrate_eom(1.0, 0.0, 1.0, t_end=1.0, tol=1e-9)
+    assert (bounded[0].t, bounded[0].x, bounded[0].p) == (0.0, 1.0, 0.0)
+    assert (bounded[-1].t, bounded[-1].x, bounded[-1].p) == (
+        1.0, 0.7071067811942453, -2.828427124725671
+    )
+    assert not bounded.blew_up and bounded.singular_time is None
+    # lam < 0, backward from t0 = 3 into the singularity at t* = 1 (see above)
+    params = ModelParams(lam=-1.0, c1=1.0, c2=0.0)
+    x0 = classical.exact_solution(3.0, params)
+    v0 = classical.exact_momentum(3.0, params) * x0**4 / 2.0
+    singular = classical.integrate_eom(x0, v0, params.lam, t_end=-2.5, tol=1e-10)
+    assert len(singular) == 802
+    assert (singular[0].t, singular[0].x, singular[0].p) == (
+        0.0, 0.35355339059327373, -16.970562748477143
+    )
+    assert (singular[-1].t, singular[-1].x, singular[-1].p) == (
+        -2.0000000000978506, 1000574.6750457373, -1.9988513099938732e-06
+    )
+    assert singular.blew_up and singular.singular_time == -2.0000000000978506
 
 
 def test_integrator_validation():

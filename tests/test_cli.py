@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,9 @@ class _NoArrays:
         ["eigenfunction", "--n", "1", "--E", "1", "--x=1:1e15:1"],
         ["lambda-map", "--count", str(cli.MAX_POINTS + 1)],
         ["phase-portrait", "--lambda", "1", "--points", str(cli.MAX_POINTS + 1)],
+        ["wkb", "--n-max", str(cli.MAX_POINTS + 1)],
+        ["spectrum", "--n-max", str(cli.MAX_POINTS + 1)],
+        ["box-spectrum", "--n", "1", "--n-zeros", str(cli.MAX_POINTS + 1)],
     ],
 )
 def test_point_counts_above_the_cap_exit_1(argv, monkeypatch, capsys):
@@ -329,3 +333,68 @@ def test_grid_cap_boundary(monkeypatch):
     assert len(cli.parse_grid("0:4:1")) == 5
     with pytest.raises(ValueError, match="too many grid points"):
         cli.parse_grid("0:5:1")
+
+
+# (argv without the count, flag, lowest accepted value, data rows at that value)
+COUNT_OPTIONS = [
+    (["lambda-map"], "--count", 2, 2),
+    (["phase-portrait", "--lambda", "1", "--energies", "1"], "--points", 2, 2),
+    (["wkb"], "--n-max", 0, 1),
+    (["spectrum"], "--n-max", 1, 1),
+    (["box-spectrum", "--n", "1"], "--n-zeros", 1, 1),
+]
+
+
+@pytest.mark.parametrize("argv, flag, low, low_rows", COUNT_OPTIONS)
+def test_count_cap_boundary(argv, flag, low, low_rows, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_POINTS", 5)
+    code, out, _ = run_cli(argv + [flag, str(low)], capsys)
+    assert (code, len(read_csv(out))) == (0, low_rows)
+    assert run_cli(argv + [flag, "5"], capsys)[0] == 0
+    for bad in (low - 2, low - 1, 6):
+        code, out, err = run_cli(argv + [flag, str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"pdmosc: {flag} must be between {low} and 5, got {bad}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase-portrait", "--lambda", "1", "--energies", "nan"],
+        ["phase-portrait", "--lambda", "1", "--energies", "0.5,inf"],
+        ["phase-portrait", "--lambda", "nan"],
+        ["wkb", "--hbar", "nan"],
+        ["spectrum", "--hbar", "nan"],
+        ["eigenfunction", "--n", "1", "--E", "nan"],
+        ["eigenfunction", "--n", "1", "--E", "inf"],
+        ["eigenfunction", "--n", "1", "--E", "1", "--hbar", "nan"],
+        ["eigenfunction", "--n", "1", "--E", "1", "--amplitude", "nan"],
+        ["box-spectrum", "--n", "1", "--eps", "nan"],
+        ["box-spectrum", "--n", "1", "--eps", "inf"],
+        ["box-spectrum", "--n", "1", "--hbar", "nan"],
+        ["trajectory", "--lambda", "1", "--hbar", "0"],
+        ["wkb", "--hbar", "0"],
+        ["spectrum", "--hbar", "0"],
+        ["spectrum", "--hbar", "-1"],
+        ["eigenfunction", "--n", "1", "--E", "1", "--hbar", "0"],
+        ["eigenfunction", "--n", "1", "--E", "1", "--hbar", "-1"],
+        ["box-spectrum", "--n", "1", "--hbar", "0"],
+        ["box-spectrum", "--n", "1", "--hbar", "-1"],
+        ["verify", "--hbar", "0"],
+    ],
+)
+def test_non_finite_floats_and_non_positive_hbar_exit_1(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pdmosc: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_finite_config_float_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("eps = nan\n")
+    code, out, err = run_cli(["box-spectrum", "--n", "1", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (1, "", "pdmosc: --eps must be finite, got nan\n")

@@ -76,7 +76,7 @@ CONFIG_FILES = {
 
 #: sha256 per case, recorded under RECORDED_VERSIONS
 DIGESTS = {
-    "alpha1-nan": "806b5d538d636645d4c1e0205e14f81cd22f2bf6c9e77f0728e535edded4ccc3",
+    "alpha1-nan": "4ca72f8246013a5ffb06d7f68201114c86f8f8d4549afb09121bafd750908cf6",
     "box-spectrum-csv": "68f7ec10e0f5c9bfdec97509da7a23c2ede96fdafca1242b9c3d2d54c1d08ab4",
     "box-spectrum-help": "7be9b30ded889b9e150ed657502d9dc59472695f75ecfde0b4607e321dd2d6a6",
     "box-spectrum-json": "88d4cf5294a7c3ab99f8cec8cd994a9a144bf43647df492b57cc02c300c7f323",

@@ -161,6 +161,23 @@ def test_eigenfunction_zero_crossings_match_bessel_zeros():
         assert found == pytest.approx(want, abs=1e-3)
 
 
+# exact floats at E = 1, hbar = 1 on a grid straddling the floor |x| = 1e-3:
+# +-5e-4 get the squeeze envelope, +-2e-3 and +-0.5 the Bessel factor
+FLOOR_GRID = [-0.5, -2e-3, -5e-4, 5e-4, 2e-3, 0.5]
+EIGENFUNCTION_PINNED = {
+    1: [0.06604332802354924, -0.004728311907089523, -0.012615662610100801,
+        0.012615662610100801, 0.004728311907089523, -0.06604332802354924],
+    2: [0.3641281458520728, -0.02477722952860599, 0.012615662610100801,
+        0.012615662610100801, -0.02477722952860599, 0.3641281458520728],
+}
+
+
+@pytest.mark.parametrize("n", sorted(EIGENFUNCTION_PINNED))
+def test_eigenfunction_bits_across_the_floor_are_pinned(n):
+    psi = quantum.eigenfunction(np.array(FLOOR_GRID), ContinuumState(n=n, E=1.0))
+    assert psi.tolist() == EIGENFUNCTION_PINNED[n]
+
+
 # ---------------------------------------------------------------------------
 # residual dichotomy
 
@@ -186,11 +203,6 @@ def test_ode_residual_energy_independence():
     for E in (0.5, 2.0):
         res = quantum.ode_residual(ContinuumState(n=2, E=E), zero_s, lam, 1.0)
         assert res < 1e-8
-
-
-def test_ode_residual_grid_validation():
-    with pytest.raises(ValueError):
-        quantum.ode_residual(ContinuumState(n=1, E=1.0), CLEAN, -2.0, 1.0, grid=[-1.0, 1.0])
 
 
 # exact floats, per n: (clean ordering at its quantized coupling, broken
@@ -423,6 +435,19 @@ def test_similarity_check_potential_cancels():
         CLEAN, lambda x: np.exp(-((x - 2.0) ** 2)), lam=1.5
     )
     assert disc < 1e-6
+
+
+# exact floats of the two acceptance-criterion-9 cases on the fixed [0.5, 5] grid
+SIMILARITY_PINNED = [
+    ((0.0, 0.75), lambda x: np.exp(-((x - 2.0) ** 2)), 3.397992998088739e-10),
+    ((-1.0, 0.0), lambda x: (x - 1.0) * np.exp(-((x - 2.5) ** 2)), 1.935926974283575e-09),
+]
+
+
+@pytest.mark.parametrize("alpha_gamma, testfn, expected", SIMILARITY_PINNED)
+def test_similarity_check_bits_are_pinned(alpha_gamma, testfn, expected):
+    ordering = SingleTermOrdering.from_alpha_gamma(*alpha_gamma)
+    assert quantum.similarity_check(ordering, testfn) == expected
 
 
 def test_similarity_check_scalar_testfn():
