@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the library surfaces: `trajectory`,
 `lambda-map`, `phase-portrait`, `wkb`, `spectrum`, `eigenfunction`,
 `box-spectrum`, and `verify`.  Numeric output uses 17 significant digits so
 datasets diff reproducibly.  Exit codes: 0 success, 1 validation error,
-2 numerical failure (non-convergence, blow-up, failed verification).
+2 numerical failure (non-convergence, blow-up, overflow, a non-finite row,
+failed verification).
 
 Every option but ``--emit-plot-script`` can also come from a flat key=value
 config file (``--config``), keyed by its dest in :data:`SUBCOMMANDS`;
@@ -41,7 +42,9 @@ EXIT_NUMERICAL = 2
 #: cap on a grid's (stop - start)/step and on every row-count option (1e6 rows peak near 0.4 GB)
 MAX_POINTS = 10**7
 
+#: overflow, division by zero and non-finite rows (FloatingPointError) are ArithmeticErrors
 NUMERICAL_ERRORS = (
+    ArithmeticError,
     SingularTrajectoryError,
     ZeroRefinementError,
     ExtrapolationError,
@@ -50,8 +53,8 @@ NUMERICAL_ERRORS = (
 )
 
 
-class UsageError(Exception):
-    """Bad flags or config; maps to exit code 1."""
+class UsageError(ValueError):
+    """Bad flags or config; maps to exit code 1 like every other ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,9 +87,19 @@ def write_rows(header: list[str], rows: list[tuple], fmt: str, output: str | Non
         sys.stdout.write(text)
 
 
+def _check_finite(header: list[str], rows: list[tuple]) -> None:
+    """Refuse a row holding a NaN or infinite float before anything is written."""
+    for i, row in enumerate(rows, start=1):
+        for v in row:
+            if isinstance(v, float) and not math.isfinite(v):
+                column = header[row.index(v)]  # index() matches v by identity, so NaN too
+                raise FloatingPointError(f"non-finite {column} = {v} in row {i}")
+
+
 class Option(NamedTuple):
     """One option of one subcommand: dest is also its config-file key, type casts
-    flag and config values alike, and a default of None makes it required."""
+    flag and config values alike, and a default of None makes it required.  A
+    row count declares its lowest value in low; MAX_POINTS is its highest."""
 
     flag: str
     dest: str
@@ -94,13 +107,12 @@ class Option(NamedTuple):
     default: object
     help: str | None = None
     choices: tuple[str, ...] | None = None
+    low: int | None = None
 
-
-FORMATS = ("csv", "json")
 
 #: options every subcommand takes, ahead of its own
 COMMON_OPTIONS = [
-    Option("--format", "fmt", str, "csv", choices=FORMATS),
+    Option("--format", "fmt", str, "csv", choices=("csv", "json")),
     Option("--output", "output", str, "", "output path (default: stdout)"),
     Option("--config", "config", str, "", "flat key=value config file"),
 ]
@@ -125,8 +137,9 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args, cfg: dict[str, str], opt: Option):
-    """flag > config file entry > built-in default; a float must be finite
-    and hbar positive, whichever source gave it."""
+    """flag > config file entry > built-in default; whichever source gave it,
+    a float must be finite, hbar positive, a row count within [low, MAX_POINTS]
+    and a value with choices one of them."""
     value = getattr(args, opt.dest)
     if value is None and opt.dest in cfg:
         try:
@@ -136,18 +149,16 @@ def _resolve(args, cfg: dict[str, str], opt: Option):
     if value is None:
         if opt.default is None:
             raise UsageError(f"missing required option {opt.flag}")
-        return opt.default
+        value = opt.default
     if opt.type is float and not math.isfinite(value):
         raise UsageError(f"{opt.flag} must be finite, got {value}")
     if opt.dest == "hbar" and value <= 0.0:
         raise UsageError(f"{opt.flag} must be positive, got {value}")
+    if opt.low is not None and not opt.low <= value <= MAX_POINTS:
+        raise UsageError(f"{opt.flag} must be between {opt.low} and {MAX_POINTS}, got {value}")
+    if opt.choices and value not in opt.choices:
+        raise UsageError(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
     return value
-
-
-def _check_count(value: int, flag: str, low: int) -> None:
-    """Refuse a row count outside [low, MAX_POINTS] before anything is computed."""
-    if not low <= value <= MAX_POINTS:
-        raise UsageError(f"{flag} must be between {low} and {MAX_POINTS}, got {value}")
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -199,7 +210,6 @@ def run_trajectory(o):
 
 def run_lambda_map(o):
     window = parse_window(o.window)
-    _check_count(o.count, "--count", 2)
     rows = []
     for lam in np.linspace(o.lambda_min, o.lambda_max, o.count):
         params = ModelParams(lam=float(lam), c1=o.c1, c2=o.c2)
@@ -215,19 +225,18 @@ def run_phase_portrait(o):
         raise UsageError("--energies must name at least one energy")
     if not (0.0 < o.x_floor_frac < 1.0):
         raise UsageError("--x-floor-frac must be in (0, 1)")
-    _check_count(o.points, "--points", 2)
     rows = []
     for E in energies:
         amp = semiclassical.turning_point(E, o.lam)
-        half = np.linspace(o.x_floor_frac * amp, amp, o.points // 2)
-        grid = np.concatenate([-half[::-1], half])
+        # an odd count gives the positive half the extra point
+        half = np.linspace(o.x_floor_frac * amp, amp, o.points - o.points // 2)
+        grid = np.concatenate([-half[::-1][: o.points // 2], half])
         for x, p_plus, p_minus in classical.phase_curve(E, o.lam, grid):
             rows.append((float(E), float(x), float(p_plus), float(p_minus)))
     return ["E", "x", "p_plus", "p_minus"], rows, EXIT_OK
 
 
 def run_wkb(o):
-    _check_count(o.n_max, "--n-max", 0)
     rows = []
     for n in range(o.n_max + 1):
         lam = semiclassical.wkb_lambda(n, o.hbar)
@@ -239,7 +248,6 @@ def run_wkb(o):
 
 
 def run_spectrum(o):
-    _check_count(o.n_max, "--n-max", 1)
     ordering = SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
     rows = []
     for n in range(1, o.n_max + 1):
@@ -259,7 +267,6 @@ def run_eigenfunction(o):
 
 
 def run_box_spectrum(o):
-    _check_count(o.n_zeros, "--n-zeros", 1)
     states = quantum.box_spectrum(o.n, o.n_zeros, o.eps, o.hbar)
     rows = [(s.n, s.N, s.eps, s.energy, s.norm_const) for s in states]
     return ["n", "N", "eps", "E", "C"], rows, EXIT_OK
@@ -272,12 +279,9 @@ def run_verify(o):
         selection = verification.all_check_ids()
     else:
         selection = [c.strip() for c in o.checks.split(",") if c.strip()]
-    try:
-        reports = verification.run_suite(
-            selection, verification.SuiteConfig(params=params, ordering=ordering, seed=o.seed)
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    reports = verification.run_suite(
+        selection, verification.SuiteConfig(params=params, ordering=ordering, seed=o.seed)
+    )
     rows = [
         (r.check_id, r.status, r.measured, r.tolerance, r.provenance, r.notes)
         for r in reports
@@ -306,7 +310,7 @@ SUBCOMMANDS = {
     "lambda-map": (run_lambda_map, "bounded/singular classification over a lambda grid", [
         Option("--lambda-min", "lambda_min", float, -2.0),
         Option("--lambda-max", "lambda_max", float, 2.0),
-        Option("--count", "count", int, 81),
+        Option("--count", "count", int, 81, low=2),
         Option("--c1", "c1", float, 1.0),
         Option("--c2", "c2", float, -5.0),
         Option("--window", "window", str, "0:10", "time window t0:t1"),
@@ -314,18 +318,18 @@ SUBCOMMANDS = {
     "phase-portrait": (run_phase_portrait, "momentum branches between the turning points", [
         Option("--lambda", "lam", float, None),
         Option("--energies", "energies", str, "0.5,0.7,0.8,1", "comma-separated energies"),
-        Option("--points", "points", int, 400),
+        Option("--points", "points", int, 400, low=2),
         Option("--x-floor-frac", "x_floor_frac", float, 0.05),
     ]),
     "wkb": (run_wkb, "semiclassical quantization table (n, lambda_n, lhs, rhs)", [
-        Option("--n-max", "n_max", int, 10),
+        Option("--n-max", "n_max", int, 10, low=0),
         Option("--hbar", "hbar", float, 1.0),
         Option("--turning-point", "turning_point", float, 1.0),
     ]),
     "spectrum": (run_spectrum, "quantized coupling table lambda_n = (n^2 - s^2) hbar^2/4", [
         Option("--alpha1", "alpha1", float, 0.0),
         Option("--gamma1", "gamma1", float, 0.75),
-        Option("--n-max", "n_max", int, 10),
+        Option("--n-max", "n_max", int, 10, low=1),
         Option("--hbar", "hbar", float, 1.0),
     ]),
     "eigenfunction": (run_eigenfunction, "bound-state samples (x, psi) on a symmetric grid", [
@@ -337,7 +341,7 @@ SUBCOMMANDS = {
     ]),
     "box-spectrum": (run_box_spectrum, "box-regularized spectrum rows (n, N, eps, E, C)", [
         Option("--n", "n", int, None),
-        Option("--n-zeros", "n_zeros", int, 5),
+        Option("--n-zeros", "n_zeros", int, 5, low=1),
         Option("--eps", "eps", float, 0.1),
         Option("--hbar", "hbar", float, 1.0),
     ]),
@@ -412,29 +416,22 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"pdmosc: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
         options = COMMON_OPTIONS + SUBCOMMANDS[args.command][2]
         o = argparse.Namespace(**{opt.dest: _resolve(args, cfg, opt) for opt in options})
-        if o.fmt not in FORMATS:
-            raise UsageError(f"unknown format {o.fmt!r}")
         output = o.output or None
+        plot = getattr(args, "emit_plot_script", False)
+        if plot and (not output or o.fmt != "csv"):
+            raise UsageError("--emit-plot-script requires --output and csv format")
         header, rows, code = HANDLERS[args.command](o)
+        if args.command != "verify":  # a skipped check reports NaN by design
+            _check_finite(header, rows)
         write_rows(header, rows, o.fmt, output)
-        if getattr(args, "emit_plot_script", False):
-            if not output or o.fmt != "csv":
-                raise UsageError("--emit-plot-script requires --output and csv format")
+        if plot:
             emit_plot_script(args.command, output)
         return code
-    except UsageError as exc:
-        print(f"pdmosc: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except NUMERICAL_ERRORS as exc:
         print(f"pdmosc: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
