@@ -37,7 +37,7 @@ class AccuracyLossWarning(UserWarning):
     """Evaluation left the guaranteed-accuracy box (x <= 1e3, nu <= 50)."""
 
 
-class ZeroRefinementError(RuntimeError):
+class ZeroRefinementError(ArithmeticError, RuntimeError):
     """Zero search failed to bracket or converge; the message names the last bracket."""
 
 

@@ -33,7 +33,7 @@ BLOWUP_BOUND = 1e6
 EOM_SAMPLES = 1001
 
 
-class SingularTrajectoryError(ValueError):
+class SingularTrajectoryError(ArithmeticError, ValueError):
     """The trajectory radicand vanished inside the requested time range."""
 
 

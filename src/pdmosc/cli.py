@@ -3,9 +3,9 @@
 Subcommands map one-to-one onto the library surfaces: `trajectory`,
 `lambda-map`, `phase-portrait`, `wkb`, `spectrum`, `eigenfunction`,
 `box-spectrum`, and `verify`.  Numeric output uses 17 significant digits so
-datasets diff reproducibly.  Exit codes: 0 success, 1 validation error,
-2 numerical failure (non-convergence, blow-up, overflow, a non-finite row,
-failed verification).
+datasets diff reproducibly.  Exit codes: 0 success, 1 validation error (any
+ValueError or OSError), 2 failed verification or numerical failure: any
+ArithmeticError, as every pdmosc non-convergence, blow-up or non-finite row is.
 
 Every option but ``--emit-plot-script`` can also come from a flat key=value
 config file (``--config``), keyed by its dest in :data:`SUBCOMMANDS`;
@@ -28,12 +28,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import classical, quantum, semiclassical, verification
-from .bessel import ZeroRefinementError
-from .classical import ModelParams, SingularTrajectoryError
-from .quantum import ComplexOrderError, SingleTermOrdering
+from . import bessel, classical, quantum, semiclassical, verification
+from .classical import ModelParams
+from .quantum import SingleTermOrdering
 from .reporting import FAIL, PASS, SKIPPED
-from .semiclassical import ExtrapolationError, QuadratureError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,24 +40,10 @@ EXIT_NUMERICAL = 2
 #: cap on a grid's (stop - start)/step and on every row-count option (1e6 rows peak near 0.4 GB)
 MAX_POINTS = 10**7
 
-#: overflow, division by zero and non-finite rows (FloatingPointError) are ArithmeticErrors
-NUMERICAL_ERRORS = (
-    ArithmeticError,
-    SingularTrajectoryError,
-    ZeroRefinementError,
-    ExtrapolationError,
-    QuadratureError,
-    ComplexOrderError,
-)
-
-
-class UsageError(ValueError):
-    """Bad flags or config; maps to exit code 1 like every other ValueError."""
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); the contract wants 1
-        raise UsageError(f"{message}\n{self.format_usage()}")
+        raise ValueError(f"{message}; see '{self.prog} --help' for usage")
 
 
 def _fmt(value) -> str:
@@ -127,11 +111,11 @@ def load_config(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         cfg[key] = value.strip()
     return cfg
 
@@ -145,19 +129,19 @@ def _resolve(args, cfg: dict[str, str], opt: Option):
         try:
             value = opt.type(cfg[opt.dest])
         except ValueError as exc:
-            raise UsageError(f"config entry {opt.dest}={cfg[opt.dest]!r}: {exc}") from exc
+            raise ValueError(f"config entry {opt.dest}={cfg[opt.dest]!r}: {exc}") from exc
     if value is None:
         if opt.default is None:
-            raise UsageError(f"missing required option {opt.flag}")
+            raise ValueError(f"missing required option {opt.flag}")
         value = opt.default
     if opt.type is float and not math.isfinite(value):
-        raise UsageError(f"{opt.flag} must be finite, got {value}")
+        raise ValueError(f"{opt.flag} must be finite, got {value}")
     if opt.dest == "hbar" and value <= 0.0:
-        raise UsageError(f"{opt.flag} must be positive, got {value}")
+        raise ValueError(f"{opt.flag} must be positive, got {value}")
     if opt.low is not None and not opt.low <= value <= MAX_POINTS:
-        raise UsageError(f"{opt.flag} must be between {opt.low} and {MAX_POINTS}, got {value}")
+        raise ValueError(f"{opt.flag} must be between {opt.low} and {MAX_POINTS}, got {value}")
     if opt.choices and value not in opt.choices:
-        raise UsageError(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
+        raise ValueError(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
     return value
 
 
@@ -199,7 +183,7 @@ def parse_window(spec: str) -> tuple[float, float]:
 
 
 def run_trajectory(o):
-    params = ModelParams(lam=o.lam, hbar=o.hbar, c1=o.c1, c2=o.c2)
+    params = ModelParams(lam=o.lam, c1=o.c1, c2=o.c2)
     ts = parse_grid(o.t)
     xs = classical.exact_solution(ts, params)
     ps = classical.exact_momentum(ts, params)
@@ -222,9 +206,9 @@ def run_lambda_map(o):
 def run_phase_portrait(o):
     energies = parse_floats(o.energies)
     if not energies:
-        raise UsageError("--energies must name at least one energy")
+        raise ValueError("--energies must name at least one energy")
     if not (0.0 < o.x_floor_frac < 1.0):
-        raise UsageError("--x-floor-frac must be in (0, 1)")
+        raise ValueError("--x-floor-frac must be in (0, 1)")
     rows = []
     for E in energies:
         amp = semiclassical.turning_point(E, o.lam)
@@ -267,6 +251,9 @@ def run_eigenfunction(o):
 
 
 def run_box_spectrum(o):
+    x = bessel.mcmahon_zero_estimate(o.n, o.n_zeros)  # bounds j_{n,N} from above
+    if x > bessel.ARGUMENT_GUARANTEED_MAX:
+        raise ValueError(f"--n-zeros {o.n_zeros} of J_{o.n} reach x = {x:g}, past the accuracy box")
     states = quantum.box_spectrum(o.n, o.n_zeros, o.eps, o.hbar)
     rows = [(s.n, s.N, s.eps, s.energy, s.norm_const) for s in states]
     return ["n", "N", "eps", "E", "C"], rows, EXIT_OK
@@ -302,7 +289,6 @@ def run_verify(o):
 SUBCOMMANDS = {
     "trajectory": (run_trajectory, "closed-form trajectory samples (t, x, p, E)", [
         Option("--lambda", "lam", float, None),
-        Option("--hbar", "hbar", float, 1.0),
         Option("--c1", "c1", float, 1.0),
         Option("--c2", "c2", float, 0.0),
         Option("--t", "t", str, "0:10:0.01", "time grid start:stop:step"),
@@ -424,7 +410,7 @@ def main(argv=None) -> int:
         output = o.output or None
         plot = getattr(args, "emit_plot_script", False)
         if plot and (not output or o.fmt != "csv"):
-            raise UsageError("--emit-plot-script requires --output and csv format")
+            raise ValueError("--emit-plot-script requires --output and csv format")
         header, rows, code = HANDLERS[args.command](o)
         if args.command != "verify":  # a skipped check reports NaN by design
             _check_finite(header, rows)
@@ -432,7 +418,7 @@ def main(argv=None) -> int:
         if plot:
             emit_plot_script(args.command, output)
         return code
-    except NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"pdmosc: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -47,8 +47,13 @@ RESIDUAL_GRID_SIZE = 400
 PARITY_INT_TOL = 1e-9
 
 
-class ComplexOrderError(ValueError):
+class ComplexOrderError(ArithmeticError, ValueError):
     """nu^2 < 0: attractive inverse-square regime, outside this model's scope."""
+
+
+def _check_hbar(hbar: float) -> None:
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +112,7 @@ def ode_coefficients(
     ordering: SingleTermOrdering, lam: float, E: float, hbar: float
 ) -> OdeCoefficients:
     """Coefficients of the single-term-ordered wave equation."""
+    _check_hbar(hbar)
     a, g = ordering.alpha1, ordering.gamma1
     return OdeCoefficients(
         first_order=4.0 * (1.0 + a - g),
@@ -117,6 +123,7 @@ def ode_coefficients(
 
 def nu_from_params(ordering: SingleTermOrdering, lam: float, hbar: float) -> float:
     """Positive Bessel order nu = sqrt(s^2 + 4 lam / hbar^2)."""
+    _check_hbar(hbar)
     nu_sq = ordering.s**2 + 4.0 * lam / hbar**2
     if nu_sq < 0.0:
         raise ComplexOrderError(
@@ -132,6 +139,7 @@ def lambda_quantized(n: int, ordering: SingleTermOrdering, hbar: float) -> float
     Negative values (n < |s|) are legitimate outputs here; nothing in the
     quantization argument requires lam > 0.
     """
+    _check_hbar(hbar)
     if int(n) != n or n < 1:
         raise ValueError(f"quantum number n must be a positive integer, got {n!r}")
     return (n * n - ordering.s**2) * hbar**2 / 4.0
@@ -145,6 +153,7 @@ def general_solution(x, nu: float, E: float, C: float, D: float, d: float, hbar:
     grows without bound as x -> infinity, and that is exactly what the
     boundary-selection checks probe.
     """
+    _check_hbar(hbar)
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise ValueError("the solution is defined on x > 0; use parity for x < 0")
@@ -189,6 +198,7 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     parity relation psi(-x) = (-1)^n psi(x) is preserved exactly.  x = 0 is
     excluded (the limit is 0 by the squeeze argument).
     """
+    _check_hbar(hbar)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xa == 0.0):
         raise ValueError("x = 0 is excluded; psi -> 0 there by the squeeze bound")
@@ -216,6 +226,7 @@ def ode_residual(
     is insensitive to E, which is the continuous-energy statement at the
     level of the differential equation.
     """
+    c = ode_coefficients(ordering, lam, state.E, hbar)
     lo, hi = RESIDUAL_GRID_RANGE
     k = np.arange(RESIDUAL_GRID_SIZE)
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k + 1) * np.pi / (2 * RESIDUAL_GRID_SIZE))
@@ -230,7 +241,6 @@ def ode_residual(
     psi_p = state.amplitude * jp * (-a / xs**2)
     psi_pp = state.amplitude * (jpp * (a / xs**2) ** 2 + jp * (2.0 * a / xs**3))
 
-    c = ode_coefficients(ordering, lam, state.E, hbar)
     res = psi_pp + c.first_order / xs * psi_p + (c.inv_x4 / xs**4 - c.inv_x2 / xs**2) * psi
     return float(np.max(np.abs(res)))
 
@@ -265,10 +275,10 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
     """
     if E <= 0.0:
         raise ValueError(f"E must be positive, got {E}")
+    nu = nu_from_params(ordering, lam, hbar)
     two_ag = 2.0 * ordering.alpha1 + 2.0 * ordering.gamma1
     k_squared = 16.0 * E / hbar**2
     strength = 4.0 * lam / hbar**2 + (two_ag + 2.0) * (two_ag + 1.0)
-    nu = nu_from_params(ordering, lam, hbar)
 
     t = np.linspace(0.05, 2.5, 200)
     a = 2.0 * math.sqrt(E) / hbar
@@ -320,6 +330,7 @@ def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0
     constant exists on the full line.  For E != E' it stays bounded and
     oscillatory.
     """
+    _check_hbar(hbar)
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if E <= 0.0 or E_prime <= 0.0 or R < 0.0:
@@ -365,6 +376,7 @@ class BoxState:
 
 def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxState]:
     """Discrete spectrum of the box-regularized problem for N = 1..N_max."""
+    _check_hbar(hbar)
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if int(N_max) != N_max or N_max < 1:
@@ -475,6 +487,7 @@ def similarity_check(
     ~1e-6 on smooth test functions is the expected signature of the
     similarity relation.
     """
+    _check_hbar(hbar)
     lo, hi, npts = 0.5, 5.0, 901
     h = (hi - lo) / (npts - 1)
     xs = np.linspace(lo - 4 * h, hi + 4 * h, npts + 8)

@@ -38,11 +38,11 @@ EXTRAPOLATION_TOL = 1e-6
 QUAD_ABS_TOL = 1e-9
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError, RuntimeError):
     """Adaptive quadrature failed to reach the requested absolute accuracy."""
 
 
-class ExtrapolationError(RuntimeError):
+class ExtrapolationError(ArithmeticError, RuntimeError):
     """Successive finite-part extrapolants disagree beyond tolerance."""
 
 

@@ -15,6 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmosc import cli
+from pdmosc.bessel import ZeroRefinementError
+from pdmosc.classical import SingularTrajectoryError
+from pdmosc.quantum import ComplexOrderError
+from pdmosc.semiclassical import ExtrapolationError, QuadratureError
 
 #: flags each subcommand needs to run at all
 REQUIRED = {
@@ -139,3 +143,61 @@ def test_overflow_and_non_finite_rows_exit_2(argv, message):
     assert (code, out) == (2, "")
     assert err.startswith("pdmosc: numerical failure: ") and err.count("\n") == 1
     assert message in err
+
+
+#: each pdmosc numerical failure class with its second base, which callers may still catch
+NUMERICAL_FAILURES = [
+    (ZeroRefinementError, RuntimeError),
+    (QuadratureError, RuntimeError),
+    (ExtrapolationError, RuntimeError),
+    (SingularTrajectoryError, ValueError),
+    (ComplexOrderError, ValueError),
+]
+
+
+@pytest.mark.parametrize("cls, old_base", NUMERICAL_FAILURES)
+def test_numerical_failures_are_arithmetic_errors(cls, old_base):
+    assert issubclass(cls, ArithmeticError)
+    assert issubclass(cls, old_base)
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _ in NUMERICAL_FAILURES])
+def test_each_numerical_failure_exits_2(cls, monkeypatch):
+    def fail(o):
+        raise cls("no convergence")
+
+    monkeypatch.setitem(cli.HANDLERS, "spectrum", fail)
+    code, out, err = run_quietly(["spectrum"])
+    assert (code, out, err) == (2, "", "pdmosc: numerical failure: no convergence\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["no-such-command"],
+        ["trajectory", "--frobnicate"],
+        ["wkb", "--format", "xml"],
+        ["trajectory", "--lambda", "abc"],
+        ["trajectory", "--lambda", "1", "--c2", "-1e-5"],
+    ],
+)
+def test_argparse_errors_print_one_line(argv):
+    code, out, err = run_quietly(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("pdmosc: ") and err.count("\n") == 1, err
+    assert "--help' for usage" in err
+
+
+def test_n_zeros_stops_at_the_accuracy_box():
+    # j_{1,318} = 999.81 is the last zero of J_1 below x = 1000; j_{1,319} = 1002.95
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["box-spectrum", "--n", "1", "--n-zeros", "318"])
+    assert (code, caught) == (0, [])
+    out = out.getvalue()
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 318 and float(rows[-1]["E"]) < 0.25 * 1000.0**2 * 0.1**2
+    code, out, err = run_quietly(["box-spectrum", "--n", "1", "--n-zeros", "319"])
+    assert (code, out) == (1, "")
+    assert err == "pdmosc: --n-zeros 319 of J_1 reach x = 1002.95, past the accuracy box\n"

@@ -520,3 +520,30 @@ def test_scalar_gives_float_and_array_gives_array_of_its_shape(name):
         value = fn(x)
         assert type(value) is float
         assert value == pytest.approx(out[0, 1], rel=1e-15)
+
+
+#: every public function that reads hbar, called with a valid everything else; unchecked,
+#: eigenfunction at hbar = 0 raises ZeroDivisionError, box_spectrum returns E = 0 and
+#: lambda_quantized at hbar = -1 gives the hbar = 1 value
+HBAR_CALLS = {
+    "ode_coefficients": lambda h: quantum.ode_coefficients(CLEAN, 1.0, 1.0, h),
+    "nu_from_params": lambda h: quantum.nu_from_params(CLEAN, 1.0, h),
+    "lambda_quantized": lambda h: quantum.lambda_quantized(2, CLEAN, h),
+    "general_solution": lambda h: quantum.general_solution(1.0, 1, 1.0, 1.0, 0.0, 0.0, h),
+    "eigenfunction": lambda h: quantum.eigenfunction(1.0, ContinuumState(1, 1.0), h),
+    "ode_residual": lambda h: quantum.ode_residual(ContinuumState(1, 1.0), CLEAN, -2.0, h),
+    "pct_reduce": lambda h: quantum.pct_reduce(CLEAN, 1.0, 1.0, h),
+    "overlap_kernel": lambda h: quantum.overlap_kernel(1, 1.0, 1.0, 1.0, h),
+    "box_spectrum": lambda h: quantum.box_spectrum(1, 2, 0.1, h),
+    "hermitian_wavefunction": lambda h: quantum.hermitian_wavefunction(1.0, 1, 1.0, h),
+    "similarity_check": lambda h: quantum.similarity_check(CLEAN, np.exp, h),
+}
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, -0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(HBAR_CALLS))
+def test_non_positive_or_non_finite_hbar_raises(name, hbar):
+    HBAR_CALLS[name](1.0)  # the same call is fine at hbar = 1
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        HBAR_CALLS[name](hbar)
+
