@@ -7,120 +7,3 @@ finite-part WKB quantization of the coupling, the Bessel reduction of the
 ordered wave equation, parity-driven coupling quantization, continuum
 overlaps, and box-regularized spectra.
 """
-
-from .bessel import (
-    AccuracyLossWarning,
-    ZeroRefinementError,
-    bessel_j,
-    bessel_j_prime,
-    bessel_y,
-    bessel_y_prime,
-    bessel_zero,
-    bessel_zeros,
-)
-from .classical import (
-    ClassicalState,
-    ModelParams,
-    SingularTrajectoryError,
-    Trajectory,
-    classify_lambda,
-    eom_residual,
-    exact_momentum,
-    exact_solution,
-    hamiltonian,
-    integrate_eom,
-    phase_curve,
-    radicand,
-    radicand_roots,
-    singularity_time,
-)
-from .quantum import (
-    BoxState,
-    ComplexOrderError,
-    ContinuumState,
-    SingleTermOrdering,
-    box_orthonormality,
-    box_spectrum,
-    eigenfunction,
-    general_solution,
-    hermitian_wavefunction,
-    lambda_quantized,
-    nu_from_params,
-    ode_coefficients,
-    ode_residual,
-    overlap_kernel,
-    parity_match,
-    pct_reduce,
-    similarity_check,
-)
-from .reporting import VerificationReport
-from .semiclassical import (
-    ActionResult,
-    ExtrapolationError,
-    QuadratureError,
-    action_integral_regularized,
-    contour_action,
-    finite_part_action,
-    turning_point,
-    wkb_condition_check,
-    wkb_lambda,
-)
-from .verification import SuiteConfig, all_check_ids, run_suite, suite_passed
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AccuracyLossWarning",
-    "ActionResult",
-    "BoxState",
-    "ClassicalState",
-    "ComplexOrderError",
-    "ContinuumState",
-    "ExtrapolationError",
-    "ModelParams",
-    "QuadratureError",
-    "SingleTermOrdering",
-    "SingularTrajectoryError",
-    "SuiteConfig",
-    "Trajectory",
-    "VerificationReport",
-    "ZeroRefinementError",
-    "action_integral_regularized",
-    "all_check_ids",
-    "bessel_j",
-    "bessel_j_prime",
-    "bessel_y",
-    "bessel_y_prime",
-    "bessel_zero",
-    "bessel_zeros",
-    "box_orthonormality",
-    "box_spectrum",
-    "classify_lambda",
-    "contour_action",
-    "eigenfunction",
-    "eom_residual",
-    "exact_momentum",
-    "exact_solution",
-    "finite_part_action",
-    "general_solution",
-    "hamiltonian",
-    "hermitian_wavefunction",
-    "integrate_eom",
-    "lambda_quantized",
-    "nu_from_params",
-    "ode_coefficients",
-    "ode_residual",
-    "overlap_kernel",
-    "parity_match",
-    "pct_reduce",
-    "phase_curve",
-    "radicand",
-    "radicand_roots",
-    "run_suite",
-    "similarity_check",
-    "singularity_time",
-    "suite_passed",
-    "turning_point",
-    "wkb_condition_check",
-    "wkb_lambda",
-]

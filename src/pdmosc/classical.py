@@ -178,7 +178,8 @@ def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:
     candidates = [t0, t1]
     if t0 <= vertex <= t1:
         candidates.append(vertex)
-    q_min = min(radicand(t, params) for t in candidates)
+    with np.errstate(over="ignore"):  # a far window end gives +inf, still "bounded" there
+        q_min = min(radicand(t, params) for t in candidates)
     return "singular" if q_min <= 0.0 else "bounded"
 
 

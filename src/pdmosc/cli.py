@@ -42,6 +42,15 @@ MAX_POINTS = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        """argparse reports a subcommand's unknown flags from the top-level parser,
+        whose help does not list them; point to the subcommand's help instead."""
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            raise ValueError(f"unrecognized arguments: {' '.join(extras)}; "
+                             f"see '{self.prog} {args.command} --help' for usage")
+        return args
+
     def error(self, message):  # argparse would sys.exit(2); the contract wants 1
         raise ValueError(f"{message}; see '{self.prog} --help' for usage")
 

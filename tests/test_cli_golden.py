@@ -103,7 +103,7 @@ DIGESTS = {
     "trajectory-csv": "a3837a644e29cc7ec22461cc1fc9b17f72e1b349bd2bfc3fcaa84770d323010a",
     "trajectory-help": "ee7816d4788acb1bc64b59269fc3977bb425dc2438499cfde555b1bdc22da1d9",
     "trajectory-json": "5449416d797d741795746461921ab9ee808b790d5686f4a30ede4b16a2e49110",
-    "unknown-flag": "879daa709630053adb22c52f970b174a0d8d5e888dad657ffe1220da84e8e0e5",
+    "unknown-flag": "d4cc434d2e5fcb8d504451e7a348b6c0d81ec3232ca6e4c4c4a26e4da6f11de1",
     "verify-csv": "00c44f542dbf8a0c336a0171994968bb3d3bebdfc72684a25f48695c398ac23d",
     "verify-help": "9ffdc30e9db42414c36db032f2e896dd393c0d646edf4662e100a3242da3bda6",
     "verify-json": "91bdda7f9a95d021dfe7f0d3daabacd5f3d3fc0755ca686415b1b96e151f2c38",

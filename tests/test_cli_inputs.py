@@ -188,6 +188,53 @@ def test_argparse_errors_print_one_line(argv):
     assert "--help' for usage" in err
 
 
+def test_unknown_flag_points_to_its_subcommands_help():
+    assert run_quietly(["trajectory", "--frobnicate"]) == (
+        1, "", "pdmosc: unrecognized arguments: --frobnicate; "
+               "see 'pdmosc trajectory --help' for usage\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lambda-map", "--config", "run.cfg"], "config entry count='abc': "),
+        (["phase-portrait", "--lambda", "1", "--energies", "a,b"], "bad float list 'a,b'"),
+        (["phase-portrait", "--lambda", "1", "--energies=,"], "must name at least one energy"),
+        (["lambda-map", "--window", "0"], "expected t0:t1, got '0'"),
+        (["lambda-map", "--window", "1:2:3"], "expected t0:t1, got '1:2:3'"),
+    ],
+)
+def test_malformed_lists_windows_and_config_values_exit_1(argv, message, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("count = abc\n")
+    code, out, err = run_quietly(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("pdmosc: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+def lambda_map(window):
+    """(exit code, stdout, stderr, warnings) of a three-row lambda-map on a window."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["lambda-map", "--count", "3", f"--window={window}"])
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "window, same_as",
+    [("10:0", "0:10"), ("0:1e308", "0:1e150"), ("1e308:0", "0:1e150")],
+)
+def test_reversed_and_far_windows_give_the_same_rows(window, same_as):
+    # a far window end overflows the radicand to +inf, which is still "bounded" there
+    code, out, err, caught = lambda_map(window)
+    assert (code, err, caught) == (0, "", [])
+    assert out == lambda_map(same_as)[1]
+
+
 def test_n_zeros_stops_at_the_accuracy_box():
     # j_{1,318} = 999.81 is the last zero of J_1 below x = 1000; j_{1,319} = 1002.95
     out = io.StringIO()
