@@ -22,7 +22,24 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import special as _sp
+
+
+class _Special:
+    """Stands in for :mod:`scipy.special`, which takes most of a small run to
+    import: the first lookup of a name imports it and caches the function on
+    the instance, so later lookups cost what a module attribute costs."""
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+#: every J/Y evaluation looks ``_sp.jv``/``_sp.yv`` up here at call time, so
+#: a test or tracer may replace ``_sp`` with its own namespace
+_sp = _Special()
 
 #: guaranteed-accuracy box
 ORDER_GUARANTEED_MAX = 50.0

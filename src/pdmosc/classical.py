@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bessel import _as_result
 
@@ -105,8 +104,11 @@ def radicand_roots(params: ModelParams) -> tuple[float, float] | None:
 
 
 def _regular_radicand(t, params: ModelParams):
-    """radicand(t), refusing any t where it is <= RADICAND_FLOOR."""
-    q = radicand(t, params)
+    """radicand(t), refusing any t where it is <= RADICAND_FLOOR or not finite."""
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+        q = radicand(t, params)
+    if not np.all(np.isfinite(q)):
+        raise FloatingPointError("radicand overflows the double range at a requested t")
     if np.any(np.asarray(q) <= RADICAND_FLOOR):
         raise SingularTrajectoryError(
             f"radicand <= {RADICAND_FLOOR:g} in the requested range "
@@ -199,9 +201,19 @@ def phase_curve(E: float, lam: float, x_grid) -> np.ndarray:
     if np.any(np.abs(xs) > amp * (1.0 + 1e-12)):
         bad = xs[np.abs(xs) > amp * (1.0 + 1e-12)]
         raise ValueError(f"grid points outside the turning points +-{amp:g}: {bad[:3]}")
-    rad = 4.0 * E / xs**4 - 4.0 * lam / xs**2
+    # 4E and xs**4 may overflow to inf (inf/inf is NaN); the caller refuses a NaN p
+    with np.errstate(over="ignore", invalid="ignore"):
+        rad = 4.0 * E / xs**4 - 4.0 * lam / xs**2
     p = np.sqrt(np.maximum(rad, 0.0))  # clamp roundoff at |x| = A
     return np.column_stack([xs, p, -p])
+
+
+def solve_ivp(*args, **kwargs):
+    """:func:`scipy.integrate.solve_ivp`, imported on first use so the closed
+    forms load no integrator; a module attribute that a tracer may replace."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float) -> Trajectory:

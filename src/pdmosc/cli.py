@@ -427,6 +427,10 @@ def main(argv=None) -> int:
         if plot:
             emit_plot_script(args.command, output)
         return code
+    except OverflowError as exc:  # float ** past the double range, as in wkb --hbar 1e200
+        print(f"pdmosc: numerical failure: {args.command}: an input is too large or too small "
+              f"({exc.args[-1]})", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ArithmeticError as exc:
         print(f"pdmosc: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

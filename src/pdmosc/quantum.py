@@ -29,12 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, _zeros, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
 from .bessel import _as_result, jv, jv_derivatives, yv
-from .semiclassical import QuadratureError
+from .semiclassical import QuadratureError, quad
 
 CONSTRAINT_TOL = 1e-12
 

@@ -23,8 +23,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .reporting import VerificationReport, residual_report
 
 #: eps sequence for the finite-part limit: geometric, four points
@@ -72,6 +70,15 @@ def turning_point(E: float, lam: float) -> float:
 def divergent_part(A: float, eps: float) -> float:
     """The 2 sqrt(A^2 - eps^2)/eps term subtracted at each cutoff."""
     return 2.0 * math.sqrt(A * A - eps * eps) / eps
+
+
+def quad(*args, **kwargs):
+    """:func:`scipy.integrate.quad`, imported on first use; the one wrapper
+    this module and :mod:`pdmosc.quantum` call, each through its own module
+    attribute, which a test or tracer may replace."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 def action_integral_regularized(A: float, eps: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ def test_exact_solution_raises_near_singular_time():
         classical.exact_solution(np.linspace(0.0, 5.0, 50), params)
     # regular piece of the same trajectory evaluates fine
     assert classical.exact_solution(3.0, params) == pytest.approx(1.0 / math.sqrt(8.0))
+
+
+def test_exact_solution_refuses_an_overflowing_radicand():
+    params = ModelParams(lam=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (classical.exact_solution, classical.exact_momentum):
+            with pytest.raises(FloatingPointError, match="radicand overflows"):
+                f(np.array([0.0, 1e308]), params)
 
 
 def test_localization_peak_and_monotone_decay():

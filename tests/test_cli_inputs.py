@@ -48,14 +48,19 @@ def argv_with(sub, flag, token):
     return [sub, *base, f"{flag}={token}"]
 
 
-def run_quietly(argv):
-    """(exit code, stdout, stderr) of one in-process run, warnings ignored."""
+def run_recorded(argv):
+    """(exit code, stdout, stderr, warning messages) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def run_quietly(argv):
+    """(exit code, stdout, stderr) of one in-process run, warnings ignored."""
+    return run_recorded(argv)[:3]
 
 
 def assert_clean(sub, code, out, err):
@@ -145,6 +150,13 @@ def test_overflow_and_non_finite_rows_exit_2(argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("sub", ["wkb", "spectrum"])
+def test_float_overflow_names_the_subcommand(sub):
+    assert run_quietly([sub, "--hbar", "1e200"]) == (
+        2, "", f"pdmosc: numerical failure: {sub}: an input is too large or too small "
+               "(Numerical result out of range)\n")
+
+
 #: each pdmosc numerical failure class with its second base, which callers may still catch
 NUMERICAL_FAILURES = [
     (ZeroRefinementError, RuntimeError),
@@ -216,12 +228,7 @@ def test_malformed_lists_windows_and_config_values_exit_1(argv, message, tmp_pat
 
 def lambda_map(window):
     """(exit code, stdout, stderr, warnings) of a three-row lambda-map on a window."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(["lambda-map", "--count", "3", f"--window={window}"])
-    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+    return run_recorded(["lambda-map", "--count", "3", f"--window={window}"])
 
 
 @pytest.mark.parametrize(
@@ -248,3 +255,26 @@ def test_n_zeros_stops_at_the_accuracy_box():
     code, out, err = run_quietly(["box-spectrum", "--n", "1", "--n-zeros", "319"])
     assert (code, out) == (1, "")
     assert err == "pdmosc: --n-zeros 319 of J_1 reach x = 1002.95, past the accuracy box\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # the radicand overflows to inf, where 1/sqrt(inf) would read as x = 0
+        (["trajectory", "--lambda", "1", "--t=0:1e308:1e307"],
+         "radicand overflows the double range at a requested t"),
+        # 4E overflows to inf and inf/inf is NaN
+        (["phase-portrait", "--lambda", "1", "--energies=1e308", "--points", "2"],
+         "non-finite p_plus = nan in row 1"),
+    ],
+    ids=["trajectory", "phase-portrait"],
+)
+def test_overflowing_inputs_exit_2_with_one_line_and_no_warning(argv, err):
+    assert run_recorded(argv) == (2, "", f"pdmosc: numerical failure: {err}\n", [])
+
+
+def test_phase_curve_past_x4_overflow_warns_nothing():
+    # |x| >= 5e152 overflows x**4 to inf; 4E/inf = 0 = 4 lam/x**2 there, so p = 0
+    assert run_recorded(["phase-portrait", "--lambda", "1e-308", "--energies=1",
+                         "--points", "2"]) == (
+        0, "E,x,p_plus,p_minus\n1,-5e+152,0,-0\n1,5e+152,0,-0\n", "", [])

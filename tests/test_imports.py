@@ -2,6 +2,8 @@
 
 The package root re-exports nothing, so a module loads only what it imports
 itself, and the README imports each name from the module that defines it.
+scipy is imported where it is first computed with, so a subcommand that
+needs no Bessel function or integrator loads no scipy.
 """
 
 import contextlib
@@ -18,18 +20,58 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``python -c <code> <args>`` in a fresh interpreter importing from src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def modules_after_import(module: str) -> set[str]:
     """Names in ``sys.modules`` after ``import <module>`` in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = f"import sys, {module}; print('\\n'.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return set(out.split())
+    return set(run_fresh(f"import sys, {module}; print('\\n'.join(sys.modules))").split())
 
 
 def test_bessel_loads_no_other_pdmosc_module_and_no_integrator():
     loaded = modules_after_import("pdmosc.bessel")
     assert {m for m in loaded if m.startswith("pdmosc")} == {"pdmosc", "pdmosc.bessel"}
+    assert "scipy.integrate" not in loaded
+
+
+def modules_after_cli(*command_lines: str) -> tuple[list[int], set[str]]:
+    """(exit codes, names in ``sys.modules``) after ``cli.main`` ran each
+    command line in turn in one fresh interpreter, its output discarded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from pdmosc import cli\n"
+        "codes = []\n"
+        "for line in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(cli.main(line.split()))\n"
+        "print(*codes)\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    codes, _, modules = run_fresh(code, *command_lines).partition("\n")
+    return [int(c) for c in codes.split()], set(modules.split())
+
+
+def test_closed_form_subcommands_and_refused_inputs_load_no_scipy():
+    codes, loaded = modules_after_cli(
+        "trajectory --lambda 1 --t 0:1:0.5",
+        "lambda-map",
+        "phase-portrait --lambda 1",
+        "spectrum",
+        "trajectory --lambda 1 --t 0:1",  # malformed grid: refused before computing
+    )
+    assert codes == [0, 0, 0, 0, 1]
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_bessel_subcommands_load_no_integrator():
+    codes, loaded = modules_after_cli("eigenfunction --n 1 --E 1", "box-spectrum --n 1")
+    assert codes == [0, 0]
+    assert "scipy.special" in loaded
     assert "scipy.integrate" not in loaded
 
 
