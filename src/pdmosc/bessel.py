@@ -1,24 +1,26 @@
 """Bessel-function kernel: the only module that evaluates J and Y.
 
-Evaluations of J_nu and Y_nu (real order nu >= 0) are delegated to the
-cephes/AMOS routines behind :mod:`scipy.special`; derivatives use the
-two-term recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2 and its Y analogue.
-:func:`jv`, :func:`yv` and :func:`jv_derivatives` take any real order and
-skip the order/domain checks and the warning below.
+Evaluations of J_nu and Y_nu (real order) are delegated to the cephes/AMOS
+routines behind :mod:`scipy.special` through one path: :func:`jv`,
+:func:`yv` and :func:`jv_derivatives` (J, J', J'' from the two-term
+recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2) take any real order unchecked.
+:func:`bessel_j` is the one checked evaluator, for callers that need its
+order/domain checks and its warning below.
 Zeros of integer-order J_n are located here, so the zero finder shares no
-code with any library zero table: one rightward unit-step scan brackets
-every zero of an order up to the one wanted, and a safeguarded Newton
-iteration polishes each bracket.  :func:`bessel_zeros` returns all zeros
-up to N_max from that single scan; :func:`bessel_zero` polishes only the
-last one.
+code with any library zero table: one evaluation of J_n on a unit grid
+brackets every zero of an order up to the one wanted, and a safeguarded
+Newton iteration polishes each bracket.  :func:`bessel_zeros` returns all
+zeros up to N_max from that single scan; :func:`bessel_zero` polishes only
+the last one.
 
 Accuracy is guaranteed (relative error <= 1e-10 away from zeros) inside the
-box x <= 1e3, nu <= 50.  Outside the box the functions still return
-best-effort values but emit :class:`AccuracyLossWarning`.
+box x <= 1e3, nu <= 50.  Outside the box :func:`bessel_j` still returns
+best-effort values but emits :class:`AccuracyLossWarning`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -45,8 +47,8 @@ _sp = _Special()
 ORDER_GUARANTEED_MAX = 50.0
 ARGUMENT_GUARANTEED_MAX = 1.0e3
 
-#: the zero polish stops once a Newton step is below this; the error itself
-#: reaches 1.02e-12 near x ~ 540 (mending that moves bits pinned in perfbench/digests.json)
+#: the zero polish stops once a step is below this; the error reaches 1.02e-12
+#: near x ~ 540 because the polish ends in bisection (see :func:`_polish_zero`)
 ZERO_ABS_TOL = 1e-12
 
 
@@ -56,25 +58,6 @@ class AccuracyLossWarning(UserWarning):
 
 class ZeroRefinementError(ArithmeticError, RuntimeError):
     """Zero search failed to bracket or converge; the message names the last bracket."""
-
-
-def _checked(nu: float, x, domain_error: str, positive: bool = True):
-    """Validated (nu, x as a float array); warns outside the accuracy box."""
-    nu = float(nu)
-    if not np.isfinite(nu) or nu < 0.0:
-        raise ValueError(f"Bessel order must be finite and non-negative, got {nu!r}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0) if positive else np.any(xa < 0.0):
-        raise ValueError(domain_error)
-    if nu > ORDER_GUARANTEED_MAX or np.any(xa > ARGUMENT_GUARANTEED_MAX):
-        warnings.warn(
-            "evaluation outside the guaranteed-accuracy box "
-            f"(x <= {ARGUMENT_GUARANTEED_MAX:g}, nu <= {ORDER_GUARANTEED_MAX:g}); "
-            "result is best effort",
-            AccuracyLossWarning,
-            stacklevel=3,  # the caller of the public function
-        )
-    return nu, xa
 
 
 def _as_result(x_in, out):
@@ -110,38 +93,27 @@ def jv_derivatives(nu: float, x):
 
 
 def bessel_j(nu: float, x) -> float:
-    """J_nu(x) for x >= 0.
+    """J_nu(x) for x >= 0; the one checked evaluator, warning its caller outside the box.
 
     J_nu(0) = 0 for nu > 0 and J_0(0) = 1.  Negative arguments are a domain
     error: callers that need x < 0 are expected to apply the parity relation
     J_n(-z) = (-1)^n J_n(z) explicitly.
     """
-    nu, xa = _checked(
-        nu, x, "bessel_j requires x >= 0; map negative arguments via parity", positive=False
-    )
+    nu = float(nu)
+    if not np.isfinite(nu) or nu < 0.0:
+        raise ValueError(f"Bessel order must be finite and non-negative, got {nu!r}")
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < 0.0):
+        raise ValueError("bessel_j requires x >= 0; map negative arguments via parity")
+    if nu > ORDER_GUARANTEED_MAX or np.any(xa > ARGUMENT_GUARANTEED_MAX):
+        warnings.warn(
+            "evaluation outside the guaranteed-accuracy box "
+            f"(x <= {ARGUMENT_GUARANTEED_MAX:g}, nu <= {ORDER_GUARANTEED_MAX:g}); "
+            "result is best effort",
+            AccuracyLossWarning,
+            stacklevel=2,
+        )
     return _as_result(x, _sp.jv(nu, xa))
-
-
-def bessel_y(nu: float, x) -> float:
-    """Y_nu(x) for x > 0.
-
-    Diverges to -inf as x -> 0+ for every nu >= 0; the returned values grow
-    without bound there, and x <= 0 itself is a domain error.
-    """
-    nu, xa = _checked(nu, x, "bessel_y requires x > 0 (logarithmic/pole divergence at 0)")
-    return _as_result(x, _sp.yv(nu, xa))
-
-
-def bessel_j_prime(nu: float, x) -> float:
-    """dJ_nu/dx via (J_{nu-1}(x) - J_{nu+1}(x)) / 2, x > 0."""
-    nu, xa = _checked(nu, x, "bessel_j_prime requires x > 0")
-    return _as_result(x, _jv_prime(nu, xa))
-
-
-def bessel_y_prime(nu: float, x) -> float:
-    """dY_nu/dx via (Y_{nu-1}(x) - Y_{nu+1}(x)) / 2, x > 0."""
-    nu, xa = _checked(nu, x, "bessel_y_prime requires x > 0")
-    return _as_result(x, 0.5 * (_sp.yv(nu - 1.0, xa) - _sp.yv(nu + 1.0, xa)))
 
 
 def mcmahon_zero_estimate(n: int, N: int) -> float:
@@ -164,41 +136,34 @@ def _check_zero_args(n, *indices) -> tuple[int, ...]:
 
 
 def _zero_brackets(n: int, N_max: int) -> list[tuple[float, float]]:
-    """Brackets of j_{n,1..N_max} from one rightward unit-step scan.
-
-    The scan starts at x = n (J_n > 0 on (0, j_{n,1})) and steps by 1
-    (consecutive zeros of J_n are more than pi apart for n >= 1, so a unit
-    step cannot straddle two of them), recording each sign change.  A scan
-    point where J_n is exactly 0.0 is recorded as the degenerate bracket
-    (x, x), which :func:`_polish_zero` returns unchanged.  The McMahon bound
-    of the N_max-th zero ends the scan.
+    """Brackets of j_{n,1..N_max} from one evaluation of J_n on the grid n, n + 1,
+    ... up to the McMahon bound of the N_max-th zero plus 2 (j_{n,1} > n, and
+    zeros of J_n are more than pi apart for n >= 1, so no unit step straddles two).
+    Each sign change between neighbours is a bracket; a grid point where J_n is
+    exactly 0.0 is the degenerate bracket (x, x), which :func:`_polish_zero` returns.
     """
-    x_lo = float(n)
-    f_lo = _sp.jv(n, x_lo)
     x_max = mcmahon_zero_estimate(n, N_max) + 2.0
-    brackets = []
-    while x_lo < x_max:
-        x_hi = x_lo + 1.0
-        f_hi = _sp.jv(n, x_hi)
-        if f_hi == 0.0:
-            brackets.append((x_hi, x_hi))
-            if len(brackets) == N_max:
-                return brackets
-            x_lo, f_lo = x_hi + 1e-9, _sp.jv(n, x_hi + 1e-9)
-            continue
-        if f_lo * f_hi < 0.0:
-            brackets.append((x_lo, x_hi))
-            if len(brackets) == N_max:
-                return brackets
-        x_lo, f_lo = x_hi, f_hi
-    raise ZeroRefinementError(
-        f"failed to bracket zero {len(brackets) + 1} of J_{n} while scanning [{n}, {x_max:.3f}]"
-    )
+    xs = n + np.arange(math.ceil(x_max - n) + 1.0)
+    fs = _sp.jv(n, xs)
+    # an exact 0.0 makes both of its products 0.0, so no sign change repeats it
+    ends = np.flatnonzero((fs[:-1] * fs[1:] < 0.0) | (fs[1:] == 0.0))[:N_max] + 1
+    brackets = [(x, x) if f == 0.0 else (x - 1.0, x) for x, f in zip(xs[ends].tolist(), fs[ends])]
+    if len(brackets) < N_max:
+        raise ZeroRefinementError(
+            f"failed to bracket zero {len(brackets) + 1} of J_{n} while scanning [{n}, {x_max:.3f}]"
+        )
+    return brackets
 
 
 def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
     """Newton iteration from the bracket midpoint, with bisection fallback
-    whenever an iterate leaves the bracket.  Stops on a step < ZERO_ABS_TOL."""
+    whenever an iterate leaves the open bracket.  Stops on a step < ZERO_ABS_TOL.
+
+    Known defect, kept because perfbench/digests.json pins zero bits: a bracket
+    end moves to x each iterate, so a converged Newton step that rounds to x
+    fails a < x_new < b and the loop bisects for ~38 more iterations, which
+    leave the 1.02e-12 error (a <= x_new <= b: 4 iterations, 3.6e-15 error).
+    """
     a, b = bracket
     fa = _sp.jv(n, a)
     x = 0.5 * (a + b)

@@ -86,8 +86,9 @@ class Trajectory:
 
 def radicand(t, params: ModelParams):
     """lam/c1 + (c2 + sqrt(c1) t)^2, the quantity under the trajectory root."""
-    w = params.c2 + math.sqrt(params.c1) * np.asarray(t, dtype=float)
-    out = params.lam / params.c1 + w * w
+    with np.errstate(over="ignore"):  # +inf, unwarned: each caller refuses or classifies it
+        w = params.c2 + math.sqrt(params.c1) * np.asarray(t, dtype=float)
+        out = params.lam / params.c1 + w * w
     return _as_result(t, out)
 
 
@@ -105,8 +106,7 @@ def radicand_roots(params: ModelParams) -> tuple[float, float] | None:
 
 def _regular_radicand(t, params: ModelParams):
     """radicand(t), refusing any t where it is <= RADICAND_FLOOR or not finite."""
-    with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
-        q = radicand(t, params)
+    q = radicand(t, params)
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("radicand overflows the double range at a requested t")
     if np.any(np.asarray(q) <= RADICAND_FLOOR):
@@ -138,7 +138,8 @@ def hamiltonian(x, p, lam: float):
     xa = np.asarray(x, dtype=float)
     if np.any(xa == 0.0):
         raise ValueError("x = 0 is outside the model domain (mass 2/x^4 is singular)")
-    out = xa**4 * np.asarray(p, dtype=float) ** 2 / 4.0 + lam * xa**2
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN: each caller refuses it
+        out = xa**4 * np.asarray(p, dtype=float) ** 2 / 4.0 + lam * xa**2
     return _as_result(x, out)
 
 
@@ -180,8 +181,7 @@ def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:
     candidates = [t0, t1]
     if t0 <= vertex <= t1:
         candidates.append(vertex)
-    with np.errstate(over="ignore"):  # a far window end gives +inf, still "bounded" there
-        q_min = min(radicand(t, params) for t in candidates)
+    q_min = min(radicand(t, params) for t in candidates)  # a far end's +inf is "bounded"
     return "singular" if q_min <= 0.0 else "bounded"
 
 
@@ -201,8 +201,8 @@ def phase_curve(E: float, lam: float, x_grid) -> np.ndarray:
     if np.any(np.abs(xs) > amp * (1.0 + 1e-12)):
         bad = xs[np.abs(xs) > amp * (1.0 + 1e-12)]
         raise ValueError(f"grid points outside the turning points +-{amp:g}: {bad[:3]}")
-    # 4E and xs**4 may overflow to inf (inf/inf is NaN); the caller refuses a NaN p
-    with np.errstate(over="ignore", invalid="ignore"):
+    # 4E and xs**4 may overflow (inf/inf is NaN), xs**4 underflow to 0; the caller refuses NaN
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rad = 4.0 * E / xs**4 - 4.0 * lam / xs**2
     p = np.sqrt(np.maximum(rad, 0.0))  # clamp roundoff at |x| = A
     return np.column_stack([xs, p, -p])

@@ -2,8 +2,10 @@
 
 Subcommands map one-to-one onto the library surfaces: `trajectory`,
 `lambda-map`, `phase-portrait`, `wkb`, `spectrum`, `eigenfunction`,
-`box-spectrum`, and `verify`.  Numeric output uses 17 significant digits so
-datasets diff reproducibly.  Exit codes: 0 success, 1 validation error (any
+`box-spectrum`, and `verify`.  CSV prints floats with ``.17g`` and JSON
+with their shortest round-trip repr (``0.0``, not ``0``; ``0.1``, not
+``0.10000000000000001``); both read back to the same double, so datasets
+diff reproducibly.  Exit codes: 0 success, 1 validation error (any
 ValueError or OSError), 2 failed verification or numerical failure: any
 ArithmeticError, as every pdmosc non-convergence, blow-up or non-finite row is.
 
@@ -221,8 +223,10 @@ def run_phase_portrait(o):
     rows = []
     for E in energies:
         amp = semiclassical.turning_point(E, o.lam)
-        # an odd count gives the positive half the extra point
-        half = np.linspace(o.x_floor_frac * amp, amp, o.points - o.points // 2)
+        # an odd count gives the positive half the extra point; an infinite
+        # turning point (inf - inf) gives a non-finite grid, refused as a row
+        with np.errstate(invalid="ignore"):
+            half = np.linspace(o.x_floor_frac * amp, amp, o.points - o.points // 2)
         grid = np.concatenate([-half[::-1][: o.points // 2], half])
         for x, p_plus, p_minus in classical.phase_curve(E, o.lam, grid):
             rows.append((float(E), float(x), float(p_plus), float(p_minus)))

@@ -33,7 +33,7 @@ import numpy as np
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, _zeros, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
 from .bessel import _as_result, jv, jv_derivatives, yv
-from .semiclassical import QuadratureError, quad
+from .semiclassical import QuadratureError, _check_hbar, quad
 
 CONSTRAINT_TOL = 1e-12
 
@@ -48,11 +48,6 @@ PARITY_INT_TOL = 1e-9
 
 class ComplexOrderError(ArithmeticError, ValueError):
     """nu^2 < 0: attractive inverse-square regime, outside this model's scope."""
-
-
-def _check_hbar(hbar: float) -> None:
-    if not 0.0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +115,15 @@ def ode_coefficients(
     )
 
 
+def nu_squared(ordering: SingleTermOrdering, lam: float, hbar: float) -> float:
+    """nu^2 = s^2 + 4 lam / hbar^2, the squared order of the Bessel reduction."""
+    _check_hbar(hbar)
+    return ordering.s**2 + 4.0 * lam / hbar**2
+
+
 def nu_from_params(ordering: SingleTermOrdering, lam: float, hbar: float) -> float:
     """Positive Bessel order nu = sqrt(s^2 + 4 lam / hbar^2)."""
-    _check_hbar(hbar)
-    nu_sq = ordering.s**2 + 4.0 * lam / hbar**2
+    nu_sq = nu_squared(ordering, lam, hbar)
     if nu_sq < 0.0:
         raise ComplexOrderError(
             f"nu^2 = {nu_sq:.6g} < 0 for s = {ordering.s:.6g}, lam = {lam:.6g}: "
@@ -207,7 +207,8 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     safe = ax >= 1e-3 * hbar / math.sqrt(state.E)
     out = np.empty_like(ax)
     out[safe] = jv(state.n, scale / ax[safe])
-    out[~safe] = np.sqrt(hbar * ax[~safe] / (math.pi * math.sqrt(state.E)))
+    with np.errstate(over="ignore"):  # hbar |x| may overflow; the caller refuses an inf psi
+        out[~safe] = np.sqrt(hbar * ax[~safe] / (math.pi * math.sqrt(state.E)))
     out = state.amplitude * sign * out
     return _as_result(x, out.reshape(np.shape(x)))
 
@@ -257,6 +258,13 @@ class PctReduction:
     residual_max: float
 
 
+def pct_strength(ordering: SingleTermOrdering, lam: float, hbar: float) -> float:
+    """Inverse-square strength 4 lam/hbar^2 + (2a+2g+2)(2a+2g+1); plus 1/4 it is nu^2."""
+    _check_hbar(hbar)
+    two_ag = 2.0 * ordering.alpha1 + 2.0 * ordering.gamma1
+    return 4.0 * lam / hbar**2 + (two_ag + 2.0) * (two_ag + 1.0)
+
+
 def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) -> PctReduction:
     """Reduce to the constant-mass equation with an inverse-square potential.
 
@@ -275,9 +283,8 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
     if E <= 0.0:
         raise ValueError(f"E must be positive, got {E}")
     nu = nu_from_params(ordering, lam, hbar)
-    two_ag = 2.0 * ordering.alpha1 + 2.0 * ordering.gamma1
     k_squared = 16.0 * E / hbar**2
-    strength = 4.0 * lam / hbar**2 + (two_ag + 2.0) * (two_ag + 1.0)
+    strength = pct_strength(ordering, lam, hbar)
 
     t = np.linspace(0.05, 2.5, 200)
     a = 2.0 * math.sqrt(E) / hbar
@@ -380,12 +387,12 @@ def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxS
         raise ValueError(f"eps must be positive, got {eps}")
     if int(N_max) != N_max or N_max < 1:
         raise ValueError(f"N_max must be a positive integer, got {N_max!r}")
-    states = []
-    for N, j in enumerate(bessel_zeros(n, N_max), start=1):
-        energy = 0.25 * hbar**2 * j * j * eps * eps
-        norm_const = eps / bessel_j(n + 1, j)
-        states.append(BoxState(eps=eps, n=int(n), N=N, energy=energy, norm_const=norm_const))
-    return states
+    zeros = np.array(bessel_zeros(n, N_max))
+    with np.errstate(over="ignore"):  # a huge eps overflows; the caller refuses an inf row
+        energies = 0.25 * hbar**2 * zeros * zeros * eps * eps
+        norms = eps / bessel_j(n + 1, zeros)
+    rows = zip(energies.tolist(), norms.tolist())
+    return [BoxState(eps, int(n), N, energy, norm) for N, (energy, norm) in enumerate(rows, start=1)]
 
 
 def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) -> float:
@@ -398,8 +405,7 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     """
     n, N, M = _check_zero_args(n, N, M)
     jN, jM = _zeros(n, (N, M))  # one scan up to max(N, M), two polishes
-    cN = eps / bessel_j(n + 1, jN)
-    cM = eps / bessel_j(n + 1, jM)
+    cN, cM = (eps / bessel_j(n + 1, np.array([jN, jM]))).tolist()
     # full_output: quad may flag roundoff short of 1e-13; the err gate below decides
     value, err = quad(
         lambda r: r * jv(n, jN * eps * r) * jv(n, jM * eps * r),

@@ -60,6 +60,11 @@ class ActionResult:
     error_estimate: float
 
 
+def _check_hbar(hbar: float) -> None:
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+
+
 def turning_point(E: float, lam: float) -> float:
     """Classical turning point A = sqrt(E/lam) where the momentum vanishes."""
     if E <= 0.0 or lam <= 0.0:
@@ -152,8 +157,7 @@ def wkb_lambda(n: int, hbar: float) -> float:
     """Quantized coupling lam_n = (n + 1/2)^2 hbar^2 / 4, n = 0, 1, 2, ..."""
     if int(n) != n or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if hbar <= 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    _check_hbar(hbar)
     return (n + 0.5) ** 2 * hbar**2 / 4.0
 
 

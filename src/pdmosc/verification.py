@@ -173,9 +173,8 @@ def check_pct_identity(cfg: SuiteConfig) -> VerificationReport:
         a, g = rng.uniform(-2.0, 2.0, size=2)
         ordering = quantum.SingleTermOrdering.from_alpha_gamma(a, g)
         lam = rng.uniform(-2.0, 2.0)
-        two_ag = 2.0 * a + 2.0 * g
-        strength = 4.0 * lam / hbar**2 + (two_ag + 2.0) * (two_ag + 1.0)
-        nu_sq = ordering.s**2 + 4.0 * lam / hbar**2
+        strength = quantum.pct_strength(ordering, lam, hbar)
+        nu_sq = quantum.nu_squared(ordering, lam, hbar)
         worst = max(worst, abs(strength + 0.25 - nu_sq))
     return residual_report(
         "pct_identity", worst, 1e-12, "DERIVED", notes="100 seeded random orderings"
@@ -226,24 +225,18 @@ def check_bessel_kernel(cfg: SuiteConfig) -> VerificationReport:
     xs = np.logspace(-1, 2, 40)
     worst = 0.0
     for nu in range(0, 11):
-        wron = (
-            bessel.bessel_j(nu, xs) * bessel.bessel_y_prime(nu, xs)
-            - bessel.bessel_j_prime(nu, xs) * bessel.bessel_y(nu, xs)
-            - 2.0 / (math.pi * xs)
-        )
+        j, jp, _ = bessel.jv_derivatives(nu, xs)
+        yp = 0.5 * (bessel.yv(nu - 1, xs) - bessel.yv(nu + 1, xs))
+        wron = j * yp - jp * bessel.yv(nu, xs) - 2.0 / (math.pi * xs)
         worst = max(worst, float(np.max(np.abs(wron))))
         if nu >= 1:
-            rec = (
-                bessel.bessel_j(nu - 1, xs)
-                + bessel.bessel_j(nu + 1, xs)
-                - 2.0 * nu / xs * bessel.bessel_j(nu, xs)
-            )
+            rec = bessel.jv(nu - 1, xs) + bessel.jv(nu + 1, xs) - 2.0 * nu / xs * j
             worst = max(worst, float(np.max(np.abs(rec))))
     zeros = {
         (n, N): j for n in (1, 2, 3) for N, j in enumerate(bessel.bessel_zeros(n, 3), start=1)
     }
     for (n, N), j in zeros.items():
-        worst = max(worst, abs(bessel.bessel_j(n, j)))
+        worst = max(worst, abs(bessel.jv(n, j)))
     interlaced = all(
         zeros[(n, N)] < zeros[(n + 1, N)] < zeros[(n, N + 1)]
         for n in (1, 2)

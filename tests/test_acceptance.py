@@ -166,11 +166,9 @@ def test_criterion_8_special_function_kernel():
     xs = np.logspace(-1, 2, 60)
     worst = 0.0
     for nu in range(11):
-        wron = (
-            bessel.bessel_j(nu, xs) * bessel.bessel_y_prime(nu, xs)
-            - bessel.bessel_j_prime(nu, xs) * bessel.bessel_y(nu, xs)
-            - 2.0 / (math.pi * xs)
-        )
+        j, jp, _ = bessel.jv_derivatives(nu, xs)
+        yp = 0.5 * (bessel.yv(nu - 1, xs) - bessel.yv(nu + 1, xs))
+        wron = j * yp - jp * bessel.yv(nu, xs) - 2.0 / (math.pi * xs)
         worst = max(worst, float(np.max(np.abs(wron))))
         if nu >= 1:
             rec = (

@@ -49,13 +49,15 @@ def argv_with(sub, flag, token):
 
 
 def run_recorded(argv):
-    """(exit code, stdout, stderr, warning messages) of one in-process run."""
+    """(exit code, stdout, stderr, warnings as "Category: message") of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue(), [
+        f"{w.category.__name__}: {w.message}" for w in caught
+    ]
 
 
 def run_quietly(argv):
@@ -63,7 +65,9 @@ def run_quietly(argv):
     return run_recorded(argv)[:3]
 
 
-def assert_clean(sub, code, out, err):
+def assert_clean(sub, code, out, err, caught):
+    """Exit 0 with finite rows, or 1 or 2 with one line; never a numpy warning."""
+    assert not [w for w in caught if w.startswith("RuntimeWarning: ")], caught
     assert code in (0, 1, 2), err
     if sub == "verify" and err.startswith("verify: "):
         return  # the report: a failed check exits 2, a skipped one reads NaN
@@ -78,7 +82,7 @@ def assert_clean(sub, code, out, err):
 @pytest.mark.parametrize("token", TOKENS)
 @pytest.mark.parametrize("sub, flag", FLOAT_OPTIONS)
 def test_extreme_float_tokens_exit_cleanly(sub, flag, token):
-    assert_clean(sub, *run_quietly(argv_with(sub, flag, token)))
+    assert_clean(sub, *run_recorded(argv_with(sub, flag, token)))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -88,7 +92,7 @@ def test_extreme_float_tokens_exit_cleanly(sub, flag, token):
 )
 def test_any_float_exits_cleanly(option, value):
     sub, flag = option
-    assert_clean(sub, *run_quietly(argv_with(sub, flag, repr(value))))
+    assert_clean(sub, *run_recorded(argv_with(sub, flag, repr(value))))
 
 
 def test_config_count_below_its_bound_exits_1(tmp_path):
@@ -144,7 +148,8 @@ def test_odd_points_give_that_many_rows(points):
     ],
 )
 def test_overflow_and_non_finite_rows_exit_2(argv, message):
-    code, out, err = run_quietly(argv)
+    code, out, err, caught = run_recorded(argv)
+    assert not [w for w in caught if w.startswith("RuntimeWarning: ")], caught
     assert (code, out) == (2, "")
     assert err.startswith("pdmosc: numerical failure: ") and err.count("\n") == 1
     assert message in err
@@ -266,8 +271,10 @@ def test_n_zeros_stops_at_the_accuracy_box():
         # 4E overflows to inf and inf/inf is NaN
         (["phase-portrait", "--lambda", "1", "--energies=1e308", "--points", "2"],
          "non-finite p_plus = nan in row 1"),
+        # x and p are finite at t = 1e77, but p**2 overflows inside H
+        (["trajectory", "--lambda", "1", "--t=1e77:1e77:1"], "non-finite E = inf in row 1"),
     ],
-    ids=["trajectory", "phase-portrait"],
+    ids=["trajectory", "phase-portrait", "trajectory-far-t"],
 )
 def test_overflowing_inputs_exit_2_with_one_line_and_no_warning(argv, err):
     assert run_recorded(argv) == (2, "", f"pdmosc: numerical failure: {err}\n", [])

@@ -528,6 +528,8 @@ def test_scalar_gives_float_and_array_gives_array_of_its_shape(name):
 HBAR_CALLS = {
     "ode_coefficients": lambda h: quantum.ode_coefficients(CLEAN, 1.0, 1.0, h),
     "nu_from_params": lambda h: quantum.nu_from_params(CLEAN, 1.0, h),
+    "nu_squared": lambda h: quantum.nu_squared(CLEAN, 1.0, h),
+    "pct_strength": lambda h: quantum.pct_strength(CLEAN, 1.0, h),
     "lambda_quantized": lambda h: quantum.lambda_quantized(2, CLEAN, h),
     "general_solution": lambda h: quantum.general_solution(1.0, 1, 1.0, 1.0, 0.0, 0.0, h),
     "eigenfunction": lambda h: quantum.eigenfunction(1.0, ContinuumState(1, 1.0), h),

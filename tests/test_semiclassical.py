@@ -87,6 +87,14 @@ def test_wkb_lambda_examples():
         sc.wkb_lambda(0.5, 1.0)
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+def test_wkb_refuses_non_positive_or_non_finite_hbar(hbar):
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        sc.wkb_lambda(1, hbar)
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        sc.wkb_condition_check(1, hbar)
+
+
 def test_wkb_condition_examples():
     r0 = sc.wkb_condition_check(0, 1.0)
     assert r0.status == "pass"

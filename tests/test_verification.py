@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pdmosc import quantum
 from pdmosc import verification as v
 from pdmosc.classical import ModelParams
 from pdmosc.quantum import SingleTermOrdering
@@ -73,3 +74,13 @@ def test_integrator_check_skips_on_singular_window():
     cfg = v.SuiteConfig(params=ModelParams(lam=-1.0, c1=1.0, c2=0.0))
     reports = {r.check_id: r for r in v.run_suite(["integrator_vs_exact"], cfg)}
     assert reports["integrator_vs_exact"].status == "skipped"
+
+
+@pytest.mark.parametrize("formula", ["pct_strength", "nu_squared"])
+def test_pct_identity_checks_the_library_formulas(formula, monkeypatch):
+    (report,) = v.run_suite(["pct_identity"])
+    assert report.status == "pass"
+    right = getattr(quantum, formula)
+    monkeypatch.setattr(quantum, formula, lambda *args: right(*args) + 1e-9)
+    (report,) = v.run_suite(["pct_identity"])
+    assert report.status == "fail"
