@@ -11,7 +11,7 @@ code with any library zero table: one evaluation of J_n on a unit grid
 brackets every zero of an order up to the one wanted, and a safeguarded
 Newton iteration polishes each bracket.  :func:`bessel_zeros` returns all
 zeros up to N_max from that single scan; :func:`bessel_zero` polishes only
-the last one.
+the last one; a zero polished before in the process comes from a memo.
 
 Accuracy is guaranteed (relative error <= 1e-10 away from zeros) inside the
 box x <= 1e3, nu <= 50.  Outside the box :func:`bessel_j` still returns
@@ -20,6 +20,7 @@ best-effort values but emits :class:`AccuracyLossWarning`.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -155,9 +156,15 @@ def _zero_brackets(n: int, N_max: int) -> list[tuple[float, float]]:
     return brackets
 
 
+@functools.lru_cache(maxsize=4096)  # under 2 MB
 def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
     """Newton iteration from the bracket midpoint, with bisection fallback
     whenever an iterate leaves the open bracket.  Stops on a step < ZERO_ABS_TOL.
+
+    Memoized per process on (n, N, bracket), 4096 entries at most: zero N gets
+    the same bracket whatever N_max is, so a hit has a fresh polish's bits.
+    The memo assumes ``_sp`` evaluates J_n; whoever puts another function in
+    ``_sp`` calls ``_polish_zero.cache_clear()`` before and after.
 
     Known defect, kept because perfbench/digests.json pins zero bits: a bracket
     end moves to x each iterate, so a converged Newton step that rounds to x
@@ -201,7 +208,8 @@ def bessel_zeros(n: int, N_max: int) -> list[float]:
 
     One scan brackets all of them and each bracket is polished on its own,
     so entry N-1 equals :func:`bessel_zero` (n, N) bit for bit, at a cost
-    linear rather than quadratic in N_max.
+    linear rather than quadratic in N_max.  Zeros polished before come from
+    the per-process, bounded memo on (n, N, bracket), which assumes ``_sp`` is J.
     """
     n, N_max = _check_zero_args(n, N_max)
     return _zeros(n, range(1, N_max + 1))

@@ -138,8 +138,12 @@ def hamiltonian(x, p, lam: float):
     xa = np.asarray(x, dtype=float)
     if np.any(xa == 0.0):
         raise ValueError("x = 0 is outside the model domain (mass 2/x^4 is singular)")
+    pa = np.asarray(p, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN: each caller refuses it
-        out = xa**4 * np.asarray(p, dtype=float) ** 2 / 4.0 + lam * xa**2
+        out = xa**4 * pa**2 / 4.0 + lam * xa**2
+        bad = ~np.isfinite(out)
+        if np.any(bad):  # x^4 p^2 overflowed: (x^2 p)^2 may not; finite entries keep their bits
+            out = np.where(bad, (xa * xa * pa) ** 2 / 4.0 + lam * xa**2, out)
     return _as_result(x, out)
 
 

@@ -406,9 +406,14 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     n, N, M = _check_zero_args(n, N, M)
     jN, jM = _zeros(n, (N, M))  # one scan up to max(N, M), two polishes
     cN, cM = (eps / bessel_j(n + 1, np.array([jN, jM]))).tolist()
+
+    def integrand(r):  # on the diagonal J is evaluated once per node, same bits
+        j = jv(n, jN * eps * r)
+        return r * j * (j if N == M else jv(n, jM * eps * r))
+
     # full_output: quad may flag roundoff short of 1e-13; the err gate below decides
     value, err = quad(
-        lambda r: r * jv(n, jN * eps * r) * jv(n, jM * eps * r),
+        integrand,
         0.0,
         1.0 / eps,
         limit=400,

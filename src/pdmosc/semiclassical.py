@@ -69,7 +69,10 @@ def turning_point(E: float, lam: float) -> float:
     """Classical turning point A = sqrt(E/lam) where the momentum vanishes."""
     if E <= 0.0 or lam <= 0.0:
         raise ValueError(f"turning_point requires E > 0 and lam > 0, got E={E}, lam={lam}")
-    return math.sqrt(E / lam)
+    A = math.sqrt(E / lam)
+    if not math.isfinite(A):
+        raise OverflowError(f"turning point sqrt(E/lam) overflows for E={E!r}, lam={lam!r}")
+    return A
 
 
 def divergent_part(A: float, eps: float) -> float:

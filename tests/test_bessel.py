@@ -159,10 +159,22 @@ def test_vectorized_evaluation():
     assert out[1] == pytest.approx(bessel.bessel_j(1, 1.0))
 
 
+@pytest.fixture
+def fake_j(monkeypatch):
+    """Installs a stand-in for J as ``bessel._sp.jv``; the zero memo is emptied
+    before and after, so no memoized zero of J or of the stand-in crosses over."""
+    bessel._polish_zero.cache_clear()
+    yield lambda jv: monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))
+    bessel._polish_zero.cache_clear()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_zeros_single_scan_equals_per_zero_calls(n):
     zeros = bessel.bessel_zeros(n, 200)
     assert zeros == [bessel.bessel_zero(n, N) for N in range(1, 201)]
+    # memoized or not, each zero has the bits of a fresh polish of its bracket
+    brackets = bessel._zero_brackets(n, 200)
+    assert zeros == [bessel._polish_zero.__wrapped__(n, N, b) for N, b in enumerate(brackets, 1)]
     # the Newton stopping rule |x_new - x| < 1e-12 leaves errors up to ~1.02e-12
     # near x ~ 540 (checked against mpmath.besseljzero), hence 1.5e-12 here
     assert np.max(np.abs(np.array(zeros) - special.jn_zeros(n, 200))) < 1.5e-12
@@ -177,13 +189,39 @@ def test_zeros_argument_validation_matches_bessel_zero():
         assert str(scan.value) == str(single.value)
 
 
-def test_exact_zero_at_a_scan_point_is_returned_as_is(monkeypatch):
+def test_exact_zero_at_a_scan_point_is_returned_as_is(fake_j):
     # J_1 replaced by (4 - x)(x - 8.5): exactly 0.0 at the grid point x = 4,
     # then a sign change in (8, 9)
-    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=lambda nu, x: (4.0 - x) * (x - 8.5)))
+    fake_j(lambda nu, x: (4.0 - x) * (x - 8.5))
     zeros = bessel.bessel_zeros(1, 2)
     assert zeros[0] == 4.0 == bessel.bessel_zero(1, 1)
     assert zeros[1] == bessel.bessel_zero(1, 2) == pytest.approx(8.5, abs=1e-9)
+
+
+def test_a_stand_in_j_gets_its_own_zeros(fake_j):
+    # shifted by 0.1, the zeros keep J_1's brackets, so J_1's memoized zeros
+    # (polished by the tests above) would answer if the memo were not emptied
+    fake_j(lambda nu, x: special.jv(nu, x - 0.1))
+    assert bessel.bessel_zeros(1, 3) == pytest.approx(special.jn_zeros(1, 3) + 0.1, abs=1e-9)
+
+
+def test_zeros_after_the_stand_in_tests_are_those_of_j():
+    zeros = np.array(bessel.bessel_zeros(1, 3))
+    assert np.max(np.abs(zeros - special.jn_zeros(1, 3))) < 1.5e-12
+
+
+def test_a_polished_zero_costs_no_further_j_evaluation(monkeypatch):
+    zeros = bessel.bessel_zeros(3, 10)
+    calls = []
+
+    def jv(nu, x):
+        calls.append(x)
+        return special.jv(nu, x)
+
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))  # still J: the memo stays valid
+    assert bessel.bessel_zeros(3, 10) == zeros
+    assert bessel.bessel_zero(3, 7) == zeros[6]
+    assert len(calls) == 2  # one bracketing scan per call, no polish
 
 
 def test_zeros_bracket_from_one_array_evaluation(monkeypatch):

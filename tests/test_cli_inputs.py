@@ -8,6 +8,7 @@ other tests pin the bounds and choices that the option table declares.
 import contextlib
 import csv
 import io
+import math
 import warnings
 
 import pytest
@@ -142,7 +143,8 @@ def test_odd_points_give_that_many_rows(points):
         (["spectrum", "--hbar", "1e-308"], "float division by zero"),
         (["wkb", "--turning-point", "1e-308"], "float division by zero"),
         (["box-spectrum", "--n", "1", "--eps", "1e200"], "non-finite E = inf in row 1"),
-        (["trajectory", "--lambda", "1e308", "--t", "0:1:0.5"], "non-finite E = nan in row 3"),
+        (["phase-portrait", "--lambda=5e-324"],
+         "turning point sqrt(E/lam) overflows for E=0.5, lam=5e-324"),
         (["eigenfunction", "--n", "1", "--E", "1", "--hbar", "1e-308"],
          "non-finite psi = nan in row 1"),
     ],
@@ -271,13 +273,28 @@ def test_n_zeros_stops_at_the_accuracy_box():
         # 4E overflows to inf and inf/inf is NaN
         (["phase-portrait", "--lambda", "1", "--energies=1e308", "--points", "2"],
          "non-finite p_plus = nan in row 1"),
-        # x and p are finite at t = 1e77, but p**2 overflows inside H
-        (["trajectory", "--lambda", "1", "--t=1e77:1e77:1"], "non-finite E = inf in row 1"),
     ],
-    ids=["trajectory", "phase-portrait", "trajectory-far-t"],
+    ids=["trajectory", "phase-portrait"],
 )
 def test_overflowing_inputs_exit_2_with_one_line_and_no_warning(argv, err):
     assert run_recorded(argv) == (2, "", f"pdmosc: numerical failure: {err}\n", [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # x and p are finite at t = 1e77, but x**4 * p**2 overflows to inf
+        ["trajectory", "--lambda", "1", "--t=1e77:1e77:1"],
+        # at t = 1, p**2 overflows to inf while x**4 underflows to 0
+        ["trajectory", "--lambda", "1e308", "--t", "0:1:0.5"],
+    ],
+    ids=["trajectory-far-t", "trajectory-huge-lambda"],
+)
+def test_hamiltonian_past_the_double_range_still_gives_E_equal_c1(argv):
+    code, out, err, caught = run_recorded(argv)
+    assert (code, err, caught) == (0, "", [])
+    energies = [float(row["E"]) for row in csv.DictReader(io.StringIO(out))]
+    assert energies and all(abs(e - 1.0) <= 4 * math.ulp(1.0) for e in energies)  # c1 = 1
 
 
 def test_phase_curve_past_x4_overflow_warns_nothing():

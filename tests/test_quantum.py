@@ -348,6 +348,39 @@ def test_box_orthonormality_roundoff_flag_stays_silent():
     assert overlap == -1.7827176106251374e-13
 
 
+@pytest.mark.parametrize(
+    "n, N, M, eps, expected",
+    [
+        (1, 1, 1, 0.1, 0.9999999999999993),
+        (1, 3, 3, 0.1, 0.9999999999999998),
+        (2, 2, 2, 0.37, 1.0000000000000007),
+        (5, 4, 4, 0.05, 1.000000000000002),
+        (1, 1, 2, 0.1, -1.7840804214557448e-13),
+    ],
+)
+def test_box_overlap_evaluates_j_once_per_node_on_the_diagonal(monkeypatch, n, N, M, eps, expected):
+    counts = {"jv": 0, "integrand": 0}
+    jv, quad = quantum.jv, quantum.quad
+
+    def counted_jv(nu, x):
+        counts["jv"] += 1
+        return jv(nu, x)
+
+    def counted_quad(f, *args, **kwargs):
+        def g(r):
+            counts["integrand"] += 1
+            return f(r)
+
+        return quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "jv", counted_jv)
+    monkeypatch.setattr(quantum, "quad", counted_quad)
+    # the values recorded when the diagonal evaluated J twice per node
+    assert quantum.box_orthonormality(n, N, M, eps) == expected
+    assert counts["integrand"] > 0
+    assert counts["jv"] == (1 if N == M else 2) * counts["integrand"]
+
+
 def test_box_gram_matrix_is_identity():
     gram = np.array(
         [

@@ -19,6 +19,8 @@ def test_turning_point_examples():
         sc.turning_point(-1.0, 1.0)
     with pytest.raises(ValueError):
         sc.turning_point(1.0, 0.0)
+    with pytest.raises(OverflowError, match=r"sqrt\(E/lam\) overflows for E=1.0, lam=5e-324"):
+        sc.turning_point(1.0, 5e-324)
 
 
 def test_action_integral_frozen_values():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pdmosc import quantum
@@ -84,3 +85,23 @@ def test_pct_identity_checks_the_library_formulas(formula, monkeypatch):
     monkeypatch.setattr(quantum, formula, lambda *args: right(*args) + 1e-9)
     (report,) = v.run_suite(["pct_identity"])
     assert report.status == "fail"
+
+
+def test_hermitian_singularity_evaluates_each_window_once(monkeypatch):
+    wavefunction = quantum.hermitian_wavefunction
+
+    def peak(x):
+        return float(np.max(np.abs(wavefunction(x, 1, 1.0))))
+
+    # the growth factors as computed one window pair at a time, 12 evaluations
+    reference = min(
+        peak(np.linspace(2.0**-k / 2, 2.0**-k, 4000)) / peak(np.linspace(2.0**-k, 2 * 2.0**-k, 4000))
+        for k in range(4, 10)
+    )
+    calls = []
+    monkeypatch.setattr(
+        quantum, "hermitian_wavefunction", lambda x, *args: calls.append(x) or wavefunction(x, *args)
+    )
+    report = v.check_hermitian_singularity(v.SuiteConfig())
+    assert len(calls) == 7
+    assert report.measured == reference == 1.981288630165693
