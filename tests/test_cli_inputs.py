@@ -264,6 +264,20 @@ def test_n_zeros_stops_at_the_accuracy_box():
     assert err == "pdmosc: --n-zeros 319 of J_1 reach x = 1002.95, past the accuracy box\n"
 
 
+@pytest.mark.parametrize("n", [50, 100])
+def test_box_spectrum_refuses_an_order_past_the_accuracy_box(n):
+    # the norm constants evaluate J_{n+1}, which leaves the box at n = 50
+    assert run_recorded(["box-spectrum", "--n", str(n)]) == (
+        1, "", f"pdmosc: --n {n} needs J_{n + 1}, past the accuracy box (order <= 50)\n", []
+    )
+
+
+def test_box_spectrum_at_the_last_order_in_the_box_is_silent():
+    code, out, err, caught = run_recorded(["box-spectrum", "--n", "49"])
+    assert (code, err, caught) == (0, "", [])
+    assert len(out.splitlines()) == 1 + 5
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

@@ -38,6 +38,11 @@ def test_bessel_loads_no_other_pdmosc_module_and_no_integrator():
     assert "scipy.integrate" not in loaded
 
 
+def test_semiclassical_loads_no_other_pdmosc_module():
+    loaded = modules_after_import("pdmosc.semiclassical")
+    assert {m for m in loaded if m.startswith("pdmosc")} == {"pdmosc", "pdmosc.semiclassical"}
+
+
 def modules_after_cli(*command_lines: str) -> tuple[list[int], set[str]]:
     """(exit codes, names in ``sys.modules``) after ``cli.main`` ran each
     command line in turn in one fresh interpreter, its output discarded."""

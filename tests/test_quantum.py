@@ -483,11 +483,6 @@ def test_similarity_check_bits_are_pinned(alpha_gamma, testfn, expected):
     assert quantum.similarity_check(ordering, testfn) == expected
 
 
-def test_similarity_check_scalar_testfn():
-    disc = quantum.similarity_check(CLEAN, lambda x: math.exp(-((x - 2.0) ** 2)))
-    assert disc < 1e-6
-
-
 @pytest.mark.parametrize("n,N_max,eps,hbar", [(1, 60, 0.1, 1.0), (4, 37, 0.3, 1.7)])
 def test_box_spectrum_bit_identical_to_per_zero_path(n, N_max, eps, hbar):
     states = quantum.box_spectrum(n, N_max, eps, hbar)

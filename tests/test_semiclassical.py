@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pdmosc import semiclassical as sc
@@ -99,31 +100,48 @@ def test_wkb_refuses_non_positive_or_non_finite_hbar(hbar):
 
 def test_wkb_condition_examples():
     r0 = sc.wkb_condition_check(0, 1.0)
-    assert r0.status == "pass"
     assert abs(r0.measured) < 1e-6  # both sides pi/2
     r3 = sc.wkb_condition_check(3, 1.0)
-    assert r3.status == "pass"
+    assert abs(r3.measured) < 1e-6
     r_half = sc.wkb_condition_check(1, 0.5)
-    assert r_half.status == "pass"
-    # reconstruct the sides: rhs = (n + 1/2) hbar pi
-    assert (1 + 0.5) * 0.5 * math.pi == pytest.approx(0.75 * math.pi)
+    assert abs(r_half.measured) < 1e-6
+    # the sides: rhs = (n + 1/2) hbar pi, lam_n = (n + 1/2)^2 hbar^2 / 4
+    assert r_half.rhs == pytest.approx(0.75 * math.pi)
+    assert r_half.lam == sc.wkb_lambda(1, 0.5)
 
 
 @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
 def test_wkb_condition_sweep(hbar):
     for n in range(11):
-        report = sc.wkb_condition_check(n, hbar)
-        assert report.status == "pass"
-        assert abs(report.measured) < 1e-6
+        condition = sc.wkb_condition_check(n, hbar)
+        assert abs(condition.measured) < 1e-6
+
+
+def test_wkb_sides_rebuild_lhs_bit_for_bit():
+    # `pdmosc wkb` once printed rhs + measured as its lhs column; the sides lie
+    # within a factor 2 of each other, so by Sterbenz's lemma lhs - rhs is exact
+    # and that sum gives lhs back, keeping the printed bytes
+    for A in np.geomspace(1e-3, 1e3, 8):
+        for hbar in np.geomspace(1e-3, 1e3, 7):
+            for n in range(300):
+                c = sc.wkb_condition_check(n, float(hbar), float(A))
+                assert c.rhs + c.measured == c.lhs
+                assert c.rhs / 2 <= c.lhs <= 2 * c.rhs
+
+
+def contour_action(E: float, lam: float) -> float:
+    """Loop action around the two-branch phase curve, finite-part reading:
+    both momentum branches, so twice the one-pass action 2 sqrt(lam) |I|."""
+    return 4.0 * math.sqrt(lam) * abs(sc.finite_part_action(sc.turning_point(E, lam)).finite_part)
 
 
 def test_contour_action_values():
-    assert sc.contour_action(1.0, 1.0) == pytest.approx(4.0 * math.pi, abs=1e-6)
-    assert sc.contour_action(2.0, 9.0 / 16.0) == pytest.approx(3.0 * math.pi, abs=1e-6)
+    assert contour_action(1.0, 1.0) == pytest.approx(4.0 * math.pi, abs=1e-6)
+    assert contour_action(2.0, 9.0 / 16.0) == pytest.approx(3.0 * math.pi, abs=1e-6)
     # n = 0 bookkeeping: lam_0 = 1/16 gives total loop action pi = 2 (n+1/2) hbar pi
-    assert sc.contour_action(1.0, 1.0 / 16.0) == pytest.approx(math.pi, abs=1e-6)
+    assert contour_action(1.0, 1.0 / 16.0) == pytest.approx(math.pi, abs=1e-6)
     # E enters only through the turning point and drops out
-    assert sc.contour_action(0.3, 1.0) == pytest.approx(sc.contour_action(7.0, 1.0), abs=1e-6)
+    assert contour_action(0.3, 1.0) == pytest.approx(contour_action(7.0, 1.0), abs=1e-6)
 
 
 def test_finite_part_cache_returns_the_uncached_value():
