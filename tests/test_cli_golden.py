@@ -69,6 +69,25 @@ CASES.update(
     }
 )
 
+#: large outputs, so a change to the array kernels or to row assembly shows in
+#: thousands of rows: the lambda grid crosses 0 and the window holds the vertex
+LARGE_CASES = {
+    "lambda-map-large": ["lambda-map", "--count", "20001", "--lambda-min=-3", "--lambda-max", "3",
+                         "--c1", "0.37", "--c2", "1.3", "--window=-4:7"],
+    "lambda-map-large-reversed": ["lambda-map", "--count", "20001", "--lambda-min=-3",
+                                  "--lambda-max", "3", "--c1", "0.37", "--c2", "1.3",
+                                  "--window=7:-4"],
+    "wkb-large": ["wkb", "--n-max", "20000", "--hbar", "0.37", "--turning-point", "5"],
+    "spectrum-large": ["spectrum", "--n-max", "20000", "--alpha1", "0.3", "--gamma1=-0.7",
+                       "--hbar", "0.37"],
+    "phase-portrait-large": ["phase-portrait", "--lambda", "1.3", "--energies", "0.1,0.5,2,7",
+                             "--points", "5001"],
+}
+CASES.update(
+    {f"{name}-{fmt}": [*argv, "--format", fmt] for name, argv in LARGE_CASES.items()
+     for fmt in ("csv", "json")}
+)
+
 CONFIG_FILES = {
     "run.cfg": "# sample config\nlam = 1\nc2 = -5\nt = 0:10:5\n",
     "bad.cfg": "this is not a key value pair\n",
@@ -91,15 +110,23 @@ DIGESTS = {
     "lambda-map-csv": "2dd46c9bcd46adcdc9a626d95911d475f8b7b1d2a4b30545c615f67ef11d5d4e",
     "lambda-map-help": "ff5e0a0c1562085cf332c3a13c735d5611a9d465e7c5bc5ea54799639c3cb642",
     "lambda-map-json": "e4f865570ab14f18df2ce291c2658b46d5961741cce448957787e8ca69f2368d",
+    "lambda-map-large-csv": "0655e8f862044568b6fb429208fe3d575ac92aa1b25ed260ac4556a556372d58",
+    "lambda-map-large-json": "49f88c0b549e93109af5f5ff85c82bc31d9cbcf7adffebfe544874c251c425e7",
+    "lambda-map-large-reversed-csv": "0655e8f862044568b6fb429208fe3d575ac92aa1b25ed260ac4556a556372d58",
+    "lambda-map-large-reversed-json": "49f88c0b549e93109af5f5ff85c82bc31d9cbcf7adffebfe544874c251c425e7",
     "malformed-config": "ac0d760be3763ec14ee9414b0c47e26e870efd29377ca0812757c815a94a927d",
     "malformed-t": "ce392124327cbdd9bdd42792c50a9750e37b2c6311d50ab2b0398427cdd69e12",
     "missing-lambda": "e49d7486e751e678c8f81dfcc933583b86de946464f0552ef310d7d2534a373c",
     "phase-portrait-csv": "cd5c55885ff2bf1be01fec19dde8f11537f6073d75ca557f8b648e89df599fae",
     "phase-portrait-help": "421002797eae5776e27649afafa2c753b760768b43641cb35545d1821c019d36",
     "phase-portrait-json": "6fc10a25b8c78fce9fc85fbcf876b7e3d9a70432bc50e5786f51f93a576971a4",
+    "phase-portrait-large-csv": "47d68a5aeacd728df1f41fed01f42d18e869496d3f4af5ee573201fdd3d69b2f",
+    "phase-portrait-large-json": "35d250b17c69e974e87359a9a7e2a65d1a88b7ca49722871d993dd1a41ce86e3",
     "spectrum-csv": "e0945f41e3f55fc91fbecc3e68a9a5dd35fd5d7569dcfafcb0a6825a81099693",
     "spectrum-help": "d1c40f828be6fbc143cf206c7ced24f579f78f76eb4201dbce26243cce547f6c",
     "spectrum-json": "7aae3ef92f181b24fd54b5a22f0c29b2e48b1ccbe87de317159b67930a36b062",
+    "spectrum-large-csv": "5984ee5b768e977cccbd7df5f6ce59c9415dbd3b8ace6bec52c360c84f3b6607",
+    "spectrum-large-json": "19e64a4bff3237b38f51a2ed3e321c472c62b7ef2d21fa1d44362512123b6e8e",
     "trajectory-csv": "a3837a644e29cc7ec22461cc1fc9b17f72e1b349bd2bfc3fcaa84770d323010a",
     "trajectory-help": "ee7816d4788acb1bc64b59269fc3977bb425dc2438499cfde555b1bdc22da1d9",
     "trajectory-json": "5449416d797d741795746461921ab9ee808b790d5686f4a30ede4b16a2e49110",
@@ -110,6 +137,8 @@ DIGESTS = {
     "wkb-csv": "a6bfe329f4640063cb21be66597f457366db3a11667e1ba2fd519b5bee5c5f0d",
     "wkb-help": "b1164e15ce81b6c40660b0e49b3492d1abc9e3c973676bcc339c84ff617da3c4",
     "wkb-json": "f449af246afc82a92c17c4601d6af5f3b7fa97ef37b65731a69428334297d2a0",
+    "wkb-large-csv": "318496580d9d5f8e0a51734482287d000d9b5d6484f66099b6fcf44b52dcb1b7",
+    "wkb-large-json": "3cc6704ed2b85ea85fdf6a81188a8790d7621422d9e1e16243bc53e75c7b695d",
 }
 
 
