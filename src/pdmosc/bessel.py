@@ -61,10 +61,10 @@ class ZeroRefinementError(ArithmeticError, RuntimeError):
     """Zero search failed to bracket or converge; the message names the last bracket."""
 
 
-def _as_result(x_in, out):
-    """The one scalar/array convention: a float for a scalar x_in, else an array."""
+def _as_result(out):
+    """The one scalar/array convention: a Python scalar for a 0-d result, else the array."""
     arr = np.asarray(out)
-    return float(arr) if np.ndim(x_in) == 0 else arr
+    return arr.item() if arr.ndim == 0 else arr
 
 
 def jv(nu: float, x):
@@ -114,7 +114,7 @@ def bessel_j(nu: float, x) -> float:
             AccuracyLossWarning,
             stacklevel=2,
         )
-    return _as_result(x, _sp.jv(nu, xa))
+    return _as_result(_sp.jv(nu, xa))
 
 
 def mcmahon_zero_estimate(n: int, N: int) -> float:

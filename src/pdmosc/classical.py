@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,17 +42,18 @@ class ModelParams:
     """Coupling lam, Planck scale hbar, and the two integration constants.
 
     c1 is the first integral (total energy) and must be positive; c2 fixes
-    the time of closest approach to the origin of the radicand.
+    the time of closest approach to the origin of the radicand.  lam may be
+    an array: the closed forms then evaluate elementwise over it.
     """
 
-    lam: float
+    lam: float | np.ndarray
     hbar: float = 1.0
     c1: float = 1.0
     c2: float = 0.0
 
     def __post_init__(self):
         for name in ("lam", "hbar", "c1", "c2"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.c1 <= 0.0:
             raise ValueError(f"c1 must be positive (it is the total energy), got {self.c1}")
@@ -59,8 +61,7 @@ class ModelParams:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
 
-@dataclass(frozen=True)
-class ClassicalState:
+class ClassicalState(NamedTuple):
     t: float
     x: float
     p: float
@@ -80,10 +81,11 @@ class Trajectory:
 
 def radicand(t, params: ModelParams):
     """lam/c1 + (c2 + sqrt(c1) t)^2, the quantity under the trajectory root."""
-    with np.errstate(over="ignore"):  # +inf, unwarned: each caller refuses or classifies it
+    # +inf, or NaN for -inf + inf, unwarned: each caller refuses or classifies it
+    with np.errstate(over="ignore", invalid="ignore"):
         w = params.c2 + math.sqrt(params.c1) * np.asarray(t, dtype=float)
         out = params.lam / params.c1 + w * w
-    return _as_result(t, out)
+    return _as_result(out)
 
 
 def radicand_roots(params: ModelParams) -> tuple[float, float] | None:
@@ -114,8 +116,7 @@ def _regular_radicand(t, params: ModelParams):
 def exact_solution(t, params: ModelParams):
     """Closed-form x(t); strictly positive wherever it is defined."""
     q = _regular_radicand(t, params)
-    out = 1.0 / np.sqrt(q)
-    return _as_result(t, out)
+    return _as_result(1.0 / np.sqrt(q))
 
 
 def exact_momentum(t, params: ModelParams):
@@ -123,8 +124,7 @@ def exact_momentum(t, params: ModelParams):
     q = _regular_radicand(t, params)
     rc1 = math.sqrt(params.c1)
     w = params.c2 + rc1 * np.asarray(t, dtype=float)
-    out = -2.0 * rc1 * w * np.sqrt(q)
-    return _as_result(t, out)
+    return _as_result(-2.0 * rc1 * w * np.sqrt(q))
 
 
 def hamiltonian(x, p, lam: float):
@@ -138,20 +138,22 @@ def hamiltonian(x, p, lam: float):
         bad = ~np.isfinite(out)
         if np.any(bad):  # x^4 p^2 overflowed: (x^2 p)^2 may not; finite entries keep their bits
             out = np.where(bad, (xa * xa * pa) ** 2 / 4.0 + lam * xa**2, out)
-    return _as_result(x, out)
+    return _as_result(out)
 
 
 def singularity_time(params: ModelParams) -> float | None:
     """Finite blow-up time (sqrt(|lam|/c1) - c2)/sqrt(c1) for lam < 0.
 
-    Returns None for lam >= 0 (temporally localized trajectory).  The
-    radicand actually vanishes at two times; this closed form selects the
-    later root t_plus, the conventional choice when c1, c2 > 0.  Use
-    :func:`radicand_roots` when both are needed.
+    Returns None for lam >= 0 (temporally localized trajectory); an array
+    lam gives an object array holding None there.  The radicand actually
+    vanishes at two times; this closed form selects the later root t_plus,
+    the conventional choice when c1, c2 > 0.  Use :func:`radicand_roots`
+    when both are needed.
     """
-    if params.lam >= 0.0:
-        return None
-    return radicand_roots(params)[1]
+    lam = np.asarray(params.lam, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # -lam/c1 may overflow; lam >= 0 is masked
+        t_plus = (np.sqrt(-lam / params.c1) - params.c2) / math.sqrt(params.c1)
+    return _as_result(np.where(lam < 0.0, t_plus, None))
 
 
 def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:
@@ -162,18 +164,15 @@ def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:
     roots.  Since the radicand is an upward parabola in t its minimum on the
     window is attained at the vertex -c2/sqrt(c1) when that lies inside, at
     an endpoint otherwise; this reproduces a brute-force sign scan exactly.
+    An array lam gives an array of the two strings.
     """
-    t0, t1 = float(t_window[0]), float(t_window[1])
+    t0, t1 = sorted(map(float, t_window))
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_window must be finite")
-    if t1 < t0:
-        t0, t1 = t1, t0
     vertex = -params.c2 / math.sqrt(params.c1)
-    candidates = [t0, t1]
-    if t0 <= vertex <= t1:
-        candidates.append(vertex)
-    q_min = min(radicand(t, params) for t in candidates)  # a far end's +inf is "bounded"
-    return "singular" if q_min <= 0.0 else "bounded"
+    candidates = [t0, t1, vertex] if t0 <= vertex <= t1 else [t0, t1]
+    singular = np.any([radicand(t, params) <= 0.0 for t in candidates], axis=0)  # +inf is "bounded"
+    return _as_result(np.where(singular, "singular", "bounded"))
 
 
 def phase_curve(E: float, lam: float, x_grid) -> np.ndarray:

@@ -82,13 +82,20 @@ def write_rows(header: list[str], rows: list[tuple], fmt: str, output: str | Non
         sys.stdout.write(text)
 
 
-def _check_finite(header: list[str], rows: list[tuple]) -> None:
-    """Refuse a row holding a NaN or infinite float before anything is written."""
-    for i, row in enumerate(rows, start=1):
-        for v in row:
-            if isinstance(v, float) and not math.isfinite(v):
-                column = header[row.index(v)]  # index() matches v by identity, so NaN too
-                raise FloatingPointError(f"non-finite {column} = {v} in row {i}")
+def build_rows(header: list[str], columns: list, refuse_non_finite: bool) -> list[tuple]:
+    """Zip a handler's columns into rows, repeating a scalar down its column.  With
+    refuse_non_finite, the first row holding a NaN or infinite float raises before
+    anything is written, naming its first such column; None is an empty cell."""
+    columns = np.broadcast_arrays(*map(np.asarray, columns))
+    if refuse_non_finite:  # None, an empty cell, reads as 0.0 here; strings are never refused
+        cells = [np.where(c == None, 0.0, c).astype(float) if c.dtype == object else c  # noqa: E711
+                 for c in columns]
+        bad = np.array([~np.isfinite(c) if c.dtype.kind == "f" else np.zeros(c.shape, bool)
+                        for c in cells]).T
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), len(columns))  # the first row, then its first column
+            raise FloatingPointError(f"non-finite {header[j]} = {float(columns[j][i])} in row {i + 1}")
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 class Option(NamedTuple):
@@ -190,7 +197,8 @@ def parse_window(spec: str) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes the resolved options, returns (header, rows, exit_code)
+# subcommand handlers: each takes the resolved options and returns (header, columns,
+# exit_code), a column being an array, a sequence or one value for every row
 
 
 def run_trajectory(o):
@@ -199,19 +207,16 @@ def run_trajectory(o):
     xs = classical.exact_solution(ts, params)
     ps = classical.exact_momentum(ts, params)
     es = classical.hamiltonian(xs, ps, params.lam)
-    rows = [(float(t), float(x), float(p), float(e)) for t, x, p, e in zip(ts, xs, ps, es)]
-    return ["t", "x", "p", "E"], rows, EXIT_OK
+    return ["t", "x", "p", "E"], [ts, xs, ps, es], EXIT_OK
 
 
 def run_lambda_map(o):
     window = parse_window(o.window)
-    rows = []
-    for lam in np.linspace(o.lambda_min, o.lambda_max, o.count):
-        params = ModelParams(lam=float(lam), c1=o.c1, c2=o.c2)
-        status = classical.classify_lambda(params, window)
-        t_star = classical.singularity_time(params)
-        rows.append((float(lam), status, t_star))
-    return ["lambda", "status", "singular_time"], rows, EXIT_OK
+    if not math.isfinite(o.lambda_max - o.lambda_min):
+        raise ValueError(f"--lambda-max - --lambda-min overflows: {o.lambda_max} - {o.lambda_min}")
+    params = ModelParams(lam=np.linspace(o.lambda_min, o.lambda_max, o.count), c1=o.c1, c2=o.c2)
+    status, t_star = classical.classify_lambda(params, window), classical.singularity_time(params)
+    return ["lambda", "status", "singular_time"], [params.lam, status, t_star], EXIT_OK
 
 
 def run_phase_portrait(o):
@@ -220,7 +225,7 @@ def run_phase_portrait(o):
         raise ValueError("--energies must name at least one energy")
     if not (0.0 < o.x_floor_frac < 1.0):
         raise ValueError("--x-floor-frac must be in (0, 1)")
-    rows = []
+    curves = []
     for E in energies:
         amp = semiclassical.turning_point(E, o.lam)
         # an odd count gives the positive half the extra point; an infinite
@@ -228,36 +233,31 @@ def run_phase_portrait(o):
         with np.errstate(invalid="ignore"):
             half = np.linspace(o.x_floor_frac * amp, amp, o.points - o.points // 2)
         grid = np.concatenate([-half[::-1][: o.points // 2], half])
-        for x, p_plus, p_minus in classical.phase_curve(E, o.lam, grid):
-            rows.append((float(E), float(x), float(p_plus), float(p_minus)))
-    return ["E", "x", "p_plus", "p_minus"], rows, EXIT_OK
+        curve = classical.phase_curve(E, o.lam, grid)  # rows (x, p_plus, p_minus)
+        curves.append(np.column_stack([np.full(grid.size, E), curve]))
+    return ["E", "x", "p_plus", "p_minus"], list(np.concatenate(curves).T), EXIT_OK
 
 
 def run_wkb(o):
-    rows = []
-    for n in range(o.n_max + 1):
-        c = semiclassical.wkb_condition_check(n, o.hbar, o.turning_point)
-        rows.append((n, c.lam, c.lhs, c.rhs, c.measured))
-    return ["n", "lambda_n", "lhs", "rhs", "residual"], rows, EXIT_OK
+    n = np.arange(o.n_max + 1)
+    c = semiclassical.wkb_condition_check(n, o.hbar, o.turning_point)
+    return ["n", "lambda_n", "lhs", "rhs", "residual"], [n, *c], EXIT_OK
 
 
 def run_spectrum(o):
     ordering = SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
-    rows = []
-    for n in range(1, o.n_max + 1):
-        lam = quantum.lambda_quantized(n, ordering, o.hbar)
-        nu = quantum.nu_from_params(ordering, lam, o.hbar)
-        rows.append((n, o.alpha1, o.gamma1, ordering.s, lam, nu))
-    return ["n", "alpha1", "gamma1", "s", "lambda_n", "nu_roundtrip"], rows, EXIT_OK
+    n = np.arange(1, o.n_max + 1)
+    lam = quantum.lambda_quantized(n, ordering, o.hbar)
+    nu = quantum.nu_from_params(ordering, lam, o.hbar)
+    columns = [n, o.alpha1, o.gamma1, ordering.s, lam, nu]
+    return ["n", "alpha1", "gamma1", "s", "lambda_n", "nu_roundtrip"], columns, EXIT_OK
 
 
 def run_eigenfunction(o):
     xs = parse_grid(o.x)
     xs = np.concatenate([-xs[::-1], xs]) if xs[0] > 0.0 else xs
     state = quantum.ContinuumState(n=o.n, E=o.energy, amplitude=o.amplitude)
-    psi = quantum.eigenfunction(xs, state, o.hbar)
-    rows = [(float(x), float(v)) for x, v in zip(xs, psi)]
-    return ["x", "psi"], rows, EXIT_OK
+    return ["x", "psi"], [xs, quantum.eigenfunction(xs, state, o.hbar)], EXIT_OK
 
 
 def run_box_spectrum(o):
@@ -267,9 +267,8 @@ def run_box_spectrum(o):
     x = bessel.mcmahon_zero_estimate(o.n, o.n_zeros)  # bounds j_{n,N} from above
     if x > bessel.ARGUMENT_GUARANTEED_MAX:
         raise ValueError(f"--n-zeros {o.n_zeros} of J_{o.n} reach x = {x:g}, past the accuracy box")
-    states = quantum.box_spectrum(o.n, o.n_zeros, o.eps, o.hbar)
-    rows = [(s.n, s.N, s.eps, s.energy, s.norm_const) for s in states]
-    return ["n", "N", "eps", "E", "C"], rows, EXIT_OK
+    eps, n, N, E, C = zip(*quantum.box_spectrum(o.n, o.n_zeros, o.eps, o.hbar))
+    return ["n", "N", "eps", "E", "C"], [n, N, eps, E, C], EXIT_OK
 
 
 def run_verify(o):
@@ -282,19 +281,12 @@ def run_verify(o):
     reports = verification.run_suite(
         selection, verification.SuiteConfig(params=params, ordering=ordering, seed=o.seed)
     )
-    rows = [
-        (r.check_id, r.status, r.measured, r.tolerance, r.provenance, r.notes)
-        for r in reports
-    ]
-    n_pass = sum(r.status == PASS for r in reports)
-    n_fail = sum(r.status == FAIL for r in reports)
-    n_skip = sum(r.status == SKIPPED for r in reports)
-    print(
-        f"verify: {n_pass} passed, {n_fail} failed, {n_skip} skipped",
-        file=sys.stderr,
-    )
+    columns = list(zip(*reports))  # a report is a tuple of its columns
+    status = columns[1]
+    print(f"verify: {status.count(PASS)} passed, {status.count(FAIL)} failed, "
+          f"{status.count(SKIPPED)} skipped", file=sys.stderr)
     code = EXIT_OK if verification.suite_passed(reports) else EXIT_NUMERICAL
-    return ["check_id", "status", "measured", "tolerance", "provenance", "notes"], rows, code
+    return list(verification.VerificationReport._fields), columns, code
 
 
 #: subcommand -> (handler, help, options): the parser, the option resolution
@@ -424,9 +416,8 @@ def main(argv=None) -> int:
         plot = getattr(args, "emit_plot_script", False)
         if plot and (not output or o.fmt != "csv"):
             raise ValueError("--emit-plot-script requires --output and csv format")
-        header, rows, code = HANDLERS[args.command](o)
-        if args.command != "verify":  # a skipped check reports NaN by design
-            _check_finite(header, rows)
+        header, columns, code = HANDLERS[args.command](o)
+        rows = build_rows(header, columns, args.command != "verify")  # a skipped check is NaN
         write_rows(header, rows, o.fmt, output)
         if plot:
             emit_plot_script(args.command, output)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,33 +116,41 @@ def ode_coefficients(
     )
 
 
-def nu_squared(ordering: SingleTermOrdering, lam: float, hbar: float) -> float:
-    """nu^2 = s^2 + 4 lam / hbar^2, the squared order of the Bessel reduction."""
+def nu_squared(ordering: SingleTermOrdering, lam, hbar: float):
+    """nu^2 = s^2 + 4 lam / hbar^2, the squared order of the Bessel reduction;
+    elementwise for an array lam, which fails like a scalar one where hbar^2 underflows."""
     _check_hbar(hbar)
-    return ordering.s**2 + 4.0 * lam / hbar**2
+    if hbar**2 == 0.0:
+        raise ZeroDivisionError("float division by zero")
+    with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
+        return ordering.s**2 + 4.0 * lam / hbar**2
 
 
-def nu_from_params(ordering: SingleTermOrdering, lam: float, hbar: float) -> float:
-    """Positive Bessel order nu = sqrt(s^2 + 4 lam / hbar^2)."""
-    nu_sq = nu_squared(ordering, lam, hbar)
-    if nu_sq < 0.0:
+def nu_from_params(ordering: SingleTermOrdering, lam, hbar: float):
+    """Positive Bessel order nu = sqrt(s^2 + 4 lam / hbar^2), elementwise for an
+    array lam; the first negative nu^2 raises."""
+    nu_sq = np.asarray(nu_squared(ordering, lam, hbar))
+    if np.any(nu_sq < 0.0):
+        i = np.argmax(nu_sq < 0.0)
         raise ComplexOrderError(
-            f"nu^2 = {nu_sq:.6g} < 0 for s = {ordering.s:.6g}, lam = {lam:.6g}: "
+            f"nu^2 = {nu_sq.flat[i]:.6g} < 0 for s = {ordering.s:.6g}, lam = {np.ravel(lam)[i]:.6g}: "
             "complex order (attractive inverse-square regime) is out of scope"
         )
-    return math.sqrt(nu_sq)
+    return _as_result(np.sqrt(nu_sq))
 
 
-def lambda_quantized(n: int, ordering: SingleTermOrdering, hbar: float) -> float:
-    """Quantized coupling lam = (n^2 - s^2) hbar^2 / 4, n = 1, 2, 3, ...
+def lambda_quantized(n, ordering: SingleTermOrdering, hbar: float):
+    """Quantized coupling lam = (n^2 - s^2) hbar^2 / 4, n = 1, 2, 3, ...,
+    elementwise for an integer array n.
 
     Negative values (n < |s|) are legitimate outputs here; nothing in the
     quantization argument requires lam > 0.
     """
     _check_hbar(hbar)
-    if int(n) != n or n < 1:
+    if not np.all((n % 1 == 0) & (n >= 1)):
         raise ValueError(f"quantum number n must be a positive integer, got {n!r}")
-    return (n * n - ordering.s**2) * hbar**2 / 4.0
+    with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
+        return (n * n - ordering.s**2) * hbar**2 / 4.0
 
 
 def general_solution(x, nu: float, E: float, C: float, D: float, d: float, hbar: float):
@@ -160,8 +169,7 @@ def general_solution(x, nu: float, E: float, C: float, D: float, d: float, hbar:
     out = C * jv(nu, arg)
     if D != 0.0:
         out = out + D * yv(nu, arg)
-    out = xa**d * out
-    return _as_result(x, out)
+    return _as_result(xa**d * out)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +199,13 @@ class ContinuumState:
 def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     """psi_n(x) = C J_n(2 sqrt(E)/(hbar |x|)) with parity factor (-1)^n for x < 0.
 
-    Below the floor |x| = 1e-3 * hbar / sqrt(E) the Bessel factor
+    Where the Bessel argument 2 sqrt(E)/(hbar |x|) exceeds 2000, that is
+    below the floor |x| = 1e-3 * sqrt(E) / hbar, the Bessel factor
     oscillates infinitely fast; the squeeze-theorem envelope
     C sqrt(hbar |x| / (pi sqrt(E))) is returned there instead, signed so the
-    parity relation psi(-x) = (-1)^n psi(x) is preserved exactly.  x = 0 is
-    excluded (the limit is 0 by the squeeze argument).
+    parity relation psi(-x) = (-1)^n psi(x) is preserved exactly.  An
+    argument past the double range is not squeezed: J_n(inf) is NaN.  x = 0
+    is excluded (the limit is 0 by the squeeze argument).
     """
     _check_hbar(hbar)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -203,14 +213,13 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
         raise ValueError("x = 0 is excluded; psi -> 0 there by the squeeze bound")
     ax = np.abs(xa)
     sign = np.where(xa > 0.0, 1.0, (-1.0) ** state.n)
-    scale = 2.0 * math.sqrt(state.E) / hbar
-    safe = ax >= 1e-3 * hbar / math.sqrt(state.E)
-    out = np.empty_like(ax)
-    out[safe] = jv(state.n, scale / ax[safe])
-    with np.errstate(over="ignore"):  # hbar |x| may overflow; the caller refuses an inf psi
-        out[~safe] = np.sqrt(hbar * ax[~safe] / (math.pi * math.sqrt(state.E)))
-    out = state.amplitude * sign * out
-    return _as_result(x, out.reshape(np.shape(x)))
+    with np.errstate(over="ignore"):  # the argument or hbar |x| may overflow: NaN or inf psi
+        arg = 2.0 * math.sqrt(state.E) / hbar / ax
+        squeeze = (arg > 2000.0) & (arg < math.inf)
+        out = np.empty_like(ax)
+        out[~squeeze] = jv(state.n, arg[~squeeze])
+        out[squeeze] = np.sqrt(hbar * ax[squeeze] / (math.pi * math.sqrt(state.E)))
+    return _as_result((state.amplitude * sign * out).reshape(np.shape(x)))
 
 
 def ode_residual(
@@ -365,8 +374,7 @@ def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0
 # box regularization
 
 
-@dataclass(frozen=True)
-class BoxState:
+class BoxState(NamedTuple):
     """Normalizable state after excluding (-eps, eps) around the origin.
 
     energy = (hbar^2/4) j_{n,N}^2 eps^2 and norm_const = eps / J_{n+1}(j_{n,N});

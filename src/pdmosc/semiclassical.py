@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 #: eps sequence for the finite-part limit: geometric, four points
 EPS_START_FRACTION = 1e-2
 EPS_RATIO = 10.0
@@ -64,7 +66,8 @@ class ActionResult:
 
 
 class WkbCondition(NamedTuple):
-    """The quantization condition at one n: lam_n, both sides and lhs - rhs."""
+    """The quantization condition at n: lam_n, both sides and lhs - rhs; floats
+    for an integer n, arrays for an integer array n."""
 
     lam: float
     lhs: float
@@ -168,15 +171,17 @@ def finite_part_action(A: float) -> ActionResult:
     )
 
 
-def wkb_lambda(n: int, hbar: float) -> float:
-    """Quantized coupling lam_n = (n + 1/2)^2 hbar^2 / 4, n = 0, 1, 2, ..."""
-    if int(n) != n or n < 0:
+def wkb_lambda(n, hbar: float):
+    """Quantized coupling lam_n = (n + 1/2)^2 hbar^2 / 4, n = 0, 1, 2, ...,
+    elementwise for an integer array n."""
+    if not np.all((n % 1 == 0) & (n >= 0)):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     _check_hbar(hbar)
-    return (n + 0.5) ** 2 * hbar**2 / 4.0
+    with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
+        return (n + 0.5) ** 2 * hbar**2 / 4.0
 
 
-def wkb_condition_check(n: int, hbar: float, A: float = 1.0) -> WkbCondition:
+def wkb_condition_check(n, hbar: float, A: float = 1.0) -> WkbCondition:
     """Both sides of 2 sqrt(lam_n) |I| = (n + 1/2) hbar pi, I computed numerically.
 
     The finite part itself is negative (-pi); the quantization condition
@@ -185,6 +190,7 @@ def wkb_condition_check(n: int, hbar: float, A: float = 1.0) -> WkbCondition:
     """
     lam = wkb_lambda(n, hbar)
     action = finite_part_action(A)
-    lhs = 2.0 * math.sqrt(lam) * abs(action.finite_part)
+    lhs = 2.0 * np.sqrt(lam) * abs(action.finite_part)
+    lhs = lhs.item() if np.ndim(lhs) == 0 else lhs
     rhs = (n + 0.5) * hbar * math.pi
     return WkbCondition(lam, lhs, rhs, lhs - rhs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ class SuiteConfig:
     seed: int = DEFAULT_SEED
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_id: str
     status: str  # pass | fail | skipped
     measured: float
@@ -108,12 +108,9 @@ def check_integrator_vs_exact(cfg: SuiteConfig) -> VerificationReport:
     p0 = classical.exact_momentum(0.0, p)
     v0 = p0 * x0**4 / 2.0
     traj = classical.integrate_eom(x0, v0, p.lam, t_end=10.0, tol=1e-12)
-    ts = np.array([s.t for s in traj])
-    xs = np.array([s.x for s in traj])
+    ts, xs, ps = np.array(list(zip(*traj.states)))  # a state is the tuple (t, x, p)
     x_dev = float(np.max(np.abs(xs - classical.exact_solution(ts, p))))
-    drift = float(
-        np.max(np.abs(classical.hamiltonian(xs, np.array([s.p for s in traj]), p.lam) - p.c1))
-    )
+    drift = float(np.max(np.abs(classical.hamiltonian(xs, ps, p.lam) - p.c1)))
     ok = x_dev < 1e-8 and drift < 1e-9
     return predicate_report(
         "integrator_vs_exact", ok, x_dev, 1e-8, "DERIVED",
@@ -134,11 +131,10 @@ def check_finite_part(cfg: SuiteConfig) -> VerificationReport:
 
 def check_wkb_identity(cfg: SuiteConfig) -> VerificationReport:
     """2 sqrt(lam_n) |I| = (n + 1/2) hbar pi for n = 0..10, hbar in {0.5, 1, 2}."""
-    worst = 0.0
-    for hbar in (0.5, 1.0, 2.0):
-        for n in range(11):
-            condition = semiclassical.wkb_condition_check(n, hbar)
-            worst = max(worst, abs(condition.measured))
+    worst = max(
+        float(np.max(np.abs(semiclassical.wkb_condition_check(np.arange(11), hbar).measured)))
+        for hbar in (0.5, 1.0, 2.0)
+    )
     return residual_report(
         "wkb_identity", worst, 1e-6, "PAPER", notes="33 (n, hbar) combinations"
     )

@@ -209,6 +209,38 @@ def test_classify_lambda_agrees_with_sign_scan():
         assert classical.classify_lambda(params, (0.0, 10.0)) == brute
 
 
+def test_lambda_array_gives_the_scalar_results_elementwise():
+    """An array lam through ModelParams gives, element by element, what the
+    scalar call gives: the same strings, the same bits and None for lam >= 0."""
+    lams = np.linspace(-3.0, 3.0, 601)  # crosses lam = 0 exactly
+    for c1, c2, window in [(0.37, 1.3, (-4.0, 7.0)), (1.0, -5.0, (10.0, 0.0)), (2.0, 0.25, (0.0, 0.0))]:
+        params = ModelParams(lam=lams, c1=c1, c2=c2)
+        status = classical.classify_lambda(params, window)
+        t_star = classical.singularity_time(params)
+        radicand = classical.radicand(window[0], params)
+        assert status.shape == t_star.shape == radicand.shape == lams.shape
+        for i, lam in enumerate(lams.tolist()):
+            scalar = ModelParams(lam=lam, c1=c1, c2=c2)
+            assert status[i] == classical.classify_lambda(scalar, window)
+            assert t_star[i] == classical.singularity_time(scalar)  # None == None, floats bit for bit
+            assert radicand[i] == classical.radicand(window[0], scalar)
+    scalar_types = (type(classical.classify_lambda(FIG1, (0.0, 1.0))),
+                    type(classical.singularity_time(ModelParams(lam=-1.0))))
+    assert scalar_types == (str, float)
+
+
+def test_lambda_array_refuses_a_non_finite_entry():
+    with pytest.raises(ValueError, match="lam must be finite"):
+        ModelParams(lam=np.array([0.0, math.nan]))
+
+
+def test_overflowing_singularity_time_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_star = classical.singularity_time(ModelParams(lam=np.array([-2.0, 1.0]), c1=5e-324))
+    assert t_star.tolist() == [math.inf, None]
+
+
 def test_phase_curve_turning_points_and_divergence():
     # turning points of the E = 0.5 curve at lam = 0.5 sit at x = +-1
     rows = classical.phase_curve(0.5, 0.5, [-1.0, 1.0])

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdmosc import cli
+from pdmosc import classical, cli, quantum, semiclassical
 from pdmosc.bessel import bessel_zero
 from pdmosc.quantum import SingleTermOrdering, box_spectrum, lambda_quantized
 
@@ -398,3 +399,48 @@ def test_non_finite_config_float_exits_1(tmp_path, capsys):
     cfg.write_text("eps = nan\n")
     code, out, err = run_cli(["box-spectrum", "--n", "1", "--config", str(cfg)], capsys)
     assert (code, out, err) == (1, "", "pdmosc: --eps must be finite, got nan\n")
+
+
+#: the kernels each array handler computes with, looked up as module attributes
+KERNELS = {
+    "lambda-map": [(classical, "classify_lambda"), (classical, "singularity_time")],
+    "spectrum": [(quantum, "lambda_quantized"), (quantum, "nu_from_params")],
+    "wkb": [(semiclassical, "wkb_condition_check")],
+}
+#: the flag that sets each handler's row count, and the value that gives `rows` rows
+ROW_COUNT = {
+    "lambda-map": lambda rows: ["--count", str(rows)],
+    "spectrum": lambda rows: ["--n-max", str(rows)],
+    "wkb": lambda rows: ["--n-max", str(rows - 1)],
+}
+
+
+@pytest.mark.parametrize("rows", [3, 3000])
+@pytest.mark.parametrize("sub", sorted(KERNELS))
+def test_each_kernel_is_called_once_per_run(sub, rows, monkeypatch, capsys):
+    calls = collections.Counter()
+    for module, name in KERNELS[sub]:
+        kernel = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _k=kernel, _n=name: calls.update([_n]) or _k(*args)
+        )
+    code, out, _ = run_cli([sub, *ROW_COUNT[sub](rows)], capsys)
+    assert code == 0
+    assert len(read_csv(out)) == rows
+    assert calls == {name: 1 for _, name in KERNELS[sub]}
+
+
+def test_build_rows_broadcasts_and_names_the_first_non_finite_cell():
+    header = ["n", "name", "c", "t", "v"]
+    t = np.array([1.5, None, math.inf], dtype=object)  # None is an empty cell, not NaN
+    v = np.array([0.25, 0.5, math.nan])
+    rows = cli.build_rows(header, [np.arange(1, 3), ("a", "b"), 2.0, t[:2], v[:2]], True)
+    assert rows == [(1, "a", 2.0, 1.5, 0.25), (2, "b", 2.0, None, 0.5)]
+    assert [type(x) for x in rows[0]] == [int, str, float, float, float]
+    with pytest.raises(FloatingPointError, match="^non-finite t = inf in row 3$"):
+        cli.build_rows(header, [np.arange(1, 4), ("a", "b", "c"), 2.0, t, v], True)
+    with pytest.raises(FloatingPointError, match="^non-finite c = -inf in row 1$"):
+        cli.build_rows(header, [np.arange(1, 4), ("a", "b", "c"), -math.inf, t, v], True)
+    # unchecked, as verify's skipped checks need: NaN reaches the writer
+    rows = cli.build_rows(header, [np.arange(1, 4), ("a", "b", "c"), 2.0, t, v], False)
+    assert rows[2][3] == math.inf and math.isnan(rows[2][4])

@@ -147,6 +147,9 @@ def test_odd_points_give_that_many_rows(points):
          "turning point sqrt(E/lam) overflows for E=0.5, lam=5e-324"),
         (["eigenfunction", "--n", "1", "--E", "1", "--hbar", "1e-308"],
          "non-finite psi = nan in row 1"),
+        # lam/c1 = -inf meets (c2 + sqrt(c1) t)^2 = +inf in the radicand: NaN, unwarned
+        (["lambda-map", "--lambda-min=-1e308", "--lambda-max=-1e308", "--count=4", "--c1=0.5",
+          "--c2=1e200"], "non-finite singular_time = inf in row 1"),
     ],
 )
 def test_overflow_and_non_finite_rows_exit_2(argv, message):
@@ -155,6 +158,15 @@ def test_overflow_and_non_finite_rows_exit_2(argv, message):
     assert (code, out) == (2, "")
     assert err.startswith("pdmosc: numerical failure: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("low, high", [("-1e308", "1e308"), ("1e308", "-1e308")])
+def test_overflowing_lambda_span_exits_1_naming_both_flags(low, high):
+    code, out, err, caught = run_recorded(
+        ["lambda-map", f"--lambda-min={low}", f"--lambda-max={high}", "--count", "3"]
+    )
+    assert (code, out, caught) == (1, "", [])
+    assert err == f"pdmosc: --lambda-max - --lambda-min overflows: {float(high)} - {float(low)}\n"
 
 
 @pytest.mark.parametrize("sub", ["wkb", "spectrum"])

@@ -75,6 +75,35 @@ def test_nu_from_params_examples():
         quantum.nu_from_params(zero_s, -0.1, 1.0)
 
 
+def test_integer_array_n_gives_the_scalar_results_elementwise():
+    n = np.arange(1, 2001)
+    for ordering, hbar in [(CLEAN, 1.0), (SingleTermOrdering.from_alpha_gamma(0.3, -0.7), 0.37)]:
+        lam = quantum.lambda_quantized(n, ordering, hbar)
+        nu = quantum.nu_from_params(ordering, lam, hbar)
+        assert lam.tolist() == [quantum.lambda_quantized(k, ordering, hbar) for k in n.tolist()]
+        assert nu.tolist() == [quantum.nu_from_params(ordering, v, hbar) for v in lam.tolist()]
+    assert type(quantum.nu_from_params(CLEAN, -2.0, 1.0)) is float
+
+
+def test_array_n_refuses_any_bad_entry():
+    for bad in (np.array([1, 0, 2]), np.array([1.0, 2.5])):
+        with pytest.raises(ValueError, match="quantum number n must be a positive integer"):
+            quantum.lambda_quantized(bad, CLEAN, 1.0)
+
+
+def test_array_nu_from_params_names_the_first_negative_nu_squared():
+    with pytest.raises(ComplexOrderError, match=r"nu\^2 = -7 < 0 for s = 3, lam = -4:"):
+        quantum.nu_from_params(CLEAN, np.array([0.0, -4.0, -5.0]), 1.0)
+
+
+def test_array_lam_fails_like_a_scalar_where_hbar_squared_underflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (0.0, np.zeros(3)):
+            with pytest.raises(ZeroDivisionError, match="float division by zero"):
+                quantum.nu_squared(CLEAN, lam, 1e-170)
+
+
 def test_lambda_quantized_examples_and_roundtrip():
     zero_s = SingleTermOrdering.from_alpha_gamma(-0.75, 0.0)
     assert quantum.lambda_quantized(2, zero_s, 1.0) == pytest.approx(1.0)
@@ -176,6 +205,43 @@ EIGENFUNCTION_PINNED = {
 def test_eigenfunction_bits_across_the_floor_are_pinned(n):
     psi = quantum.eigenfunction(np.array(FLOOR_GRID), ContinuumState(n=n, E=1.0))
     assert psi.tolist() == EIGENFUNCTION_PINNED[n]
+
+
+#: (n, E, hbar, xs) with E != hbar^2, each x with its Bessel argument 2 sqrt(E)/(hbar x)
+#: at or below 2000 and away from the zeros of J_n; the inverted floor 1e-3 hbar/sqrt(E)
+#: would wrongly squeeze x = 0.5, 1 and 0.002
+OFF_DIAGONAL = [
+    (1, 1e-8, 1.0, [0.5, 1.0]),  # arguments 4e-4, 2e-4
+    (1, 1.0, 3.0, [0.002, 0.01]),  # 333, 67
+    (2, 4.0, 0.5, [0.0041, 0.3]),  # 1951, 27
+    (3, 0.25, 2e-3, [0.26, 2.0]),  # 1923, 250
+]
+
+
+@pytest.mark.parametrize("n, E, hbar, xs", OFF_DIAGONAL)
+def test_eigenfunction_off_the_diagonal_matches_mpmath(n, E, hbar, xs):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    psi = quantum.eigenfunction(np.array(xs + [-x for x in xs]), ContinuumState(n=n, E=E), hbar)
+    for x, plus, minus in zip(xs, psi[: len(xs)], psi[len(xs):]):
+        want = float(mpmath.besselj(n, 2 * mpmath.sqrt(E) / (hbar * mpmath.mpf(x))))
+        assert plus == pytest.approx(want, rel=1e-12)  # measured worst 3.3e-13
+        assert minus == (-1.0) ** n * plus
+
+
+def test_eigenfunction_squeezes_below_the_floor_sqrt_E_over_hbar():
+    # E = 4, hbar = 0.5: the floor is |x| = 4e-3; at 3e-3 the argument is 2667
+    x, E, hbar = 3e-3, 4.0, 0.5
+    env = math.sqrt(hbar * x / (math.pi * math.sqrt(E)))
+    psi = quantum.eigenfunction(np.array([-x, x]), ContinuumState(n=1, E=E), hbar)
+    assert psi.tolist() == [-env, env]
+
+
+def test_eigenfunction_argument_past_the_double_range_is_nan():
+    # 2 sqrt(E)/hbar overflows: no value and no envelope, so the CLI refuses the row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(quantum.eigenfunction(1.0, ContinuumState(n=1, E=1.0), 1e-308))
 
 
 # ---------------------------------------------------------------------------

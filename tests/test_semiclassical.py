@@ -129,6 +129,29 @@ def test_wkb_sides_rebuild_lhs_bit_for_bit():
                 assert c.rhs / 2 <= c.lhs <= 2 * c.rhs
 
 
+def test_wkb_condition_over_an_integer_array_gives_the_scalar_bits():
+    n = np.arange(3001)
+    for hbar, A in [(1.0, 1.0), (0.37, 5.0), (1e-3, 1e3)]:
+        arrays = sc.wkb_condition_check(n, hbar, A)
+        scalars = [sc.wkb_condition_check(k, hbar, A) for k in n.tolist()]
+        for field, column in zip(sc.WkbCondition._fields, arrays):
+            assert column.tolist() == [getattr(c, field) for c in scalars], field
+    assert all(type(v) is float for v in sc.wkb_condition_check(3, 0.5))
+    with pytest.raises(ValueError, match="n must be a non-negative integer"):
+        sc.wkb_lambda(np.array([0, -1]), 1.0)
+
+
+def test_wkb_identity_makes_one_condition_call_per_hbar(monkeypatch):
+    check = sc.wkb_condition_check
+    calls = []
+    monkeypatch.setattr(sc, "wkb_condition_check", lambda n, hbar: calls.append(hbar) or check(n, hbar))
+    report = verification.check_wkb_identity(verification.SuiteConfig())
+    assert calls == [0.5, 1.0, 2.0]
+    assert report.measured == max(
+        abs(check(n, hbar).measured) for hbar in (0.5, 1.0, 2.0) for n in range(11)
+    )
+
+
 def contour_action(E: float, lam: float) -> float:
     """Loop action around the two-branch phase curve, finite-part reading:
     both momentum branches, so twice the one-pass action 2 sqrt(lam) |I|."""
