@@ -87,11 +87,14 @@ def spectrum_errors():
 
 def wkb_errors():
     worst = {"lambda_n": 0.0, "lhs": 0.0, "rhs": 0.0, "residual": 0.0}
-    cases = [dict(hbar=1.0, turning_point=1.0, n_max=10), dict(hbar=0.37, turning_point=5.0, n_max=20000),
-             dict(hbar=1e-3, turning_point=1e3, n_max=3000), dict(hbar=7.0, turning_point=0.02, n_max=3000)]
+    cases = [dict(hbar=1.0, turning_point=1.0, n_max=10),
+             dict(hbar=0.37, turning_point=5.0, n_max=20000),
+             dict(hbar=1e-3, turning_point=1e3, n_max=3000),
+             dict(hbar=7.0, turning_point=0.02, n_max=3000)]
     for case in cases:
         hbar = mpmath.mpf(case["hbar"])
-        finite_part = abs(mpmath.mpf(semiclassical.finite_part_action(case["turning_point"]).finite_part))
+        action = semiclassical.finite_part_action(case["turning_point"])
+        finite_part = abs(mpmath.mpf(action.finite_part))
         for row in run("wkb", case):
             half = mpmath.mpf(int(row["n"])) + mpmath.mpf(0.5)
             lam = half**2 * hbar**2 / 4
@@ -99,7 +102,8 @@ def wkb_errors():
             rhs = half * hbar * mpmath.pi
             for column, want in (("lambda_n", lam), ("lhs", lhs), ("rhs", rhs)):
                 worst[column] = max(worst[column], ulps(row[column], want))
-            worst["residual"] = max(worst["residual"], float(abs(exact(row["residual"]) - (lhs - rhs))))
+            residual_error = float(abs(exact(row["residual"]) - (lhs - rhs)))
+            worst["residual"] = max(worst["residual"], residual_error)
     return worst
 
 
@@ -142,7 +146,8 @@ def eigenfunction_errors():
         for row in rows:
             x = exact(row["x"])
             assert scale / abs(x) <= 2000  # no row is squeezed: psi is the Bessel factor
-            want.append(mpmath.besselj(case["n"], scale / abs(x)) * (1 if x > 0 else (-1) ** case["n"]))
+            parity = 1 if x > 0 else (-1) ** case["n"]
+            want.append(parity * mpmath.besselj(case["n"], scale / abs(x)))
         peak = max(abs(w) for w in want)
         err = max(abs(exact(row["psi"]) - w) for row, w in zip(rows, want))
         worst["psi"] = max(worst["psi"], float(err / peak))

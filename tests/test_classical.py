@@ -213,7 +213,8 @@ def test_lambda_array_gives_the_scalar_results_elementwise():
     """An array lam through ModelParams gives, element by element, what the
     scalar call gives: the same strings, the same bits and None for lam >= 0."""
     lams = np.linspace(-3.0, 3.0, 601)  # crosses lam = 0 exactly
-    for c1, c2, window in [(0.37, 1.3, (-4.0, 7.0)), (1.0, -5.0, (10.0, 0.0)), (2.0, 0.25, (0.0, 0.0))]:
+    windows = [(0.37, 1.3, (-4.0, 7.0)), (1.0, -5.0, (10.0, 0.0)), (2.0, 0.25, (0.0, 0.0))]
+    for c1, c2, window in windows:
         params = ModelParams(lam=lams, c1=c1, c2=c2)
         status = classical.classify_lambda(params, window)
         t_star = classical.singularity_time(params)
@@ -222,7 +223,7 @@ def test_lambda_array_gives_the_scalar_results_elementwise():
         for i, lam in enumerate(lams.tolist()):
             scalar = ModelParams(lam=lam, c1=c1, c2=c2)
             assert status[i] == classical.classify_lambda(scalar, window)
-            assert t_star[i] == classical.singularity_time(scalar)  # None == None, floats bit for bit
+            assert t_star[i] == classical.singularity_time(scalar)  # None, or the same bits
             assert radicand[i] == classical.radicand(window[0], scalar)
     scalar_types = (type(classical.classify_lambda(FIG1, (0.0, 1.0))),
                     type(classical.singularity_time(ModelParams(lam=-1.0))))

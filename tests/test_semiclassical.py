@@ -144,7 +144,9 @@ def test_wkb_condition_over_an_integer_array_gives_the_scalar_bits():
 def test_wkb_identity_makes_one_condition_call_per_hbar(monkeypatch):
     check = sc.wkb_condition_check
     calls = []
-    monkeypatch.setattr(sc, "wkb_condition_check", lambda n, hbar: calls.append(hbar) or check(n, hbar))
+    monkeypatch.setattr(
+        sc, "wkb_condition_check", lambda n, hbar: calls.append(hbar) or check(n, hbar)
+    )
     report = verification.check_wkb_identity(verification.SuiteConfig())
     assert calls == [0.5, 1.0, 2.0]
     assert report.measured == max(
