@@ -39,26 +39,24 @@ class SingularTrajectoryError(ArithmeticError, ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling lam, Planck scale hbar, and the two integration constants.
+    """Coupling lam and the two integration constants of the classical model.
 
     c1 is the first integral (total energy) and must be positive; c2 fixes
     the time of closest approach to the origin of the radicand.  lam may be
-    an array: the closed forms then evaluate elementwise over it.
+    an array: the closed forms then evaluate elementwise over it.  No classical
+    quantity depends on hbar; the functions that do take it as an argument.
     """
 
     lam: float | np.ndarray
-    hbar: float = 1.0
     c1: float = 1.0
     c2: float = 0.0
 
     def __post_init__(self):
-        for name in ("lam", "hbar", "c1", "c2"):
+        for name in ("lam", "c1", "c2"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.c1 <= 0.0:
             raise ValueError(f"c1 must be positive (it is the total energy), got {self.c1}")
-        if self.hbar <= 0.0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
 
 
 class ClassicalState(NamedTuple):

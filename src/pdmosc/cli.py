@@ -272,14 +272,14 @@ def run_box_spectrum(o):
 
 
 def run_verify(o):
-    params = ModelParams(lam=o.lam, hbar=o.hbar, c1=o.c1, c2=o.c2)
+    params = ModelParams(lam=o.lam, c1=o.c1, c2=o.c2)
     ordering = SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
     if o.checks.strip() == "all":
         selection = verification.all_check_ids()
     else:
         selection = [c.strip() for c in o.checks.split(",") if c.strip()]
     reports = verification.run_suite(
-        selection, verification.SuiteConfig(params=params, ordering=ordering, seed=o.seed)
+        selection, verification.SuiteConfig(params=params, ordering=ordering, seed=o.seed, hbar=o.hbar)
     )
     columns = list(zip(*reports))  # a report is a tuple of its columns
     status = columns[1]

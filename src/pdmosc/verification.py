@@ -1,15 +1,16 @@
 """Named, reproducible invariant suite spanning every module.
 
-Each check is a pure function of a :class:`SuiteConfig` and returns one
-:class:`VerificationReport`, the record defined here with its statuses and
-builders.  Grids and RNG seeds are fixed by the config, so two runs with the
-same config produce identical reports.
+Each check is a pure function of a :class:`SuiteConfig` that measures one
+invariant and returns its :class:`Verdict`, built by :func:`verdict`;
+:func:`run_suite` turns it into a :class:`VerificationReport` under the check's
+id, which only :data:`CHECKS` names.  Grids and RNG seeds are fixed by the
+config, so two runs with the same config produce identical reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -26,19 +27,14 @@ SKIPPED = "skipped"
 CLEAN_REDUCTION_GAP = 0.75
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    params: classical.ModelParams = field(
-        default_factory=lambda: classical.ModelParams(lam=1.0, hbar=1.0, c1=1.0, c2=-5.0)
-    )
-    ordering: quantum.SingleTermOrdering = field(
-        default_factory=lambda: quantum.SingleTermOrdering.from_alpha_gamma(0.0, 0.75)
-    )
+class SuiteConfig(NamedTuple):
+    params: classical.ModelParams = classical.ModelParams(lam=1.0, c1=1.0, c2=-5.0)
+    ordering: quantum.SingleTermOrdering = quantum.SingleTermOrdering.from_alpha_gamma(0.0, 0.75)
     seed: int = DEFAULT_SEED
+    hbar: float = 1.0  # each check that reads it refuses one not positive and finite
 
 
-class VerificationReport(NamedTuple):
-    check_id: str
+class Verdict(NamedTuple):
     status: str  # pass | fail | skipped
     measured: float
     tolerance: float
@@ -46,33 +42,15 @@ class VerificationReport(NamedTuple):
     notes: str = ""
 
 
-def residual_report(
-    check_id: str,
-    measured: float,
-    tolerance: float,
-    provenance: str,
-    notes: str = "",
-) -> VerificationReport:
-    """Report that passes iff |measured| <= tolerance."""
-    return predicate_report(check_id, abs(measured) <= tolerance, measured, tolerance, provenance, notes)
+#: a verdict under its check's id, as run_suite returns it and verify prints it
+VerificationReport = namedtuple("VerificationReport", ("check_id", *Verdict._fields))
 
 
-def predicate_report(
-    check_id: str,
-    ok: bool,
-    measured: float,
-    tolerance: float,
-    provenance: str,
-    notes: str = "",
-) -> VerificationReport:
-    """Report whose pass/fail is decided by an explicit predicate."""
-    return VerificationReport(
-        check_id, PASS if ok else FAIL, float(measured), float(tolerance), provenance, notes
-    )
-
-
-def _skip(check_id: str, provenance: str, why: str) -> VerificationReport:
-    return VerificationReport(check_id, SKIPPED, math.nan, math.nan, provenance, why)
+def verdict(ok: bool | None, measured: float, tolerance: float, provenance: str,
+            notes: str = "") -> Verdict:
+    """A check's verdict: pass iff ok, skipped if ok is None (measured and tolerance NaN)."""
+    status = SKIPPED if ok is None else PASS if ok else FAIL
+    return Verdict(status, float(measured), float(tolerance), provenance, notes)
 
 
 def _clean_reduction(ordering: quantum.SingleTermOrdering) -> bool:
@@ -83,27 +61,24 @@ def _clean_reduction(ordering: quantum.SingleTermOrdering) -> bool:
 # individual checks
 
 
-def check_classical_energy(cfg: SuiteConfig) -> VerificationReport:
+def check_classical_energy(cfg: SuiteConfig) -> Verdict:
     """H(x(t), p(t)) equals c1 identically along the closed-form pair."""
     p = cfg.params
     ts = np.linspace(-10.0, 10.0, 2001)
     ts = ts[classical.radicand(ts, p) > 1e-6]
     if ts.size == 0:
-        return _skip("classical_energy_conservation", "DERIVED", "no regular times in window")
+        return verdict(None, math.nan, math.nan, "DERIVED", "no regular times in window")
     xs = classical.exact_solution(ts, p)
     ps = classical.exact_momentum(ts, p)
     dev = float(np.max(np.abs(classical.hamiltonian(xs, ps, p.lam) - p.c1)))
-    return residual_report(
-        "classical_energy_conservation", dev, 1e-12, "DERIVED",
-        notes=f"max |H - c1| over {ts.size} times",
-    )
+    return verdict(dev <= 1e-12, dev, 1e-12, "DERIVED", f"max |H - c1| over {ts.size} times")
 
 
-def check_integrator_vs_exact(cfg: SuiteConfig) -> VerificationReport:
+def check_integrator_vs_exact(cfg: SuiteConfig) -> Verdict:
     """Adaptive RK trajectory matches the closed form and conserves energy."""
     p = cfg.params
     if classical.radicand(0.0, p) <= 1e-6 or classical.classify_lambda(p, (0.0, 10.0)) == "singular":
-        return _skip("integrator_vs_exact", "DERIVED", "trajectory singular on [0, 10]")
+        return verdict(None, math.nan, math.nan, "DERIVED", "trajectory singular on [0, 10]")
     x0 = classical.exact_solution(0.0, p)
     p0 = classical.exact_momentum(0.0, p)
     v0 = p0 * x0**4 / 2.0
@@ -112,58 +87,51 @@ def check_integrator_vs_exact(cfg: SuiteConfig) -> VerificationReport:
     x_dev = float(np.max(np.abs(xs - classical.exact_solution(ts, p))))
     drift = float(np.max(np.abs(classical.hamiltonian(xs, ps, p.lam) - p.c1)))
     ok = x_dev < 1e-8 and drift < 1e-9
-    return predicate_report(
-        "integrator_vs_exact", ok, x_dev, 1e-8, "DERIVED",
-        notes=f"energy drift {drift:.3e} (tol 1e-9)",
-    )
+    return verdict(ok, x_dev, 1e-8, "DERIVED", f"energy drift {drift:.3e} (tol 1e-9)")
 
 
-def check_finite_part(cfg: SuiteConfig) -> VerificationReport:
+def check_finite_part(cfg: SuiteConfig) -> Verdict:
     """Finite part of the action integral is -pi, independent of A."""
     dev = max(
         abs(semiclassical.finite_part_action(A).finite_part + math.pi)
         for A in (0.5, 1.0, 2.0, 5.0)
     )
-    return residual_report(
-        "finite_part", dev, 1e-6, "PAPER", notes="max |I + pi| over A in {0.5, 1, 2, 5}"
-    )
+    return verdict(dev <= 1e-6, dev, 1e-6, "PAPER", "max |I + pi| over A in {0.5, 1, 2, 5}")
 
 
-def check_wkb_identity(cfg: SuiteConfig) -> VerificationReport:
+def check_wkb_identity(cfg: SuiteConfig) -> Verdict:
     """2 sqrt(lam_n) |I| = (n + 1/2) hbar pi for n = 0..10, hbar in {0.5, 1, 2}."""
     worst = max(
         float(np.max(np.abs(semiclassical.wkb_condition_check(np.arange(11), hbar).measured)))
         for hbar in (0.5, 1.0, 2.0)
     )
-    return residual_report(
-        "wkb_identity", worst, 1e-6, "PAPER", notes="33 (n, hbar) combinations"
-    )
+    return verdict(worst <= 1e-6, worst, 1e-6, "PAPER", "33 (n, hbar) combinations")
 
 
-def check_ode_residual(cfg: SuiteConfig) -> VerificationReport:
+def check_ode_residual(cfg: SuiteConfig) -> Verdict:
     """Wave-equation residual of psi_n at quantized lam, continuous E."""
     if not _clean_reduction(cfg.ordering):
-        return _skip(
-            "ode_residual", "DERIVED",
+        return verdict(
+            None, math.nan, math.nan, "DERIVED",
             "ordering has gamma1 - alpha1 != 3/4 (x^d prefactor present); not applicable",
         )
     worst = 0.0
     for n in range(1, 7):
-        lam = quantum.lambda_quantized(n, cfg.ordering, cfg.params.hbar)
+        lam = quantum.lambda_quantized(n, cfg.ordering, cfg.hbar)
         for E in (0.5, 1.0, 2.0):
             state = quantum.ContinuumState(n=n, E=E)
-            worst = max(worst, quantum.ode_residual(state, cfg.ordering, lam, cfg.params.hbar))
-    return residual_report(
-        "ode_residual", worst, 1e-8, "DERIVED",
-        notes="n = 1..6, E in {0.5, 1, 2}; E-independence is the continuous-energy statement",
+            worst = max(worst, quantum.ode_residual(state, cfg.ordering, lam, cfg.hbar))
+    return verdict(
+        worst <= 1e-8, worst, 1e-8, "DERIVED",
+        "n = 1..6, E in {0.5, 1, 2}; E-independence is the continuous-energy statement",
     )
 
 
-def check_residual_negative_control(cfg: SuiteConfig) -> VerificationReport:
+def check_residual_negative_control(cfg: SuiteConfig) -> Verdict:
     """Deliberately broken configurations must NOT solve the wave equation."""
     if not _clean_reduction(cfg.ordering):
-        return _skip("residual_negative_control", "DERIVED", "needs a cleanly reducing ordering")
-    hbar = cfg.params.hbar
+        return verdict(None, math.nan, math.nan, "DERIVED", "needs a cleanly reducing ordering")
+    hbar = cfg.hbar
     state = quantum.ContinuumState(n=2, E=1.0)
     # control 1: spoil the reduction gap (gamma1 - alpha1 = 0.5)
     broken = quantum.SingleTermOrdering.from_alpha_gamma(
@@ -175,28 +143,28 @@ def check_residual_negative_control(cfg: SuiteConfig) -> VerificationReport:
     lam2 = quantum.lambda_quantized(2, cfg.ordering, hbar) + 0.25
     r2 = quantum.ode_residual(state, cfg.ordering, lam2, hbar)
     measured = min(r1, r2)
-    return predicate_report(
-        "residual_negative_control", measured > 1e-3, measured, 1e-3, "DERIVED",
-        notes="pass means both controls FAILED to solve (residual > 1e-3)",
+    return verdict(
+        measured > 1e-3, measured, 1e-3, "DERIVED",
+        "pass means both controls FAILED to solve (residual > 1e-3)",
     )
 
 
-def check_parity(cfg: SuiteConfig) -> VerificationReport:
+def check_parity(cfg: SuiteConfig) -> Verdict:
     """psi_n(-x) = (-1)^n psi_n(x) to machine precision."""
     xs = np.linspace(0.2, 10.0, 500)
     worst = 0.0
     for n in range(1, 7):
         state = quantum.ContinuumState(n=n, E=1.0)
-        plus = quantum.eigenfunction(xs, state, cfg.params.hbar)
-        minus = quantum.eigenfunction(-xs, state, cfg.params.hbar)
+        plus = quantum.eigenfunction(xs, state, cfg.hbar)
+        minus = quantum.eigenfunction(-xs, state, cfg.hbar)
         worst = max(worst, float(np.max(np.abs(minus - (-1.0) ** n * plus))))
-    return residual_report("parity", worst, 1e-14, "PAPER", notes="n = 1..6 on symmetric grids")
+    return verdict(worst <= 1e-14, worst, 1e-14, "PAPER", "n = 1..6 on symmetric grids")
 
 
-def check_pct_identity(cfg: SuiteConfig) -> VerificationReport:
+def check_pct_identity(cfg: SuiteConfig) -> Verdict:
     """strength + 1/4 = nu^2 for random orderings (fixed seed)."""
     rng = np.random.default_rng(cfg.seed)
-    hbar = cfg.params.hbar
+    hbar = cfg.hbar
     worst = 0.0
     for _ in range(100):
         a, g = rng.uniform(-2.0, 2.0, size=2)
@@ -205,47 +173,41 @@ def check_pct_identity(cfg: SuiteConfig) -> VerificationReport:
         strength = quantum.pct_strength(ordering, lam, hbar)
         nu_sq = quantum.nu_squared(ordering, lam, hbar)
         worst = max(worst, abs(strength + 0.25 - nu_sq))
-    return residual_report(
-        "pct_identity", worst, 1e-12, "DERIVED", notes="100 seeded random orderings"
-    )
+    return verdict(worst <= 1e-12, worst, 1e-12, "DERIVED", "100 seeded random orderings")
 
 
-def check_box_orthonormality(cfg: SuiteConfig) -> VerificationReport:
+def check_box_orthonormality(cfg: SuiteConfig) -> Verdict:
     """Gram matrix of the first five box states is the identity."""
     worst = 0.0
     for N in range(1, 6):
         for M in range(N, 6):
             g = quantum.box_orthonormality(1, N, M, eps=0.1)
             worst = max(worst, abs(g - (1.0 if N == M else 0.0)))
-    return residual_report(
-        "box_orthonormality", worst, 1e-8, "DERIVED", notes="n = 1, eps = 0.1, N, M <= 5"
-    )
+    return verdict(worst <= 1e-8, worst, 1e-8, "DERIVED", "n = 1, eps = 0.1, N, M <= 5")
 
 
-def check_hermitian_singularity(cfg: SuiteConfig) -> VerificationReport:
+def check_hermitian_singularity(cfg: SuiteConfig) -> Verdict:
     """Windowed maxima of the Hermitian-ordered state grow ~1/x toward 0.
 
     Neighbouring ratios share a window: 7 windows [2^-k, 2^(1-k)] give 6 ratios."""
     windows = (np.linspace(2.0**-k, 2.0 ** (1 - k), 4000) for k in range(4, 11))
     peaks = [float(np.max(np.abs(quantum.hermitian_wavefunction(w, 1, 1.0)))) for w in windows]
     measured = min(near / far for far, near in zip(peaks, peaks[1:]))
-    return predicate_report(
-        "hermitian_singularity", measured >= 1.8, measured, 1.8, "DERIVED",
-        notes="min over window locations 2^-4 .. 2^-9 of the per-halving growth factor",
+    return verdict(
+        measured >= 1.8, measured, 1.8, "DERIVED",
+        "min over window locations 2^-4 .. 2^-9 of the per-halving growth factor",
     )
 
 
-def check_similarity(cfg: SuiteConfig) -> VerificationReport:
+def check_similarity(cfg: SuiteConfig) -> Verdict:
     """Ordered operator agrees with its similarity-conjugated Hermitian form."""
     disc = quantum.similarity_check(
-        cfg.ordering, lambda x: np.exp(-((x - 2.0) ** 2)), hbar=cfg.params.hbar
+        cfg.ordering, lambda x: np.exp(-((x - 2.0) ** 2)), hbar=cfg.hbar
     )
-    return residual_report(
-        "similarity", disc, 1e-6, "DERIVED", notes="Gaussian test function on [0.5, 5]"
-    )
+    return verdict(disc <= 1e-6, disc, 1e-6, "DERIVED", "Gaussian test function on [0.5, 5]")
 
 
-def check_bessel_kernel(cfg: SuiteConfig) -> VerificationReport:
+def check_bessel_kernel(cfg: SuiteConfig) -> Verdict:
     """Wronskian, recurrence, zero residuals, and zero interlacing."""
     xs = np.logspace(-1, 2, 40)
     worst = 0.0
@@ -267,9 +229,9 @@ def check_bessel_kernel(cfg: SuiteConfig) -> VerificationReport:
         for n in (1, 2)
         for N in (1, 2)
     )
-    return predicate_report(
-        "bessel_kernel", worst < 1e-9 and interlaced, worst, 1e-9, "DERIVED",
-        notes=f"orders 0..10 on log grid [0.1, 100]; interlacing {'ok' if interlaced else 'BROKEN'}",
+    return verdict(
+        worst < 1e-9 and interlaced, worst, 1e-9, "DERIVED",
+        f"orders 0..10 on log grid [0.1, 100]; interlacing {'ok' if interlaced else 'BROKEN'}",
     )
 
 
@@ -308,7 +270,7 @@ def run_suite(selection, config: SuiteConfig | None = None) -> list[Verification
     unknown = wanted - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown check ids: {sorted(unknown)}; known: {list(CHECKS)}")
-    return [fn(config) for check_id, fn in CHECKS.items() if check_id in wanted]
+    return [VerificationReport(cid, *fn(config)) for cid, fn in CHECKS.items() if cid in wanted]
 
 
 def suite_passed(reports) -> bool:

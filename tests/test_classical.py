@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdmosc import classical
+from pdmosc import classical, verification
 from pdmosc.classical import ModelParams, SingularTrajectoryError
 from oracles import trajectory_x, trajectory_xdot, trajectory_xddot
 
@@ -16,8 +16,8 @@ def test_params_validation():
         ModelParams(lam=1.0, c1=0.0)
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, c1=-2.0)
-    with pytest.raises(ValueError):
-        ModelParams(lam=1.0, hbar=0.0)
+    with pytest.raises(ValueError, match="hbar must be positive"):  # hbar lives on the suite
+        verification.run_suite(["parity"], verification.SuiteConfig(hbar=0.0))
     with pytest.raises(ValueError):
         ModelParams(lam=math.inf)
 

@@ -147,7 +147,7 @@ def test_wkb_identity_makes_one_condition_call_per_hbar(monkeypatch):
     monkeypatch.setattr(
         sc, "wkb_condition_check", lambda n, hbar: calls.append(hbar) or check(n, hbar)
     )
-    report = verification.check_wkb_identity(verification.SuiteConfig())
+    (report,) = verification.run_suite(["wkb_identity"], verification.SuiteConfig())
     assert calls == [0.5, 1.0, 2.0]
     assert report.measured == max(
         abs(check(n, hbar).measured) for hbar in (0.5, 1.0, 2.0) for n in range(11)
@@ -187,7 +187,7 @@ def test_wkb_identity_computes_one_finite_part_per_distinct_A(monkeypatch):
 
     monkeypatch.setattr(sc, "quad", counting_quad)
     sc.finite_part_action.cache_clear()
-    report = verification.check_wkb_identity(verification.SuiteConfig())
+    (report,) = verification.run_suite(["wkb_identity"], verification.SuiteConfig())
     assert report.status == "pass"
     # 33 (n, hbar) conditions, all at A = 1: one finite part, one quadrature per cutoff
     assert upper_limits == [1.0] * sc.EPS_COUNT

@@ -102,6 +102,6 @@ def test_hermitian_singularity_evaluates_each_window_once(monkeypatch):
     monkeypatch.setattr(
         quantum, "hermitian_wavefunction", lambda x, *args: calls.append(x) or wavefunction(x, *args)
     )
-    report = v.check_hermitian_singularity(v.SuiteConfig())
+    (report,) = v.run_suite(["hermitian_singularity"], v.SuiteConfig())
     assert len(calls) == 7
     assert report.measured == reference == 1.981288630165693
