@@ -257,6 +257,13 @@ def run_eigenfunction(o):
     xs = parse_grid(o.x)
     xs = np.concatenate([-xs[::-1], xs]) if xs[0] > 0.0 else xs
     state = quantum.ContinuumState(n=o.n, E=o.energy, amplitude=o.amplitude)
+    x_min = np.min(np.abs(xs))  # the largest argument; an infinite one is a NaN row, refused later
+    with np.errstate(divide="ignore", over="ignore"):
+        arg = 2.0 * math.sqrt(o.energy) / o.hbar / x_min
+    if quantum.SQUEEZE_ARGUMENT < arg < math.inf:
+        raise ValueError(f"--x reaches |x| = {x_min:g}, where the Bessel argument "
+                         f"2 sqrt(E)/(hbar |x|) = {arg:g} passes {quantum.SQUEEZE_ARGUMENT:g}: "
+                         "psi would be its squeeze envelope")
     return ["x", "psi"], [xs, quantum.eigenfunction(xs, state, o.hbar)], EXIT_OK
 
 

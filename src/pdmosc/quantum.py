@@ -46,6 +46,10 @@ RESIDUAL_GRID_SIZE = 400
 #: nu must be within this distance of an integer to be parity-admissible
 PARITY_INT_TOL = 1e-9
 
+#: the floor past which :func:`eigenfunction` returns the squeeze envelope, not psi:
+#: a finite Bessel argument 2 sqrt(E)/(hbar |x|) above it is squeezed
+SQUEEZE_ARGUMENT = 2000.0
+
 
 class ComplexOrderError(ArithmeticError, ValueError):
     """nu^2 < 0: attractive inverse-square regime, outside this model's scope."""
@@ -199,8 +203,8 @@ class ContinuumState:
 def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     """psi_n(x) = C J_n(2 sqrt(E)/(hbar |x|)) with parity factor (-1)^n for x < 0.
 
-    Where the Bessel argument 2 sqrt(E)/(hbar |x|) exceeds 2000, that is
-    below the floor |x| = 1e-3 * sqrt(E) / hbar, the Bessel factor
+    Where the Bessel argument 2 sqrt(E)/(hbar |x|) exceeds SQUEEZE_ARGUMENT =
+    2000, that is below the floor |x| = 1e-3 * sqrt(E) / hbar, the Bessel factor
     oscillates infinitely fast; the squeeze-theorem envelope
     C sqrt(hbar |x| / (pi sqrt(E))) is returned there instead, signed so the
     parity relation psi(-x) = (-1)^n psi(x) is preserved exactly.  An
@@ -215,7 +219,7 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     sign = np.where(xa > 0.0, 1.0, (-1.0) ** state.n)
     with np.errstate(over="ignore"):  # the argument or hbar |x| may overflow: NaN or inf psi
         arg = 2.0 * math.sqrt(state.E) / hbar / ax
-        squeeze = (arg > 2000.0) & (arg < math.inf)
+        squeeze = (arg > SQUEEZE_ARGUMENT) & (arg < math.inf)
         out = np.empty_like(ax)
         out[~squeeze] = jv(state.n, arg[~squeeze])
         out[squeeze] = np.sqrt(hbar * ax[squeeze] / (math.pi * math.sqrt(state.E)))

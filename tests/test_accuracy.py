@@ -1,16 +1,22 @@
-"""mpmath accuracy budget for the columns that `spectrum`, `wkb`, `lambda-map`
-and `eigenfunction` compute as arrays.
+"""mpmath accuracy budget for every numeric column that a subcommand prints
+(`verify` reports its own measurements).
 
 Each case runs the subcommand in process, parses the printed doubles, and
 compares every STRIDE-th row (and the last) with the closed form that mpmath
 evaluates at 40 digits from the same double inputs.  Where the closed form
 subtracts two nearly equal terms (n^2 - s^2 in lambda_n, sqrt(-lam/c1) - c2
 in singular_time) the error is counted in ulps of the larger term: the
-cancellation, not the code, decides the relative error there.  `wkb`'s lhs
-takes the library's finite part I as its input, so the budget measures the
-arithmetic and not the quadrature; the residual is an absolute bound.  psi is
-compared relative to max |psi| on the compared rows, since it is
-ill-conditioned near the zeros of J_n.
+cancellation, not the code, decides the relative error there.  `trajectory`'s
+x and p are counted the same way, in ulps of the sum of the magnitudes that
+their rounding errors scale with; its E, whose exact value is c1, in ulps of
+|T| + |V|, the two terms of H.  `phase-portrait`'s p_plus is compared through
+p^2 = 4E/x^4 - 4 lam/x^2 in ulps of 4E/x^4, since p vanishes at the turning
+points; p_minus must be exactly -p_plus.  `wkb`'s lhs takes the library's
+finite part I as its input, so the budget measures the arithmetic and not the
+quadrature; the residual is an absolute bound.  psi is compared relative to
+max |psi| on the compared rows, since it is ill-conditioned near the zeros of
+J_n.  `box-spectrum` compares every row: its budgets record the error of the
+Bessel zeros' polish (ROADMAP item 2), which a few zeros carry.
 
 Each budget is the measured worst case times the margin stated beside it.
 To print the measured worst cases of the current tree:
@@ -26,20 +32,20 @@ import random
 
 import pytest
 
-from pdmosc import cli, semiclassical
+from pdmosc import cli, quantum, semiclassical
 
 mpmath = pytest.importorskip("mpmath")
 
 STRIDE = 37
 
 
-def printed_rows(argv):
-    """The CSV rows of one successful in-process run, every STRIDE-th and the last."""
+def printed_rows(argv, stride=STRIDE):
+    """The CSV rows of one successful in-process run, every stride-th and the last."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     rows = list(csv.DictReader(io.StringIO(out.getvalue())))
-    return rows[::STRIDE] + rows[-1:]
+    return rows[::stride] + rows[-1:]
 
 
 def exact(text):
@@ -63,9 +69,10 @@ def draws(seed, count, **ranges):
         }
 
 
-def run(sub, options):
+def run(sub, options, stride=STRIDE):
     """printed_rows of ``pdmosc sub`` with each option given as --name=value."""
-    return printed_rows([sub, *(f"--{k.replace('_', '-')}={v!r}" for k, v in options.items())])
+    argv = [sub, *(f"--{k.replace('_', '-')}={v}" for k, v in options.items())]
+    return printed_rows(argv, stride)
 
 
 def spectrum_errors():
@@ -125,6 +132,69 @@ def lambda_map_errors():
     return worst
 
 
+def trajectory_errors():
+    worst = {"x": 0.0, "p": 0.0, "E": 0.0}
+    ranges = {"lambda": (0.01, 3.0), "c1": (0.1, 3.0), "c2": (-6.0, 6.0)}
+    cases = [{"lambda": 1.0}, {"lambda": 1.0, "c2": -5.0, "t": "0:10:0.001"},
+             {"lambda": -1.0, "c2": -5.0, "t": "0:3.9:0.001"}]  # lam < 0: to near its first root
+    cases += [dict(d, t="-10:10:0.001") for d in draws(4, 3, **ranges)]
+    for case in cases:
+        lam = mpmath.mpf(case["lambda"])
+        c1, c2 = mpmath.mpf(case.get("c1", 1.0)), mpmath.mpf(case.get("c2", 0.0))
+        rc1 = mpmath.sqrt(c1)
+        for row in run("trajectory", case):
+            t = exact(row["t"])
+            w = c2 + rc1 * t  # rounds with the larger of |c2| and |sqrt(c1) t|
+            big_w = max(abs(c2), abs(rc1 * t))
+            q = lam / c1 + w * w
+            q_scale = abs(lam) / c1 + w * w + 2 * abs(w) * big_w  # and q with both terms and w^2
+            x, p = 1 / mpmath.sqrt(q), -2 * rc1 * w * mpmath.sqrt(q)
+            worst["x"] = max(worst["x"], ulps(row["x"], x, x * q_scale / q))
+            p_scale = 2 * rc1 * mpmath.sqrt(q) * (big_w + abs(w) * q_scale / (2 * q))
+            worst["p"] = max(worst["p"], ulps(row["p"], p, p_scale))
+            kinetic, potential = x**4 * p**2 / 4, lam * x**2
+            worst["E"] = max(worst["E"], ulps(row["E"], c1, abs(kinetic) + abs(potential)))
+    return worst
+
+
+def phase_portrait_errors():
+    worst = {"p_plus": 0.0}
+    rng = random.Random(5)
+    cases = [{"lambda": 1.0}] + [
+        {"lambda": 10 ** rng.uniform(-2, 1), "points": 4001,
+         "energies": ",".join(repr(10 ** rng.uniform(-2, 1)) for _ in range(3))}
+        for _ in range(3)
+    ]
+    for case in cases:
+        lam = mpmath.mpf(case["lambda"])
+        for row in run("phase-portrait", case):
+            plus, minus = float(row["p_plus"]), float(row["p_minus"])
+            assert (minus, math.copysign(1.0, minus)) == (-plus, -math.copysign(1.0, plus))
+            E, x = exact(row["E"]), exact(row["x"])
+            larger = 4 * E / x**4
+            want_sq = max(larger - 4 * lam / x**2, 0)
+            error = abs(exact(row["p_plus"]) ** 2 - want_sq) / math.ulp(float(larger))
+            worst["p_plus"] = max(worst["p_plus"], float(error))
+    return worst
+
+
+def box_spectrum_errors():
+    worst = {"E": 0.0, "C": 0.0}
+    rng = random.Random(6)
+    cases = [dict(n=1, n_zeros=5, eps=0.1, hbar=1.0), dict(n=3, n_zeros=50, eps=0.1, hbar=1.0)] + [
+        dict(n=rng.randint(1, 10), n_zeros=50,
+             eps=10 ** rng.uniform(-2, 0), hbar=10 ** rng.uniform(-1, 1))
+        for _ in range(2)
+    ]
+    for case in cases:
+        n, eps, hbar = case["n"], mpmath.mpf(case["eps"]), mpmath.mpf(case["hbar"])
+        for row in run("box-spectrum", case, stride=1):
+            zero = mpmath.besseljzero(n, int(row["N"]))
+            worst["E"] = max(worst["E"], ulps(row["E"], hbar**2 * zero**2 * eps**2 / 4))
+            worst["C"] = max(worst["C"], ulps(row["C"], eps / mpmath.besselj(n + 1, zero)))
+    return worst
+
+
 #: the figure's grid at n = 1, E = 1, the small-E and hbar = 3 cases that the
 #: squeeze floor once got wrong, and seeded draws
 EIGENFUNCTION_CASES = [
@@ -145,7 +215,7 @@ def eigenfunction_errors():
         want = []
         for row in rows:
             x = exact(row["x"])
-            assert scale / abs(x) <= 2000  # no row is squeezed: psi is the Bessel factor
+            assert scale / abs(x) <= quantum.SQUEEZE_ARGUMENT  # psi is the Bessel factor
             parity = 1 if x > 0 else (-1) ** case["n"]
             want.append(parity * mpmath.besselj(case["n"], scale / abs(x)))
         peak = max(abs(w) for w in want)
@@ -156,13 +226,17 @@ def eigenfunction_errors():
 
 #: column -> (budget, measured worst case on the cases above, numpy 2.4.6, scipy 1.17.1);
 #: the closed forms' budgets are about twice their worst case, psi's four times, since
-#: a scipy build may evaluate J_n differently
+#: a scipy build may evaluate J_n differently.  box-spectrum's are the known defect of
+#: ROADMAP item 2: j_{1,2} is 905 ulp off, and its E twice that; the fix tightens them
 BUDGETS = {
     "spectrum": {"lambda_n": (3.0, 1.38), "nu_roundtrip": (2.0, 1.0)},
     "wkb": {"lambda_n": (2.5, 1.13), "lhs": (3.5, 1.72), "rhs": (3.0, 1.49),
             "residual": (1.5e-11, 7.47e-12)},
     "lambda-map": {"singular_time": (5.5, 2.66)},
     "eigenfunction": {"psi": (5e-15, 1.14e-15)},
+    "trajectory": {"x": (2.5, 1.00), "p": (4.0, 2.00), "E": (10.0, 5.0)},
+    "phase-portrait": {"p_plus": (4.5, 2.16)},
+    "box-spectrum": {"E": (4100.0, 2031.0), "C": (4900.0, 2452.0)},
 }
 
 MEASURE = {
@@ -170,6 +244,9 @@ MEASURE = {
     "wkb": wkb_errors,
     "lambda-map": lambda_map_errors,
     "eigenfunction": eigenfunction_errors,
+    "trajectory": trajectory_errors,
+    "phase-portrait": phase_portrait_errors,
+    "box-spectrum": box_spectrum_errors,
 }
 
 
