@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from pdmosc import bessel
@@ -134,6 +136,14 @@ def test_zero_interlacing():
     for n in range(1, 6):
         for N in range(1, 5):
             assert zeros[(n, N)] < zeros[(n + 1, N)] < zeros[(n, N + 1)]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(1, 10), N=st.integers(1, 30))
+def test_zeros_interlace_for_every_order_and_index(n, N):
+    """j_{n,N} < j_{n+1,N} < j_{n,N+1} (Watson, Theory of Bessel Functions, 15.22)."""
+    this, higher = bessel.bessel_zeros(n, N + 1), bessel.bessel_zeros(n + 1, N)
+    assert this[N - 1] < higher[N - 1] < this[N]
 
 
 def test_zero_large_order_bracketing():

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmosc import classical, verification
 from pdmosc.classical import ModelParams, SingularTrajectoryError
@@ -207,6 +209,29 @@ def test_classify_lambda_agrees_with_sign_scan():
         )
         brute = "singular" if np.min(classical.radicand(ts, params)) <= 0.0 else "bounded"
         assert classical.classify_lambda(params, (0.0, 10.0)) == brute
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    lams=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20),
+    c1=st.floats(0.1, 3.0),
+    c2=st.floats(-6.0, 6.0),
+    window=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_classify_lambda_array_agrees_with_a_brute_force_sign_scan(lams, c1, c2, window):
+    """Each entry of one array call against a 10001-point scan of that lam's radicand.
+    Between grid points the parabola (second derivative 2 c1) dips at most sag below
+    the scan's minimum, so a minimum within sag (plus rounding) of zero decides nothing."""
+    ts = np.linspace(min(window), max(window), 10001)
+    sag = c1 * ((ts[1] - ts[0]) / 2.0) ** 2 + 1e-12
+    got = classical.classify_lambda(ModelParams(lam=np.array(lams), c1=c1, c2=c2), window)
+    assert got.shape == (len(lams),)
+    for lam, status in zip(lams, got.tolist()):
+        scan_min = np.min(classical.radicand(ts, ModelParams(lam=lam, c1=c1, c2=c2)))
+        if scan_min < -1e-12:
+            assert status == "singular", (lam, scan_min)
+        elif scan_min > sag:
+            assert status == "bounded", (lam, scan_min)
 
 
 def test_lambda_array_gives_the_scalar_results_elementwise():

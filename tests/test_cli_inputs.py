@@ -96,6 +96,28 @@ def test_any_float_exits_cleanly(option, value):
     assert_clean(sub, *run_recorded(argv_with(sub, flag, repr(value))))
 
 
+#: an extreme token or the repr of any float, as a config file or a list entry spells it
+FLOAT_TEXT = st.one_of(st.sampled_from(TOKENS), st.floats().map(repr))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(option=st.sampled_from(FLOAT_OPTIONS), text=FLOAT_TEXT)
+def test_any_float_config_entry_exits_cleanly(option, text, tmp_path_factory):
+    sub, flag = option
+    dest = next(o.dest for o in cli.SUBCOMMANDS[sub][2] if o.flag == flag)
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text(f"{dest} = {text}\n")
+    base = [a for a in REQUIRED[sub] if not a.startswith(flag + "=")]  # a flag would win
+    assert_clean(sub, *run_recorded([sub, *base, "--config", str(cfg)]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(energies=st.lists(FLOAT_TEXT, min_size=1, max_size=4))
+def test_any_energies_entry_exits_cleanly(energies):
+    argv = ["phase-portrait", "--lambda=1", "--points=8", f"--energies={','.join(energies)}"]
+    assert_clean("phase-portrait", *run_recorded(argv))
+
+
 def test_config_count_below_its_bound_exits_1(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("count = 1\n")

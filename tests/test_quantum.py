@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmosc import bessel, classical, quantum
 from pdmosc.quantum import (
@@ -161,6 +163,20 @@ def test_eigenfunction_parity():
         plus = quantum.eigenfunction(xs, state)
         minus = quantum.eigenfunction(-xs, state)
         assert np.array_equal(minus, (-1.0) ** n * plus)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 10),
+    E=st.floats(1e-3, 1e3),
+    hbar=st.floats(1e-2, 1e2),
+    xs=st.lists(st.floats(1e-4, 1e3), min_size=1, max_size=30),
+)
+def test_eigenfunction_parity_holds_bit_for_bit(n, E, hbar, xs):
+    """psi(-x) == (-1)^n psi(x) exactly, squeezed points included."""
+    x, state = np.array(xs), ContinuumState(n=n, E=E)
+    plus = quantum.eigenfunction(x, state, hbar)
+    assert np.array_equal(quantum.eigenfunction(-x, state, hbar), (-1.0) ** n * plus)
 
 
 def test_eigenfunction_tail_and_origin():

@@ -105,3 +105,20 @@ def test_hermitian_singularity_evaluates_each_window_once(monkeypatch):
     (report,) = v.run_suite(["hermitian_singularity"], v.SuiteConfig())
     assert len(calls) == 7
     assert report.measured == reference == 1.981288630165693
+
+
+#: hbar -> the checks that fail there on a correct library: their absolute tolerances
+#: assume hbar ~ 1 (ROADMAP: scale them with hbar)
+HBAR_DEFECTS = {
+    0.001: "ode_residual measures 1.49e-8 against 1e-8: rounding of the 1/hbar^2 terms",
+    100.0: "residual_negative_control measures 3.1e-6 against 1e-3, similarity 3.4e-6 against 1e-6",
+}
+
+
+@pytest.mark.parametrize("hbar", [
+    pytest.param(hbar, marks=pytest.mark.xfail(strict=True, reason=f"known defect: {why}"))
+    for hbar, why in HBAR_DEFECTS.items()
+])
+def test_suite_passes_far_from_hbar_1(hbar):
+    reports = v.run_suite(v.all_check_ids(), v.SuiteConfig(hbar=hbar))
+    assert [r.check_id for r in reports if r.status == v.FAIL] == []
