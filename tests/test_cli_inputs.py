@@ -197,33 +197,29 @@ def test_eigenfunction_at_the_squeeze_floor_prints_the_bessel_factor(E, hbar, x)
     psi = {float(r["x"]): float(r["psi"]) for r in csv.DictReader(io.StringIO(out))}
     with mpmath.workdps(40):
         want = float(mpmath.besselj(1, 2 * mpmath.sqrt(E) / (hbar * mpmath.mpf(x))))
-    assert psi[x] == pytest.approx(want, rel=1e-9)  # J_1(2000) = -0.0178, not the envelope 0.0178
+    assert psi[x] == pytest.approx(want, rel=1e-9)  # J_1(2000) = 0.01637; the envelope is 0.01784
     assert psi[-x] == -psi[x]
 
 
-@pytest.mark.parametrize("E, hbar, x", AT_THE_FLOOR)
+#: the floor cases an ulp below it, and one far below: there J_1(4000) is 4.13e-4, and the
+#: envelope once printed as psi(5e-4) was 0.0126
+PAST_THE_FLOOR = [(E, hbar, math.nextafter(x, 0.0)) for E, hbar, x in AT_THE_FLOOR] + [
+    (1.0, 1.0, 5e-4)
+]
+
+
+@pytest.mark.parametrize("E, hbar, x", PAST_THE_FLOOR)
 def test_eigenfunction_refuses_a_grid_past_the_squeeze_floor_before_computing(
         E, hbar, x, monkeypatch):
     def no_psi(*args):
         raise AssertionError("psi was computed")
 
     monkeypatch.setattr(quantum, "eigenfunction", no_psi)
-    below = math.nextafter(x, 0.0)  # the argument passes 2000 by an ulp
-    for grid in (f"{below!r}:{2 * x!r}:{x!r}", f"{-below!r}:{-below!r}:{x!r}"):  # mirrored, not
-        code, out, err, caught = run_recorded(
-            ["eigenfunction", "--n=1", f"--E={E!r}", f"--hbar={hbar!r}", f"--x={grid}"]
-        )
-        assert (code, out, caught) == (1, "", [])
-        assert err.startswith(f"pdmosc: --x reaches |x| = {below:g}, where the Bessel argument ")
-        assert err.endswith("passes 2000: psi would be its squeeze envelope\n")
-        assert err.count("\n") == 1
-
-
-def test_eigenfunction_squeezed_example_exits_1():
-    """J_1(4000) is 4.13e-4; the envelope that once printed as psi(5e-4) was 0.0126."""
-    assert run_quietly(["eigenfunction", "--n", "1", "--E", "1", "--x", "0.0005:0.001:0.0005"]) == (
-        1, "", "pdmosc: --x reaches |x| = 0.0005, where the Bessel argument 2 sqrt(E)/(hbar |x|) "
-               "= 4000 passes 2000: psi would be its squeeze envelope\n")
+    message = (f"pdmosc: --x reaches |x| = {x:g}, where the Bessel argument 2 sqrt(E)/(hbar |x|) "
+               f"= {2 * math.sqrt(E) / hbar / x:g} passes 2000: psi would be its squeeze envelope\n")
+    for grid in (f"{x!r}:{2 * x!r}:{x!r}", f"{-x!r}:{-x!r}:{x!r}"):  # mirrored, and not
+        argv = ["eigenfunction", "--n=1", f"--E={E!r}", f"--hbar={hbar!r}", f"--x={grid}"]
+        assert run_recorded(argv) == (1, "", message, [])
 
 
 @pytest.mark.parametrize("low, high", [("-1e308", "1e308"), ("1e308", "-1e308")])
