@@ -4,6 +4,9 @@ Evaluations of J_nu and Y_nu (real order) are delegated to the cephes/AMOS
 routines behind :mod:`scipy.special` through one path: :func:`jv`,
 :func:`yv` and :func:`jv_derivatives` (J, J', J'' from the two-term
 recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2) take any real order unchecked.
+:func:`jv` at a float argument, as a quadrature integrand calls it, goes to
+the same routine through :mod:`scipy.special.cython_special`, which skips the
+ufunc's per-call overhead and returns the same bits as a Python float.
 :func:`bessel_j` is the one checked evaluator, for callers that need its
 order/domain checks and its warning below.
 Zeros of integer-order J_n are located here, so the zero finder shares no
@@ -30,18 +33,27 @@ import numpy as np
 class _Special:
     """Stands in for :mod:`scipy.special`, which takes most of a small run to
     import: the first lookup of a name imports it and caches the function on
-    the instance, so later lookups cost what a module attribute costs."""
+    the instance, so later lookups cost what a module attribute costs.
+
+    ``jv_scalar`` is ``cython_special.jv``, J_nu at one float without the
+    ufunc machinery; it is imported only when first looked up, so a run that
+    evaluates J on arrays alone never loads it."""
 
     def __getattr__(self, name):
-        from scipy import special
+        if name == "jv_scalar":
+            from scipy.special import cython_special
 
-        value = getattr(special, name)
+            value = cython_special.jv
+        else:
+            from scipy import special
+
+            value = getattr(special, name)
         setattr(self, name, value)
         return value
 
 
-#: every J/Y evaluation looks ``_sp.jv``/``_sp.yv`` up here at call time, so
-#: a test or tracer may replace ``_sp`` with its own namespace
+#: every J/Y evaluation looks ``_sp.jv``/``_sp.jv_scalar``/``_sp.yv`` up here at
+#: call time, so a test or tracer may replace ``_sp`` with its own namespace
 _sp = _Special()
 
 #: guaranteed-accuracy box
@@ -72,7 +84,12 @@ def jv(nu: float, x):
 
     No order or domain check and no accuracy-box warning, for inner loops
     such as quadrature integrands, where a check costs more than the value.
+    A float x (``numpy.float64`` included) takes the scalar path
+    ``_sp.jv_scalar``: the same routine with the same bits, returned as a
+    Python float, without the ufunc's per-call overhead.
     """
+    if isinstance(x, float):
+        return _sp.jv_scalar(nu, x)
     return _sp.jv(nu, x)
 
 

@@ -219,8 +219,8 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    def rhs(t, y):
-        x, v = y
+    def rhs(t, y):  # Python floats: the same bits as numpy scalars, at less cost per call
+        x, v = y.tolist()
         return (v, 2.0 * v * v / x - lam * x**5)
 
     def blowup(t, y):
@@ -240,9 +240,9 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
         events=blowup,
         dense_output=False,
     )
-    ts = list(sol.t)
-    xs = list(sol.y[0])
-    vs = list(sol.y[1])
+    # a first step that fails before t = 0 is sampled leaves t and y as empty lists
+    ts = np.asarray(sol.t).tolist()
+    xs, vs = np.reshape(sol.y, (2, -1)).tolist()
 
     blew_up = False
     singular_time = None
@@ -255,10 +255,7 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
     elif sol.status == -1:
         # integrator step collapse: treat as blow-up at the last reached time
         blew_up = True
-        singular_time = float(ts[-1]) if ts else 0.0
+        singular_time = ts[-1] if ts else 0.0
 
-    states = tuple(
-        ClassicalState(t=float(t), x=float(x), p=float(2.0 * v / x**4))
-        for t, x, v in zip(ts, xs, vs)
-    )
+    states = tuple(ClassicalState(t, x, 2.0 * v / x**4) for t, x, v in zip(ts, xs, vs))
     return Trajectory(states=states, blew_up=blew_up, singular_time=singular_time)

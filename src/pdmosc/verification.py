@@ -121,8 +121,11 @@ def check_ode_residual(cfg: SuiteConfig) -> Verdict:
         for E in (0.5, 1.0, 2.0):
             state = quantum.ContinuumState(n=n, E=E)
             worst = max(worst, quantum.ode_residual(state, cfg.ordering, lam, cfg.hbar))
+    # the equation's terms scale like its 4E/hbar^2 coefficient below hbar = 1
+    # and stay O(1) above it, and so does their rounding
+    tol = 1e-8 * max(1.0, cfg.hbar**-2)
     return verdict(
-        worst <= 1e-8, worst, 1e-8, "DERIVED",
+        worst <= tol, worst, tol, "DERIVED",
         "n = 1..6, E in {0.5, 1, 2}; E-independence is the continuous-energy statement",
     )
 
@@ -139,8 +142,9 @@ def check_residual_negative_control(cfg: SuiteConfig) -> Verdict:
     )
     lam1 = quantum.lambda_quantized(2, broken, hbar)
     r1 = quantum.ode_residual(state, broken, lam1, hbar)
-    # control 2: offset lam from its quantized value
-    lam2 = quantum.lambda_quantized(2, cfg.ordering, hbar) + 0.25
+    # control 2: offset lam from its quantized value, by 1/4 of the hbar^2 scale
+    # lam takes in the equation (4 lam/hbar^2 moves by 1)
+    lam2 = quantum.lambda_quantized(2, cfg.ordering, hbar) + 0.25 * hbar**2
     r2 = quantum.ode_residual(state, cfg.ordering, lam2, hbar)
     measured = min(r1, r2)
     return verdict(
@@ -204,7 +208,8 @@ def check_similarity(cfg: SuiteConfig) -> Verdict:
     disc = quantum.similarity_check(
         cfg.ordering, lambda x: np.exp(-((x - 2.0) ** 2)), hbar=cfg.hbar
     )
-    return verdict(disc <= 1e-6, disc, 1e-6, "DERIVED", "Gaussian test function on [0.5, 5]")
+    tol = 1e-6 * cfg.hbar**2  # at lam = 0 both operators are hbar^2/2 times their kinetic part
+    return verdict(disc <= tol, disc, tol, "DERIVED", "Gaussian test function on [0.5, 5]")
 
 
 def check_bessel_kernel(cfg: SuiteConfig) -> Verdict:

@@ -169,6 +169,20 @@ def test_vectorized_evaluation():
     assert out[1] == pytest.approx(bessel.bessel_j(1, 1.0))
 
 
+def test_jv_at_a_float_is_the_ufunc_value_as_a_float():
+    xs = np.concatenate([np.linspace(0.0, 1e3, 2001), [5e-324, 1e5, math.inf, math.nan]])
+    for nu in [*range(51), -1, -2, -7, -0.5, 0.5, 1.5, 2.5, 10.5, 49.5]:
+        ufunc = special.jv(nu, xs)
+        for x, expected in zip(xs.tolist(), ufunc.tolist()):
+            for arg in (x, np.float64(x)):  # numpy.float64 is a float too
+                value = bessel.jv(nu, arg)
+                assert type(value) is float
+                assert value == expected or (math.isnan(value) and math.isnan(expected))
+    # an array, or an argument that is no float, keeps the ufunc and its array result
+    assert isinstance(bessel.jv(1, xs), np.ndarray)
+    assert bessel.jv(1, 2) == special.jv(1, 2.0) and type(bessel.jv(1, 2)) is np.float64
+
+
 @pytest.fixture
 def fake_j(monkeypatch):
     """Installs a stand-in for J as ``bessel._sp.jv``; the zero memo is emptied

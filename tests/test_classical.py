@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -99,8 +101,19 @@ def test_trajectory_sequence_protocol():
     assert all(isinstance(s.x, float) for s in traj)
 
 
+def states_digest(traj) -> str:
+    """sha256 of every state's t, x and p as little-endian doubles; each must be a float."""
+    fields = [f for state in traj for f in state]
+    assert all(type(f) is float for f in fields)
+    return hashlib.sha256(struct.pack(f"<{len(fields)}d", *fields)).hexdigest()
+
+
 def test_integrate_eom_end_states_are_pinned():
+    # every state's bits, recorded when the right-hand side and the states were
+    # computed on numpy scalars rather than Python floats
     bounded = classical.integrate_eom(1.0, 0.0, 1.0, t_end=1.0, tol=1e-9)
+    assert states_digest(bounded) == "ce6b13d1765460d1b408bf9aa5b0ec28f6bed5e50983f320fbfcc6d058d35b89"
+    assert tuple(bounded.states[500]) == (0.5, 0.8944271910093066, -1.1180339887472763)
     assert (bounded.states[0].t, bounded.states[0].x, bounded.states[0].p) == (0.0, 1.0, 0.0)
     assert (bounded.states[-1].t, bounded.states[-1].x, bounded.states[-1].p) == (
         1.0, 0.7071067811942453, -2.828427124725671
@@ -112,6 +125,8 @@ def test_integrate_eom_end_states_are_pinned():
     v0 = classical.exact_momentum(3.0, params) * x0**4 / 2.0
     singular = classical.integrate_eom(x0, v0, params.lam, t_end=-2.5, tol=1e-10)
     assert len(singular.states) == 802
+    assert states_digest(singular) == "2e9d51beab077f95d69f06dc093a1da257cb4c6c26ce73e47ddce67c6093a99c"
+    assert tuple(singular.states[-2]) == (-2.0, 71301.34570613115, -2.8049961474554848e-05)
     assert (singular.states[0].t, singular.states[0].x, singular.states[0].p) == (
         0.0, 0.35355339059327373, -16.970562748477143
     )
@@ -119,6 +134,16 @@ def test_integrate_eom_end_states_are_pinned():
         -2.0000000000978506, 1000574.6750457373, -1.9988513099938732e-06
     )
     assert singular.blew_up and singular.singular_time == -2.0000000000978506
+    assert type(singular.singular_time) is float  # the appended event state's t
+
+
+def test_a_first_step_that_fails_is_a_blow_up_at_t_0():
+    # xdot0 = 1e200 overflows the first step, so solve_ivp samples nothing and returns
+    # t and y as empty lists (scipy warns of the NaN it meets on the way)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        traj = classical.integrate_eom(1.0, 1e200, 1.0, 1.0, 1e-9)
+    assert traj == classical.Trajectory(states=(), blew_up=True, singular_time=0.0)
 
 
 def test_integrator_validation():

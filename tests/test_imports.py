@@ -3,7 +3,8 @@
 The package root re-exports nothing, so a module loads only what it imports
 itself, and the README imports each name from the module that defines it.
 scipy is imported where it is first computed with, so a subcommand that
-needs no Bessel function or integrator loads no scipy.
+needs no Bessel function or integrator loads no scipy, and one that evaluates
+J on arrays only loads no ``scipy.special.cython_special``.
 """
 
 import contextlib
@@ -78,6 +79,18 @@ def test_bessel_subcommands_load_no_integrator():
     assert codes == [0, 0]
     assert "scipy.special" in loaded
     assert "scipy.integrate" not in loaded
+
+
+def test_only_quadrature_loads_the_scalar_bessel_path():
+    # cython_special (about 1 MB of RSS) serves bessel.jv at a float, which only the
+    # quadrature integrands of verify ask for; the array subcommands never load it
+    codes, loaded = modules_after_cli("eigenfunction --n 1 --E 1", "box-spectrum --n 1", "wkb")
+    assert codes == [0, 0, 0]
+    assert "scipy.special" in loaded
+    assert "scipy.special.cython_special" not in loaded
+    codes, loaded = modules_after_cli("verify --checks box_orthonormality")
+    assert codes == [0]
+    assert "scipy.special.cython_special" in loaded
 
 
 def test_classical_loads_no_quantum_layer():

@@ -392,6 +392,25 @@ def test_overlap_kernel_unequal_energy_stays_bounded():
     assert max(values) < 0.2
 
 
+@pytest.mark.parametrize(
+    "n, E_prime, R, hbar, expected",
+    [
+        (1, 1.0, 20.0, 1.0, 5.345915935145401),
+        (1, 2.25, 20.0, 1.0, 0.23729038920029102),
+        (3, 1.0, 20.0, 1.0, 5.3459140277046195),
+        (3, 2.25, 20.0, 1.0, 0.23740146529186235),
+        (1, 1.0, 7.5, 0.8, 1.646656381564253),
+        (1, 2.25, 7.5, 0.8, -0.019475944605442375),
+        (3, 1.0, 7.5, 0.8, 1.628271590669125),
+        (3, 2.25, 7.5, 0.8, -0.010346343629357763),
+    ],
+)
+def test_overlap_kernel_keeps_its_recorded_bits(n, E_prime, R, hbar, expected):
+    # recorded when the integrand evaluated J through the scipy.special ufunc
+    value = quantum.overlap_kernel(n, 1.0, E_prime, R, hbar)
+    assert type(value) is float and value == expected
+
+
 def test_overlap_kernel_edge_cases():
     assert quantum.overlap_kernel(1, 1.0, 1.0, 0.0) == 0.0
     with pytest.raises(ValueError):

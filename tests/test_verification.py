@@ -107,18 +107,42 @@ def test_hermitian_singularity_evaluates_each_window_once(monkeypatch):
     assert report.measured == reference == 1.981288630165693
 
 
-#: hbar -> the checks that fail there on a correct library: their absolute tolerances
-#: assume hbar ~ 1 (ROADMAP: scale them with hbar)
-HBAR_DEFECTS = {
-    0.001: "ode_residual measures 1.49e-8 against 1e-8: rounding of the 1/hbar^2 terms",
-    100.0: "residual_negative_control measures 3.1e-6 against 1e-3, similarity 3.4e-6 against 1e-6",
-}
-
-
-@pytest.mark.parametrize("hbar", [
-    pytest.param(hbar, marks=pytest.mark.xfail(strict=True, reason=f"known defect: {why}"))
-    for hbar, why in HBAR_DEFECTS.items()
-])
+@pytest.mark.parametrize("hbar", [0.001, 0.1, 10.0, 100.0])
 def test_suite_passes_far_from_hbar_1(hbar):
     reports = v.run_suite(v.all_check_ids(), v.SuiteConfig(hbar=hbar))
     assert [r.check_id for r in reports if r.status == v.FAIL] == []
+
+
+def test_hbar_scaling_is_exactly_1_at_hbar_1():
+    tolerances = {r.check_id: r.tolerance for r in v.run_suite(v.all_check_ids())}
+    assert tolerances["ode_residual"] == 1e-8
+    assert tolerances["residual_negative_control"] == 1e-3
+    assert tolerances["similarity"] == 1e-6
+
+
+#: check id -> (owner, attribute, the wrong formula made from the right one)
+WRONG_FORMULAS = {
+    # lam_n from n(n + 1) instead of n^2: psi_n then solves no equation of the family
+    "ode_residual": (quantum, "lambda_quantized",
+                     lambda right: lambda n, o, hbar: (n * (n + 1) - o.s**2) * hbar**2 / 4.0),
+    # a residual blind to lam: the coefficients always take the quantized coupling of
+    # n = 2, the controls' state, so the offset control solves its equation
+    "residual_negative_control": (
+        quantum, "ode_coefficients",
+        lambda right: lambda o, lam, E, hbar: right(o, quantum.lambda_quantized(2, o, hbar), E, hbar),
+    ),
+    # the similarity exponent off by 1/100
+    "similarity": (SingleTermOrdering, "eta", lambda right: property(lambda o: right.fget(o) + 0.01)),
+}
+
+
+@pytest.mark.parametrize("hbar", [0.001, 1.0, 100.0])
+@pytest.mark.parametrize("check_id", list(WRONG_FORMULAS))
+def test_hbar_scaled_checks_fail_on_a_wrong_formula(check_id, hbar, monkeypatch):
+    cfg = v.SuiteConfig(hbar=hbar)
+    (report,) = v.run_suite([check_id], cfg)
+    assert report.status == "pass"
+    owner, attr, wrong = WRONG_FORMULAS[check_id]
+    monkeypatch.setattr(owner, attr, wrong(vars(owner)[attr]))
+    (report,) = v.run_suite([check_id], cfg)
+    assert report.status == "fail"
