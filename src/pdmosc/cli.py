@@ -33,7 +33,7 @@ import numpy as np
 from . import bessel, classical, quantum, semiclassical, verification
 from .classical import ModelParams
 from .quantum import SingleTermOrdering
-from .verification import FAIL, PASS, SKIPPED
+from .verification import FAIL, PASS, SKIPPED, SuiteConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -254,6 +254,9 @@ def run_spectrum(o):
 
 
 def run_eigenfunction(o):
+    if o.n > bessel.ORDER_GUARANTEED_MAX:
+        raise ValueError(f"--n {o.n} needs J_{o.n}, past the accuracy box "
+                         f"(order <= {bessel.ORDER_GUARANTEED_MAX:g})")
     xs = parse_grid(o.x)
     xs = np.concatenate([-xs[::-1], xs]) if xs[0] > 0.0 else xs
     state = quantum.ContinuumState(n=o.n, E=o.energy, amplitude=o.amplitude)
@@ -286,7 +289,7 @@ def run_verify(o):
     else:
         selection = [c.strip() for c in o.checks.split(",") if c.strip()]
     reports = verification.run_suite(
-        selection, verification.SuiteConfig(params=params, ordering=ordering, seed=o.seed, hbar=o.hbar)
+        selection, SuiteConfig(params=params, ordering=ordering, seed=o.seed, hbar=o.hbar)
     )
     columns = list(zip(*reports))  # a report is a tuple of its columns
     status = columns[1]
@@ -345,13 +348,13 @@ SUBCOMMANDS = {
     ]),
     "verify": (run_verify, "run the named verification checks", [
         Option("--checks", "checks", str, "all", "'all' or comma-separated ids"),
-        Option("--seed", "seed", int, verification.DEFAULT_SEED),
-        Option("--lambda", "lam", float, 1.0),
-        Option("--hbar", "hbar", float, 1.0),
-        Option("--c1", "c1", float, 1.0),
-        Option("--c2", "c2", float, -5.0),
-        Option("--alpha1", "alpha1", float, 0.0),
-        Option("--gamma1", "gamma1", float, 0.75),
+        Option("--seed", "seed", int, SuiteConfig().seed),
+        Option("--lambda", "lam", float, SuiteConfig().params.lam),
+        Option("--hbar", "hbar", float, SuiteConfig().hbar),
+        Option("--c1", "c1", float, SuiteConfig().params.c1),
+        Option("--c2", "c2", float, SuiteConfig().params.c2),
+        Option("--alpha1", "alpha1", float, SuiteConfig().ordering.alpha1),
+        Option("--gamma1", "gamma1", float, SuiteConfig().ordering.gamma1),
     ]),
 }
 

@@ -157,8 +157,8 @@ def lambda_quantized(n, ordering: SingleTermOrdering, hbar: float):
         return (n * n - ordering.s**2) * hbar**2 / 4.0
 
 
-def general_solution(x, nu: float, E: float, C: float, D: float, d: float, hbar: float):
-    """x^d [C J_nu(2 sqrt(E)/(hbar x)) + D Y_nu(2 sqrt(E)/(hbar x))] for x > 0.
+def general_solution(x, nu: float, E: float, D: float, d: float, hbar: float):
+    """x^d [J_nu(2 sqrt(E)/(hbar x)) + D Y_nu(2 sqrt(E)/(hbar x))] for x > 0.
 
     The half-line x < 0 is handled by :func:`eigenfunction` through parity.
     No boundary analysis happens here: D != 0 produces a solution that
@@ -170,7 +170,7 @@ def general_solution(x, nu: float, E: float, C: float, D: float, d: float, hbar:
     if np.any(xa <= 0.0):
         raise ValueError("the solution is defined on x > 0; use parity for x < 0")
     arg = 2.0 * math.sqrt(E) / (hbar * xa)
-    out = C * jv(nu, arg)
+    out = jv(nu, arg)
     if D != 0.0:
         out = out + D * yv(nu, arg)
     return _as_result(xa**d * out)
@@ -186,7 +186,8 @@ class ContinuumState:
 
     The delta-normalization constant is not a finite number, so the stored
     amplitude is user-chosen (default 1); :func:`overlap_kernel` exposes the
-    operational content of delta normalization.
+    operational content of delta normalization.  Its check of n and E is the
+    one every function here taking a quantum number and an energy makes.
     """
 
     n: int
@@ -212,7 +213,7 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     is excluded (the limit is 0 by the squeeze argument).
     """
     _check_hbar(hbar)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa = np.asarray(x, dtype=float)
     if np.any(xa == 0.0):
         raise ValueError("x = 0 is excluded; psi -> 0 there by the squeeze bound")
     ax = np.abs(xa)
@@ -223,7 +224,7 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
         out = np.empty_like(ax)
         out[~squeeze] = jv(state.n, arg[~squeeze])
         out[squeeze] = np.sqrt(hbar * ax[squeeze] / (math.pi * math.sqrt(state.E)))
-    return _as_result((state.amplitude * sign * out).reshape(np.shape(x)))
+    return _as_result(state.amplitude * sign * out)
 
 
 def ode_residual(
@@ -250,25 +251,20 @@ def ode_residual(
     j, jp, jpp = jv_derivatives(n, u)
 
     # chain rule for psi(x) = C J(a/x):  u' = -a/x^2,  u'' = 2a/x^3
-    psi = state.amplitude * j
-    psi_p = state.amplitude * jp * (-a / xs**2)
-    psi_pp = state.amplitude * (jpp * (a / xs**2) ** 2 + jp * (2.0 * a / xs**3))
+    try:  # far below hbar = 1 the terms leave the double range: raise, named
+        with np.errstate(over="raise", invalid="raise"):
+            psi = state.amplitude * j
+            psi_p = state.amplitude * jp * (-a / xs**2)
+            psi_pp = state.amplitude * (jpp * (a / xs**2) ** 2 + jp * (2.0 * a / xs**3))
 
-    res = psi_pp + c.first_order / xs * psi_p + (c.inv_x4 / xs**4 - c.inv_x2 / xs**2) * psi
+            res = psi_pp + c.first_order / xs * psi_p + (c.inv_x4 / xs**4 - c.inv_x2 / xs**2) * psi
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"ode_residual at hbar = {hbar!r}: {exc}") from None
     return float(np.max(np.abs(res)))
 
 
 # ---------------------------------------------------------------------------
 # constant-mass (point-canonical) reduction
-
-
-@dataclass(frozen=True)
-class PctReduction:
-    """phi_gg + [k_squared - strength/g^2] phi = 0 in the g = -1/(2x) variable."""
-
-    k_squared: float
-    strength: float
-    residual_max: float
 
 
 def pct_strength(ordering: SingleTermOrdering, lam: float, hbar: float) -> float:
@@ -278,8 +274,9 @@ def pct_strength(ordering: SingleTermOrdering, lam: float, hbar: float) -> float
     return 4.0 * lam / hbar**2 + (two_ag + 2.0) * (two_ag + 1.0)
 
 
-def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) -> PctReduction:
-    """Reduce to the constant-mass equation with an inverse-square potential.
+def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) -> float:
+    """Residual of the reduction to the constant-mass equation with an
+    inverse-square potential.
 
     Choosing the prefactor exponent 2 gamma1 - 2 alpha1 - 1 (not the Bessel
     reduction's 2 gamma1 - 2 alpha1 - 3/2) removes the first derivative, leaving
@@ -290,11 +287,10 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
     with strength + 1/4 = nu^2 identically.  The reduction is verified on a
     grid: phi(g) = x^{-1/2} J_nu(2 sqrt(E)/(hbar x)) expressed in
     t = |g| is sqrt(2t) J_nu(2 a t), whose analytic derivatives must satisfy
-    the equation at the 200 points t = linspace(0.05, 2.5, 200);
-    residual_max reports the worst violation.
+    the equation at the 200 points t = linspace(0.05, 2.5, 200); the worst
+    violation is returned.
     """
-    if E <= 0.0:
-        raise ValueError(f"E must be positive, got {E}")
+    ContinuumState(1, E)  # checks E
     nu = nu_from_params(ordering, lam, hbar)
     k_squared = 16.0 * E / hbar**2
     strength = pct_strength(ordering, lam, hbar)
@@ -310,34 +306,23 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
         -0.25 * rt / t**2 * j + (2.0 * a) * rt / t * jp + (2.0 * a) ** 2 * rt * jpp
     )
     res = phi_pp + (k_squared - strength / t**2) * phi
-    return PctReduction(
-        k_squared=k_squared, strength=strength, residual_max=float(np.max(np.abs(res)))
-    )
+    return float(np.max(np.abs(res)))
 
 
 # ---------------------------------------------------------------------------
 # parity and normalization
 
 
-@dataclass(frozen=True)
-class ParityMatch:
-    """Admissibility of a Bessel order under parity matching at the origin.
-
-    relation is the sign in C_tilde = relation * C: -1 for odd integer nu,
-    +1 for even, None when nu is not a positive integer (inadmissible).
-    """
-
-    admissible: bool
-    relation: int | None
-
-
-def parity_match(nu: float) -> ParityMatch:
+def parity_match(nu: float) -> int | None:
+    """Parity matching of a Bessel order at the origin: the sign in
+    C_tilde = relation * C, -1 for odd integer nu and +1 for even, or None
+    when nu is not a positive integer (inadmissible)."""
     if nu <= 0.0:
-        return ParityMatch(admissible=False, relation=None)
+        return None
     nearest = round(nu)
     if nearest < 1 or abs(nu - nearest) > PARITY_INT_TOL:
-        return ParityMatch(admissible=False, relation=None)
-    return ParityMatch(admissible=True, relation=-1 if nearest % 2 else 1)
+        return None
+    return -1 if nearest % 2 else 1
 
 
 def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0) -> float:
@@ -350,10 +335,10 @@ def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0
     oscillatory.
     """
     _check_hbar(hbar)
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if E <= 0.0 or E_prime <= 0.0 or R < 0.0:
-        raise ValueError("E, E' must be positive and R non-negative")
+    ContinuumState(n, E)  # checks n and E
+    ContinuumState(n, E_prime)
+    if R < 0.0:
+        raise ValueError(f"R must be non-negative, got {R}")
     if R == 0.0:
         return 0.0
     ka = 2.0 * math.sqrt(E) / hbar
@@ -397,8 +382,6 @@ def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxS
     _check_hbar(hbar)
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if int(N_max) != N_max or N_max < 1:
-        raise ValueError(f"N_max must be a positive integer, got {N_max!r}")
     zeros = np.array(bessel_zeros(n, N_max))
     with np.errstate(over="ignore"):  # a huge eps overflows; the caller refuses an inf row
         energies = 0.25 * hbar**2 * zeros * zeros * eps * eps
@@ -454,11 +437,8 @@ def hermitian_wavefunction(x, n: int, E: float, hbar: float = 1.0):
     singular at the origin: its local maxima grow like 1/x.  That growth is
     the reason only the non-Hermitian-ordered form yields bounded states.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if E <= 0.0:
-        raise ValueError(f"E must be positive, got {E}")
-    return general_solution(x, n, E, 1.0, 0.0, -1.5, hbar)
+    ContinuumState(n, E)  # checks n and E
+    return general_solution(x, n, E, 0.0, -1.5, hbar)
 
 
 # 8th-order central stencils (offsets -4..+4)

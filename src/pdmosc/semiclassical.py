@@ -51,17 +51,11 @@ class ExtrapolationError(ArithmeticError, RuntimeError):
 
 @dataclass(frozen=True)
 class ActionResult:
-    """Bookkeeping of the finite-part computation.
+    """The finite part, the eps -> 0 extrapolant of the cutoff integral minus
+    its divergent part, which equals -pi for this model, and its error
+    estimate, the difference of the last two extrapolants."""
 
-    raw_value_at_eps and divergent_part refer to the smallest cutoff in
-    eps_sequence; finite_part is the eps -> 0 extrapolant of
-    raw_value_at_eps - divergent_part and equals -pi for this model.
-    """
-
-    raw_value_at_eps: float
-    divergent_part: float
     finite_part: float
-    eps_sequence: tuple[float, ...]
     error_estimate: float
 
 
@@ -148,9 +142,7 @@ def finite_part_action(A: float) -> ActionResult:
     if A <= 0.0:
         raise ValueError(f"A must be positive, got {A}")
     eps_seq = tuple(A * EPS_START_FRACTION / EPS_RATIO**i for i in range(EPS_COUNT))
-    raw = [action_integral_regularized(A, e) for e in eps_seq]
-    div = [divergent_part(A, e) for e in eps_seq]
-    subtracted = [r - d for r, d in zip(raw, div)]
+    subtracted = [action_integral_regularized(A, e) - divergent_part(A, e) for e in eps_seq]
 
     r = EPS_RATIO
     level1 = [(r * subtracted[i + 1] - subtracted[i]) / (r - 1.0) for i in range(EPS_COUNT - 1)]
@@ -162,13 +154,7 @@ def finite_part_action(A: float) -> ActionResult:
             f"successive finite-part extrapolants differ by {err_est:.2e} "
             f"(> {EXTRAPOLATION_TOL:g}) at A={A}"
         )
-    return ActionResult(
-        raw_value_at_eps=raw[-1],
-        divergent_part=div[-1],
-        finite_part=finite,
-        eps_sequence=eps_seq,
-        error_estimate=err_est,
-    )
+    return ActionResult(finite_part=finite, error_estimate=err_est)
 
 
 def wkb_lambda(n, hbar: float):

@@ -139,10 +139,10 @@ def test_criterion_6_parity_suite():
     admitted = []
     for tenth in range(1, 61):  # nu = 0.1 .. 6.0
         nu = tenth / 10.0
-        if quantum.parity_match(nu).admissible:
+        if quantum.parity_match(nu) is not None:
             admitted.append(nu)
     assert admitted == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    assert not quantum.parity_match(0.0).admissible
+    assert quantum.parity_match(0.0) is None
     criterion(6, f"psi(-x) = (-1)^n psi(x) to {worst:.1e}; parity admits exactly the positive integers")
 
 

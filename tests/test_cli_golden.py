@@ -64,7 +64,7 @@ CASES.update(
         "config-run": ["trajectory", "--config", "run.cfg"],
         # the norms' order 81 leaves the accuracy box: box-spectrum refuses it ...
         "box-spectrum-n80": ["box-spectrum", "--n", "80", "--n-zeros", "1"],
-        # ... and the unchecked kernel behind the eigenfunction stays silent
+        # ... and eigenfunction refuses J_80 the same way, before computing
         "eigenfunction-n80": ["eigenfunction", "--n", "80", "--E", "1", "--x", "0.5:1:0.25"],
     }
 )
@@ -105,7 +105,7 @@ DIGESTS = {
     "eigenfunction-csv": "3003a62397de2c2fa8bc5f55f4ee0394f8025c4bf0f007496fab1557f889a02e",
     "eigenfunction-help": "3a871c02fea2aba740dd458ffbbedb4576c960d0854bf01361ee5fa87d59ebb4",
     "eigenfunction-json": "2f54963418bc688bc20e0e3b362108052216ae7bcb3487eb626a9f66e54c7459",
-    "eigenfunction-n80": "74a8445a79d4bdc7b2a38aa9847c01f949fada7159b99b28f1734be556fba8d7",
+    "eigenfunction-n80": "e25b18d65fcc27f2eb941a425a6299b52b93b75ac56ad1227796c25df99a0d9e",
     "help": "cb9d32bfd8d33018660d900ec0915f2b39ebde34d36f26c18fda3fb8e191036d",
     "lambda-map-csv": "2dd46c9bcd46adcdc9a626d95911d475f8b7b1d2a4b30545c615f67ef11d5d4e",
     "lambda-map-help": "ff5e0a0c1562085cf332c3a13c735d5611a9d465e7c5bc5ea54799639c3cb642",

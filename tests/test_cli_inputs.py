@@ -169,6 +169,10 @@ def test_odd_points_give_that_many_rows(points):
          "turning point sqrt(E/lam) overflows for E=0.5, lam=5e-324"),
         (["eigenfunction", "--n", "1", "--E", "1", "--hbar", "1e-308"],
          "non-finite psi = nan in row 1"),
+        # the wave equation's terms leave the double range in ode_residual, the first
+        # check to read hbar; numpy once warned three times before this line
+        (["verify", "--hbar", "1e-160"],
+         "ode_residual at hbar = 1e-160: overflow encountered in square"),
         # lam/c1 = -inf meets (c2 + sqrt(c1) t)^2 = +inf in the radicand: NaN, unwarned
         (["lambda-map", "--lambda-min=-1e308", "--lambda-max=-1e308", "--count=4", "--c1=0.5",
           "--c2=1e200"], "non-finite singular_time = inf in row 1"),
@@ -344,6 +348,24 @@ def test_box_spectrum_refuses_an_order_past_the_accuracy_box(n):
     assert run_recorded(["box-spectrum", "--n", str(n)]) == (
         1, "", f"pdmosc: --n {n} needs J_{n + 1}, past the accuracy box (order <= 50)\n", []
     )
+
+
+@pytest.mark.parametrize("n", [51, 80])
+def test_eigenfunction_refuses_an_order_past_the_accuracy_box_before_computing(n, monkeypatch):
+    def no_psi(*args):
+        raise AssertionError("psi was computed")
+
+    monkeypatch.setattr(quantum, "eigenfunction", no_psi)
+    assert run_recorded(["eigenfunction", "--n", str(n), "--E", "1"]) == (
+        1, "", f"pdmosc: --n {n} needs J_{n}, past the accuracy box (order <= 50)\n", []
+    )
+
+
+def test_eigenfunction_at_the_last_order_in_the_box_is_silent():
+    code, out, err, caught = run_recorded(["eigenfunction", "--n", "50", "--E", "1",
+                                           "--x", "0.5:1:0.25"])
+    assert (code, err, caught) == (0, "", [])
+    assert len(out.splitlines()) == 1 + 6
 
 
 def test_box_spectrum_at_the_last_order_in_the_box_is_silent():

@@ -123,26 +123,26 @@ def test_lambda_quantized_examples_and_roundtrip():
 
 
 def test_general_solution_decay_and_zero_placement():
-    # with D = 0, d = 0 the tail decays like C sqrt(E)/(hbar x) [Gamma(2) = 1]
+    # with D = 0, d = 0 the tail decays like sqrt(E)/(hbar x) [Gamma(2) = 1]
     x = 1e3
-    val = quantum.general_solution(x, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
+    val = quantum.general_solution(x, 1.0, 1.0, 0.0, 0.0, 1.0)
     assert val == pytest.approx(1.0 / x, rel=1e-5)
     # argument hits the first zero of J_1 at x = 2/j_{1,1}
     x_zero = 2.0 / 3.8317059702075123
-    assert abs(quantum.general_solution(x_zero, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0)) < 1e-9
+    assert abs(quantum.general_solution(x_zero, 1.0, 1.0, 0.0, 0.0, 1.0)) < 1e-9
     with pytest.raises(ValueError):
-        quantum.general_solution(-1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
+        quantum.general_solution(-1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
 
 
 def test_general_solution_second_kind_divergence():
     # D != 0 reintroduces Y_nu, which blows up along the tail x -> infinity
     vals = [
-        abs(quantum.general_solution(x, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0)) for x in (10.0, 100.0, 1000.0)
+        abs(quantum.general_solution(x, 1.0, 1.0, 1.0, 0.0, 1.0)) for x in (10.0, 100.0, 1000.0)
     ]
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] > 100.0
     clean = [
-        abs(quantum.general_solution(x, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0)) for x in (10.0, 100.0, 1000.0)
+        abs(quantum.general_solution(x, 1.0, 1.0, 0.0, 0.0, 1.0)) for x in (10.0, 100.0, 1000.0)
     ]
     assert clean[0] > clean[1] > clean[2]
 
@@ -315,10 +315,9 @@ def test_ode_residual_bits_are_pinned(n):
 
 def test_pct_reduce_examples():
     plain = SingleTermOrdering.from_alpha_gamma(0.0, 0.0)
-    red = quantum.pct_reduce(plain, 0.0, 1.0, 1.0)
-    assert red.strength == pytest.approx(2.0)
-    assert red.k_squared == pytest.approx(16.0)
-    assert red.residual_max < 1e-8
+    assert quantum.pct_strength(plain, 0.0, 1.0) == pytest.approx(2.0)
+    # a k^2 other than 16 E/hbar^2 = 16 would leave a residual of order J itself
+    assert quantum.pct_reduce(plain, 0.0, 1.0, 1.0) < 1e-8
 
 
 def test_pct_strength_identity():
@@ -329,14 +328,12 @@ def test_pct_strength_identity():
             2.0 * ordering.alpha1 + 2.0 * ordering.gamma1 + 2.0
         ) * (2.0 * ordering.alpha1 + 2.0 * ordering.gamma1 + 1.0)
         assert strength + 0.25 == pytest.approx(red_nu_sq, abs=1e-12)
-        red = quantum.pct_reduce(ordering, lam, 1.0, 1.0)
-        assert red.strength + 0.25 == pytest.approx(red_nu_sq, abs=1e-12)
+        assert quantum.pct_strength(ordering, lam, 1.0) + 0.25 == pytest.approx(red_nu_sq, abs=1e-12)
 
 
 def test_pct_reduction_verifies_on_grid():
     for ordering in random_orderings(5, seed=21):
-        red = quantum.pct_reduce(ordering, 0.9, 1.7, 1.0)
-        assert red.residual_max < 1e-7
+        assert quantum.pct_reduce(ordering, 0.9, 1.7, 1.0) < 1e-7
 
 
 # exact floats at the real orders nu = 1.93, 4.34, 2.66 and 0.632 (whose
@@ -353,7 +350,7 @@ PCT_RESIDUAL_BITS = {
 def test_pct_reduce_bits_are_pinned(case):
     (alpha1, gamma1), lam, E, hbar = case
     ordering = SingleTermOrdering.from_alpha_gamma(alpha1, gamma1)
-    assert quantum.pct_reduce(ordering, lam, E, hbar).residual_max == PCT_RESIDUAL_BITS[case]
+    assert quantum.pct_reduce(ordering, lam, E, hbar) == PCT_RESIDUAL_BITS[case]
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +358,12 @@ def test_pct_reduce_bits_are_pinned(case):
 
 
 def test_parity_match():
-    odd = quantum.parity_match(3.0)
-    assert odd.admissible and odd.relation == -1
-    even = quantum.parity_match(2.0)
-    assert even.admissible and even.relation == 1
-    frac = quantum.parity_match(1.5)
-    assert not frac.admissible and frac.relation is None
-    assert not quantum.parity_match(0.0).admissible
-    assert not quantum.parity_match(1e-12).admissible
-    assert quantum.parity_match(5.0 + 1e-12).admissible
+    assert quantum.parity_match(3.0) == -1
+    assert quantum.parity_match(2.0) == 1
+    assert quantum.parity_match(1.5) is None
+    assert quantum.parity_match(0.0) is None
+    assert quantum.parity_match(1e-12) is None
+    assert quantum.parity_match(5.0 + 1e-12) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +411,29 @@ def test_overlap_kernel_edge_cases():
         quantum.overlap_kernel(0, 1.0, 1.0, 10.0)
     with pytest.raises(ValueError):
         quantum.overlap_kernel(1, -1.0, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("n, E", [(0, 1.0), (1.5, 1.0), (1, 0.0), (1, -1.0)])
+def test_n_and_E_are_checked_by_continuum_state_alone(n, E):
+    with pytest.raises(ValueError) as expected:
+        ContinuumState(n, E)
+    calls = [lambda: quantum.hermitian_wavefunction(1.0, n, E),
+             lambda: quantum.overlap_kernel(n, E, 1.0, 1.0),
+             lambda: quantum.overlap_kernel(n, 1.0, E, 1.0)]
+    if n == 1:  # pct_reduce takes an energy and no quantum number
+        calls.append(lambda: quantum.pct_reduce(CLEAN, 1.0, E, 1.0))
+    for call in calls:
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="R must be non-negative, got -1.0"):
+        quantum.overlap_kernel(1, 1.0, 1.0, -1.0)
+
+
+def test_ode_residual_overflow_raises_naming_itself_and_hbar():
+    state = ContinuumState(n=2, E=1.0)
+    with pytest.raises(FloatingPointError, match=r"^ode_residual at hbar = 1e-160: overflow"):
+        quantum.ode_residual(state, CLEAN, quantum.lambda_quantized(2, CLEAN, 1e-160), 1e-160)
 
 
 def test_box_spectrum_values():
@@ -632,7 +649,7 @@ SCALAR_OR_ARRAY = {
     "exact_solution": lambda x: classical.exact_solution(x, FIG1),
     "exact_momentum": lambda x: classical.exact_momentum(x, FIG1),
     "hamiltonian": lambda x: classical.hamiltonian(x, x, 1.0),
-    "general_solution": lambda x: quantum.general_solution(x, 1.5, 1.0, 1.0, 0.5, 0.0, 1.0),
+    "general_solution": lambda x: quantum.general_solution(x, 1.5, 1.0, 0.5, 0.0, 1.0),
     "hermitian_wavefunction": lambda x: quantum.hermitian_wavefunction(x, 2, 1.0),
     "eigenfunction": lambda x: quantum.eigenfunction(x, ContinuumState(n=2, E=1.0)),
 }
@@ -660,7 +677,7 @@ HBAR_CALLS = {
     "nu_squared": lambda h: quantum.nu_squared(CLEAN, 1.0, h),
     "pct_strength": lambda h: quantum.pct_strength(CLEAN, 1.0, h),
     "lambda_quantized": lambda h: quantum.lambda_quantized(2, CLEAN, h),
-    "general_solution": lambda h: quantum.general_solution(1.0, 1, 1.0, 1.0, 0.0, 0.0, h),
+    "general_solution": lambda h: quantum.general_solution(1.0, 1, 1.0, 0.0, 0.0, h),
     "eigenfunction": lambda h: quantum.eigenfunction(1.0, ContinuumState(1, 1.0), h),
     "ode_residual": lambda h: quantum.ode_residual(ContinuumState(1, 1.0), CLEAN, -2.0, h),
     "pct_reduce": lambda h: quantum.pct_reduce(CLEAN, 1.0, 1.0, h),

@@ -64,16 +64,27 @@ def test_finite_part_is_a_independent():
     assert max(values) - min(values) < 1e-6
 
 
-def test_finite_part_bookkeeping():
+def test_finite_part_bookkeeping(monkeypatch):
     A = 2.0
+    cutoffs = []
+    real_quad = sc.quad
+
+    def recording_quad(func, a, b, **kwargs):
+        cutoffs.append(a)
+        return real_quad(func, a, b, **kwargs)
+
+    monkeypatch.setattr(sc, "quad", recording_quad)
+    sc.finite_part_action.cache_clear()
     result = sc.finite_part_action(A)
-    assert len(result.eps_sequence) == 4
-    ratios = [a / b for a, b in zip(result.eps_sequence, result.eps_sequence[1:])]
+    sc.finite_part_action.cache_clear()
+    # the geometric cutoff sequence (1e-2 .. 1e-5) * A, one quadrature each
+    assert len(cutoffs) == 4
+    ratios = [a / b for a, b in zip(cutoffs, cutoffs[1:])]
     assert ratios == pytest.approx([10.0, 10.0, 10.0])
-    assert result.eps_sequence[0] == pytest.approx(1e-2 * A)
+    assert cutoffs[0] == pytest.approx(1e-2 * A)
     # raw - divergent at the smallest cutoff equals -pi + 2 asin(eps/A)
-    eps = result.eps_sequence[-1]
-    remainder = result.raw_value_at_eps - result.divergent_part
+    eps = cutoffs[-1]
+    remainder = sc.action_integral_regularized(A, eps) - sc.divergent_part(A, eps)
     assert remainder == pytest.approx(-math.pi + 2.0 * math.asin(eps / A), abs=1e-8)
     assert result.error_estimate < 1e-6
     with pytest.raises(ValueError):

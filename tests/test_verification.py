@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmosc import quantum
 from pdmosc import verification as v
@@ -110,6 +112,14 @@ def test_hermitian_singularity_evaluates_each_window_once(monkeypatch):
 @pytest.mark.parametrize("hbar", [0.001, 0.1, 10.0, 100.0])
 def test_suite_passes_far_from_hbar_1(hbar):
     reports = v.run_suite(v.all_check_ids(), v.SuiteConfig(hbar=hbar))
+    assert [r.check_id for r in reports if r.status == v.FAIL] == []
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(log10_hbar=st.floats(-3.0, 2.0))
+def test_suite_passes_at_any_hbar_in_its_scaled_range(log10_hbar):
+    # hbar spread over [1e-3, 1e2] on a log scale: the tolerances that read hbar scale with it
+    reports = v.run_suite(v.all_check_ids(), v.SuiteConfig(hbar=10.0**log10_hbar))
     assert [r.check_id for r in reports if r.status == v.FAIL] == []
 
 
