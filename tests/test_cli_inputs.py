@@ -169,13 +169,13 @@ def test_odd_points_give_that_many_rows(points):
          "turning point sqrt(E/lam) overflows for E=0.5, lam=5e-324"),
         (["eigenfunction", "--n", "1", "--E", "1", "--hbar", "1e-308"],
          "non-finite psi = nan in row 1"),
+        # lam/c1 = -inf meets (c2 + sqrt(c1) t)^2 = +inf in the radicand: NaN, unwarned
+        (["lambda-map", "--lambda-min=-1e308", "--lambda-max=-1e308", "--count=4", "--c1=0.5",
+          "--c2=1e200"], "non-finite singular_time = inf in row 1"),
         # the wave equation's terms leave the double range in ode_residual, the first
         # check to read hbar; numpy once warned three times before this line
         (["verify", "--hbar", "1e-160"],
          "ode_residual at hbar = 1e-160: overflow encountered in square"),
-        # lam/c1 = -inf meets (c2 + sqrt(c1) t)^2 = +inf in the radicand: NaN, unwarned
-        (["lambda-map", "--lambda-min=-1e308", "--lambda-max=-1e308", "--count=4", "--c1=0.5",
-          "--c2=1e200"], "non-finite singular_time = inf in row 1"),
     ],
 )
 def test_overflow_and_non_finite_rows_exit_2(argv, message):
