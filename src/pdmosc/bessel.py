@@ -213,13 +213,6 @@ def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
     )
 
 
-def _zeros(n: int, indices) -> list[float]:
-    """j_{n,N} for each validated N in indices: one scan up to the largest,
-    and only the brackets asked for are polished."""
-    brackets = _zero_brackets(n, max(indices))
-    return [_polish_zero(n, N, brackets[N - 1]) for N in indices]
-
-
 def bessel_zeros(n: int, N_max: int) -> list[float]:
     """The first N_max positive zeros [j_{n,1}, ..., j_{n,N_max}] of J_n.
 
@@ -229,7 +222,7 @@ def bessel_zeros(n: int, N_max: int) -> list[float]:
     the per-process, bounded memo on (n, N, bracket), which assumes ``_sp`` is J.
     """
     n, N_max = _check_zero_args(n, N_max)
-    return _zeros(n, range(1, N_max + 1))
+    return [_polish_zero(n, N, b) for N, b in enumerate(_zero_brackets(n, N_max), start=1)]
 
 
 def bessel_zero(n: int, N: int) -> float:
@@ -239,4 +232,4 @@ def bessel_zero(n: int, N: int) -> float:
     only the last one.  Measured error up to 1.02e-12 (see ZERO_ABS_TOL).
     """
     n, N = _check_zero_args(n, N)
-    return _zeros(n, (N,))[0]
+    return _polish_zero(n, N, _zero_brackets(n, N)[-1])

@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
-from .bessel import _check_zero_args, _zeros, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
-from .bessel import _as_result, jv, jv_derivatives, yv
+from .bessel import _check_zero_args, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
+from .bessel import _as_result, jv, jv_derivatives
 from .semiclassical import QuadratureError, _check_hbar, quad
 
 CONSTRAINT_TOL = 1e-12
@@ -157,23 +157,18 @@ def lambda_quantized(n, ordering: SingleTermOrdering, hbar: float):
         return (n * n - ordering.s**2) * hbar**2 / 4.0
 
 
-def general_solution(x, nu: float, E: float, D: float, d: float, hbar: float):
-    """x^d [J_nu(2 sqrt(E)/(hbar x)) + D Y_nu(2 sqrt(E)/(hbar x))] for x > 0.
+def general_solution(x, nu: float, E: float, d: float, hbar: float):
+    """x^d J_nu(2 sqrt(E)/(hbar x)) for x > 0, the first-kind solution.
 
     The half-line x < 0 is handled by :func:`eigenfunction` through parity.
-    No boundary analysis happens here: D != 0 produces a solution that
-    grows without bound as x -> infinity, and that is exactly what the
-    boundary-selection checks probe.
+    The second-kind Y_nu term is left out: the boundary analysis discards it,
+    since it grows without bound as x -> infinity.
     """
     _check_hbar(hbar)
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise ValueError("the solution is defined on x > 0; use parity for x < 0")
-    arg = 2.0 * math.sqrt(E) / (hbar * xa)
-    out = jv(nu, arg)
-    if D != 0.0:
-        out = out + D * yv(nu, arg)
-    return _as_result(xa**d * out)
+    return _as_result(xa**d * jv(nu, 2.0 * math.sqrt(E) / (hbar * xa)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +192,8 @@ class ContinuumState:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer (nu = 0 is excluded), got {self.n!r}")
-        if self.E <= 0.0:
-            raise ValueError(f"E must be positive, got {self.E}")
+        if not 0.0 < self.E < math.inf:
+            raise ValueError(f"E must be positive and finite, got {self.E}")
 
 
 def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
@@ -313,6 +308,16 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
 # parity and normalization
 
 
+def _product_integral(n: int, a: float, b: float, R: float, limit: int, tol: float):
+    """quad's (value, err) for int_0^R r J_n(a r) J_n(b r) dr at epsabs = epsrel = tol;
+    full_output keeps quad's roundoff and subdivision flags from reaching the caller as
+    warnings: each caller's error gate decides.  For a == b J is evaluated once per node."""
+    def integrand(r):  # r * j * j is (r * j) * j: the bits of two evaluations
+        j = jv(n, a * r)
+        return r * j * (j if a == b else jv(n, b * r))
+    return quad(integrand, 0.0, R, limit=limit, epsabs=tol, epsrel=tol, full_output=True)[:2]
+
+
 def parity_match(nu: float) -> int | None:
     """Parity matching of a Bessel order at the origin: the sign in
     C_tilde = relation * C, -1 for odd integer nu and +1 for even, or None
@@ -343,15 +348,7 @@ def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0
         return 0.0
     ka = 2.0 * math.sqrt(E) / hbar
     kb = 2.0 * math.sqrt(E_prime) / hbar
-
-    value, err = quad(
-        lambda r: r * jv(n, ka * r) * jv(n, kb * r),
-        0.0,
-        R,
-        limit=max(200, int(10 * R)),
-        epsabs=1e-10,
-        epsrel=1e-10,
-    )
+    value, err = _product_integral(n, ka, kb, R, max(200, int(10 * R)), 1e-10)
     if err > 1e-6 * max(1.0, abs(value)):
         raise QuadratureError(
             f"overlap quadrature error {err:.2e} too large at R={R}, n={n}"
@@ -380,8 +377,8 @@ class BoxState(NamedTuple):
 def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxState]:
     """Discrete spectrum of the box-regularized problem for N = 1..N_max."""
     _check_hbar(hbar)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     zeros = np.array(bessel_zeros(n, N_max))
     with np.errstate(over="ignore"):  # a huge eps overflows; the caller refuses an inf row
         energies = 0.25 * hbar**2 * zeros * zeros * eps * eps
@@ -399,23 +396,12 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     perfbench/workloads.py passes it positionally.
     """
     n, N, M = _check_zero_args(n, N, M)
-    jN, jM = _zeros(n, (N, M))  # one scan up to max(N, M), two polishes
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    zeros = bessel_zeros(n, max(N, M))  # one scan; zeros polished before come from the memo
+    jN, jM = zeros[N - 1], zeros[M - 1]
     cN, cM = (eps / bessel_j(n + 1, np.array([jN, jM]))).tolist()
-
-    def integrand(r):  # on the diagonal J is evaluated once per node, same bits
-        j = jv(n, jN * eps * r)
-        return r * j * (j if N == M else jv(n, jM * eps * r))
-
-    # full_output: quad may flag roundoff short of 1e-13; the err gate below decides
-    value, err = quad(
-        integrand,
-        0.0,
-        1.0 / eps,
-        limit=400,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        full_output=True,
-    )[:2]
+    value, err = _product_integral(n, jN * eps, jM * eps, 1.0 / eps, 400, 1e-13)
     if err > 1e-9:
         raise QuadratureError(
             f"orthonormality quadrature error {err:.2e} too large (n={n}, N={N}, M={M})"
@@ -438,7 +424,7 @@ def hermitian_wavefunction(x, n: int, E: float, hbar: float = 1.0):
     the reason only the non-Hermitian-ordered form yields bounded states.
     """
     ContinuumState(n, E)  # checks n and E
-    return general_solution(x, n, E, 0.0, -1.5, hbar)
+    return general_solution(x, n, E, -1.5, hbar)
 
 
 # 8th-order central stencils (offsets -4..+4)

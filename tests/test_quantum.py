@@ -123,26 +123,25 @@ def test_lambda_quantized_examples_and_roundtrip():
 
 
 def test_general_solution_decay_and_zero_placement():
-    # with D = 0, d = 0 the tail decays like sqrt(E)/(hbar x) [Gamma(2) = 1]
+    # with d = 0 the tail decays like sqrt(E)/(hbar x) [Gamma(2) = 1]
     x = 1e3
-    val = quantum.general_solution(x, 1.0, 1.0, 0.0, 0.0, 1.0)
+    val = quantum.general_solution(x, 1.0, 1.0, 0.0, 1.0)
     assert val == pytest.approx(1.0 / x, rel=1e-5)
     # argument hits the first zero of J_1 at x = 2/j_{1,1}
     x_zero = 2.0 / 3.8317059702075123
-    assert abs(quantum.general_solution(x_zero, 1.0, 1.0, 0.0, 0.0, 1.0)) < 1e-9
+    assert abs(quantum.general_solution(x_zero, 1.0, 1.0, 0.0, 1.0)) < 1e-9
     with pytest.raises(ValueError):
-        quantum.general_solution(-1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
+        quantum.general_solution(-1.0, 1.0, 1.0, 0.0, 1.0)
 
 
 def test_general_solution_second_kind_divergence():
-    # D != 0 reintroduces Y_nu, which blows up along the tail x -> infinity
-    vals = [
-        abs(quantum.general_solution(x, 1.0, 1.0, 1.0, 0.0, 1.0)) for x in (10.0, 100.0, 1000.0)
-    ]
+    # the second-kind Y_nu(2 sqrt(E)/(hbar x)) blows up along the tail x -> infinity,
+    # which is why the boundary analysis keeps only the first-kind solution
+    vals = [abs(bessel.yv(1.0, 2.0 / x)) for x in (10.0, 100.0, 1000.0)]
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] > 100.0
     clean = [
-        abs(quantum.general_solution(x, 1.0, 1.0, 0.0, 0.0, 1.0)) for x in (10.0, 100.0, 1000.0)
+        abs(quantum.general_solution(x, 1.0, 1.0, 0.0, 1.0)) for x in (10.0, 100.0, 1000.0)
     ]
     assert clean[0] > clean[1] > clean[2]
 
@@ -413,7 +412,9 @@ def test_overlap_kernel_edge_cases():
         quantum.overlap_kernel(1, -1.0, 1.0, 10.0)
 
 
-@pytest.mark.parametrize("n, E", [(0, 1.0), (1.5, 1.0), (1, 0.0), (1, -1.0)])
+@pytest.mark.parametrize(
+    "n, E", [(0, 1.0), (1.5, 1.0), (1, 0.0), (1, -1.0), (1, math.nan), (1, math.inf)]
+)
 def test_n_and_E_are_checked_by_continuum_state_alone(n, E):
     with pytest.raises(ValueError) as expected:
         ContinuumState(n, E)
@@ -463,7 +464,12 @@ def test_box_orthonormality_roundoff_flag_stays_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         overlap = quantum.box_orthonormality(1, 1, 2, 0.06329312046572505)
+        # quad reaches its subdivision limit here, far inside the overlap's own error gate
+        kernel = quantum.overlap_kernel(
+            6, 57.282066253537586, 0.08871162811837767, 256.79163649427403, 0.1373788863519161
+        )
     assert overlap == -1.7827176106251374e-13
+    assert kernel == 0.00014064862453240463
 
 
 @pytest.mark.parametrize(
@@ -474,9 +480,12 @@ def test_box_orthonormality_roundoff_flag_stays_silent():
         (2, 2, 2, 0.37, 1.0000000000000007),
         (5, 4, 4, 0.05, 1.000000000000002),
         (1, 1, 2, 0.1, -1.7840804214557448e-13),
+        # overlap_kernel at E' = E: N and M stand for E and E', eps for R
+        pytest.param(1, 1.0, 1.0, 20.0, 5.345915935145401, id="overlap_kernel-1-1.0-1.0-20.0"),
     ],
 )
 def test_box_overlap_evaluates_j_once_per_node_on_the_diagonal(monkeypatch, n, N, M, eps, expected):
+    kernel = quantum.overlap_kernel if isinstance(N, float) else quantum.box_orthonormality
     counts = {"jv": 0, "integrand": 0}
     jv, quad = quantum.jv, quantum.quad
 
@@ -494,9 +503,18 @@ def test_box_overlap_evaluates_j_once_per_node_on_the_diagonal(monkeypatch, n, N
     monkeypatch.setattr(quantum, "jv", counted_jv)
     monkeypatch.setattr(quantum, "quad", counted_quad)
     # the values recorded when the diagonal evaluated J twice per node
-    assert quantum.box_orthonormality(n, N, M, eps) == expected
+    assert kernel(n, N, M, eps) == expected
     assert counts["integrand"] > 0
     assert counts["jv"] == (1 if N == M else 2) * counts["integrand"]
+
+
+@pytest.mark.parametrize("eps", [-0.1, 0.0, math.nan, math.inf])
+def test_box_functions_refuse_a_non_positive_or_non_finite_eps(eps):
+    message = f"^eps must be positive and finite, got {eps}$"
+    with pytest.raises(ValueError, match=message):
+        quantum.box_spectrum(1, 2, eps)
+    with pytest.raises(ValueError, match=message):
+        quantum.box_orthonormality(1, 1, 2, eps)
 
 
 def test_box_gram_matrix_is_identity():
@@ -649,7 +667,7 @@ SCALAR_OR_ARRAY = {
     "exact_solution": lambda x: classical.exact_solution(x, FIG1),
     "exact_momentum": lambda x: classical.exact_momentum(x, FIG1),
     "hamiltonian": lambda x: classical.hamiltonian(x, x, 1.0),
-    "general_solution": lambda x: quantum.general_solution(x, 1.5, 1.0, 0.5, 0.0, 1.0),
+    "general_solution": lambda x: quantum.general_solution(x, 1.5, 1.0, 0.0, 1.0),
     "hermitian_wavefunction": lambda x: quantum.hermitian_wavefunction(x, 2, 1.0),
     "eigenfunction": lambda x: quantum.eigenfunction(x, ContinuumState(n=2, E=1.0)),
 }
@@ -677,7 +695,7 @@ HBAR_CALLS = {
     "nu_squared": lambda h: quantum.nu_squared(CLEAN, 1.0, h),
     "pct_strength": lambda h: quantum.pct_strength(CLEAN, 1.0, h),
     "lambda_quantized": lambda h: quantum.lambda_quantized(2, CLEAN, h),
-    "general_solution": lambda h: quantum.general_solution(1.0, 1, 1.0, 0.0, 0.0, h),
+    "general_solution": lambda h: quantum.general_solution(1.0, 1, 1.0, 0.0, h),
     "eigenfunction": lambda h: quantum.eigenfunction(1.0, ContinuumState(1, 1.0), h),
     "ode_residual": lambda h: quantum.ode_residual(ContinuumState(1, 1.0), CLEAN, -2.0, h),
     "pct_reduce": lambda h: quantum.pct_reduce(CLEAN, 1.0, 1.0, h),
