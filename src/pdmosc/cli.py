@@ -57,21 +57,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{message}; see '{self.prog} --help' for usage")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
-    return str(value)
-
-
 def write_rows(header: list[str], rows: list[tuple], fmt: str, output: str | None) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
         text = buf.getvalue()
     else:  # line-delimited JSON records
         lines = [json.dumps(dict(zip(header, row)), allow_nan=True) for row in rows]

@@ -34,7 +34,7 @@ import numpy as np
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
 from .bessel import _as_result, jv, jv_derivatives
-from .semiclassical import QuadratureError, _check_hbar, quad
+from .semiclassical import _check_hbar, quad
 
 CONSTRAINT_TOL = 1e-12
 
@@ -308,14 +308,13 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
 # parity and normalization
 
 
-def _product_integral(n: int, a: float, b: float, R: float, limit: int, tol: float):
-    """quad's (value, err) for int_0^R r J_n(a r) J_n(b r) dr at epsabs = epsrel = tol;
-    full_output keeps quad's roundoff and subdivision flags from reaching the caller as
-    warnings: each caller's error gate decides.  For a == b J is evaluated once per node."""
+def _product_integral(n: int, a: float, b: float, R: float, tol: float, **options) -> float:
+    """int_0^R r J_n(a r) J_n(b r) dr by :func:`quad` at epsabs = epsrel = tol and the
+    caller's limit, gate values and label.  For a == b J is evaluated once per node."""
     def integrand(r):  # r * j * j is (r * j) * j: the bits of two evaluations
         j = jv(n, a * r)
         return r * j * (j if a == b else jv(n, b * r))
-    return quad(integrand, 0.0, R, limit=limit, epsabs=tol, epsrel=tol, full_output=True)[:2]
+    return quad(integrand, 0.0, R, epsabs=tol, epsrel=tol, **options)
 
 
 def parity_match(nu: float) -> int | None:
@@ -342,17 +341,14 @@ def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0
     _check_hbar(hbar)
     ContinuumState(n, E)  # checks n and E
     ContinuumState(n, E_prime)
-    if R < 0.0:
-        raise ValueError(f"R must be non-negative, got {R}")
+    if not 0.0 <= R < math.inf:
+        raise ValueError(f"R must be non-negative and finite, got {R}")
     if R == 0.0:
         return 0.0
     ka = 2.0 * math.sqrt(E) / hbar
     kb = 2.0 * math.sqrt(E_prime) / hbar
-    value, err = _product_integral(n, ka, kb, R, max(200, int(10 * R)), 1e-10)
-    if err > 1e-6 * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"overlap quadrature error {err:.2e} too large at R={R}, n={n}"
-        )
+    value = _product_integral(n, ka, kb, R, 1e-10, limit=max(200, int(10 * R)), gate=1e-6,
+                              gate_rel=1e-6, label=f"overlap integral (R={R}, n={n})")
     return 2.0**0.75 * value
 
 
@@ -398,14 +394,13 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     n, N, M = _check_zero_args(n, N, M)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if 1.0 / eps == math.inf:
+        raise ValueError(f"eps = {eps} is too small: the box radius 1/eps overflows")
     zeros = bessel_zeros(n, max(N, M))  # one scan; zeros polished before come from the memo
     jN, jM = zeros[N - 1], zeros[M - 1]
     cN, cM = (eps / bessel_j(n + 1, np.array([jN, jM]))).tolist()
-    value, err = _product_integral(n, jN * eps, jM * eps, 1.0 / eps, 400, 1e-13)
-    if err > 1e-9:
-        raise QuadratureError(
-            f"orthonormality quadrature error {err:.2e} too large (n={n}, N={N}, M={M})"
-        )
+    value = _product_integral(n, jN * eps, jM * eps, 1.0 / eps, 1e-13, limit=400, gate=1e-9,
+                              gate_rel=0.0, label=f"orthonormality integral (n={n}, N={N}, M={M})")
     return 2.0 * cN * cM * value
 
 

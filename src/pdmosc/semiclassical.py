@@ -89,13 +89,22 @@ def divergent_part(A: float, eps: float) -> float:
     return 2.0 * math.sqrt(A * A - eps * eps) / eps
 
 
-def quad(*args, **kwargs):
-    """:func:`scipy.integrate.quad`, imported on first use; the one wrapper
-    this module and :mod:`pdmosc.quantum` call, each through its own module
-    attribute, which a test or tracer may replace."""
+def quad(func, a: float, b: float, *, epsabs: float, epsrel: float, limit: int,
+         gate: float, gate_rel: float, label: str) -> float:
+    """:func:`scipy.integrate.quad`, imported on first use: the one adaptive quadrature of this
+    module and :mod:`pdmosc.quantum`, each calling it through its own module attribute, which a
+    test or tracer may replace.  full_output keeps quad's flags from reaching the caller as
+    warnings; the value passes only if finite with an error estimate of at most
+    max(gate, gate_rel * |value|), else QuadratureError names label and the subdivisions."""
     from scipy.integrate import quad
 
-    return quad(*args, **kwargs)
+    value, err, info = quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                            full_output=True)[:3]
+    bound = max(gate, gate_rel * abs(value))
+    if not (math.isfinite(value) and err <= bound):
+        raise QuadratureError(f"{label}: value {value!r} with error estimate {err:.2e} "
+                              f"(gate {bound:.2e}) after {info['last']} subdivisions")
+    return float(value)
 
 
 def action_integral_regularized(A: float, eps: float) -> float:
@@ -111,17 +120,11 @@ def action_integral_regularized(A: float, eps: float) -> float:
     def integrand(x: float) -> float:
         return math.sqrt(max(A * A - x * x, 0.0)) / (x * x)
 
-    value, err, info = quad(
-        integrand, eps, A, epsabs=1e-12, epsrel=1e-13, limit=500, full_output=True
-    )[:3]
     # For tiny eps the integral is ~2A/eps, so an absolute 1e-9 certificate is
     # below the double-precision floor; allow a machine-relative allowance
     # there.  The antiderivative cross-checks pin the actual error ~1e-11.
-    if err > max(QUAD_ABS_TOL, 1e-13 * abs(value)):
-        raise QuadratureError(
-            f"quadrature error estimate {err:.2e} exceeds {QUAD_ABS_TOL:g} "
-            f"after {info['last']} subdivisions (A={A}, eps={eps})"
-        )
+    value = quad(integrand, eps, A, epsabs=1e-12, epsrel=1e-13, limit=500, gate=QUAD_ABS_TOL,
+                 gate_rel=1e-13, label=f"cutoff integral (A={A}, eps={eps})")
     return 2.0 * value
 
 

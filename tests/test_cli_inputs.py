@@ -176,6 +176,8 @@ def test_odd_points_give_that_many_rows(points):
         # check to read hbar; numpy once warned three times before this line
         (["verify", "--hbar", "1e-160"],
          "ode_residual at hbar = 1e-160: overflow encountered in square"),
+        # A * A overflows in the cutoff integrand; its NaN quadrature once gave a NaN row
+        (["wkb", "--turning-point", "1e200"], "cutoff integral (A=1e+200, eps=1e+198)"),
     ],
 )
 def test_overflow_and_non_finite_rows_exit_2(argv, message):

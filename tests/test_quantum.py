@@ -12,6 +12,7 @@ from pdmosc.quantum import (
     ContinuumState,
     SingleTermOrdering,
 )
+from pdmosc.semiclassical import QuadratureError
 from oracles import mass_form_coefficients, series_zero
 
 CLEAN = SingleTermOrdering.from_alpha_gamma(0.0, 0.75)  # reduces with no prefactor, s = 3
@@ -427,8 +428,14 @@ def test_n_and_E_are_checked_by_continuum_state_alone(n, E):
         with pytest.raises(ValueError) as got:
             call()
         assert str(got.value) == str(expected.value)
-    with pytest.raises(ValueError, match="R must be non-negative, got -1.0"):
+    with pytest.raises(ValueError, match="R must be non-negative and finite, got -1.0"):
         quantum.overlap_kernel(1, 1.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_overlap_kernel_refuses_a_non_finite_R(R):
+    with pytest.raises(ValueError, match=f"^R must be non-negative and finite, got {R}$"):
+        quantum.overlap_kernel(1, 1.0, 2.0, R)
 
 
 def test_ode_residual_overflow_raises_naming_itself_and_hbar():
@@ -515,6 +522,19 @@ def test_box_functions_refuse_a_non_positive_or_non_finite_eps(eps):
         quantum.box_spectrum(1, 2, eps)
     with pytest.raises(ValueError, match=message):
         quantum.box_orthonormality(1, 1, 2, eps)
+
+
+def test_box_orthonormality_refuses_an_eps_whose_box_radius_overflows():
+    # 1/eps is inf: quad would integrate to infinity and return 0.0 for a norm of 1
+    with pytest.raises(ValueError, match=r"^eps = 5e-324 is too small: the box radius 1/eps"):
+        quantum.box_orthonormality(1, 1, 1, 5e-324)
+
+
+def test_box_orthonormality_refuses_a_nan_quadrature():
+    # at the box radius 1e300 quad's value and error estimate are NaN; a NaN estimate
+    # compares false against any bound, so only a finiteness check refuses it
+    with pytest.raises(QuadratureError, match=r"^orthonormality integral \(n=1, N=1, M=2\)"):
+        quantum.box_orthonormality(1, 1, 2, 1e-300)
 
 
 def test_box_gram_matrix_is_identity():

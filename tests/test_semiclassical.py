@@ -47,6 +47,33 @@ def test_action_integral_empty_domain_limit():
         sc.action_integral_regularized(1.0, 0.0)
 
 
+def quad_at(func, a, b):
+    return sc.quad(func, a, b, epsabs=1e-12, epsrel=1e-12, limit=50, gate=1e-9, gate_rel=0.0,
+                   label="test integral")
+
+
+def test_quad_returns_a_float_inside_its_gate():
+    value = quad_at(lambda x: x, 0.0, 1.0)
+    assert type(value) is float and value == 0.5
+
+
+def test_quad_refuses_a_nan_integrand_value():
+    with pytest.raises(sc.QuadratureError, match=r"^test integral: value nan .* subdivisions$"):
+        quad_at(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0)
+
+
+def test_quad_refuses_an_estimate_above_its_gate():
+    # 1/x diverges on [0, 1]: quad returns a finite value, with an error estimate far past 1e-9
+    with pytest.raises(sc.QuadratureError, match=r"^test integral: .* after 50 subdivisions$"):
+        quad_at(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def test_finite_part_refuses_a_turning_point_whose_square_overflows():
+    # A * A is inf in the integrand, so the first cutoff integral is NaN
+    with pytest.raises(sc.QuadratureError, match=r"^cutoff integral \(A=1e\+200, eps=1e\+198\)"):
+        sc.finite_part_action(1e200)
+
+
 def test_divergent_part_value():
     val = sc.divergent_part(1.0, 1e-3)
     assert val == pytest.approx(2000.0 * math.sqrt(1.0 - 1e-6), rel=1e-12)
