@@ -196,12 +196,60 @@ def phase_curve(E: float, lam: float, x_grid) -> np.ndarray:
     return np.column_stack([xs, p, -p])
 
 
-def solve_ivp(*args, **kwargs):
-    """:func:`scipy.integrate.solve_ivp`, imported on first use so the closed
-    forms load no integrator; a module attribute that a tracer may replace."""
-    from scipy.integrate import solve_ivp
+class _Run(NamedTuple):
+    """One :func:`solve_ivp` run: its (t, x, xdot) samples with the blow-up state last, the
+    time the run ended early (None when it reached t_end) and scipy's count of rhs calls."""
 
-    return solve_ivp(*args, **kwargs)
+    samples: list
+    end: float | None
+    nfev: int
+
+
+def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
+    """Steps scipy's DOP853 from t = 0 to t_end at rtol = atol = tol, sampling EOM_SAMPLES
+    uniform times, until |y[0]| crosses BLOWUP_BOUND or a step fails.
+
+    This is :func:`scipy.integrate.solve_ivp`'s loop cut down to one terminal event and one
+    t_eval: the same steps, event root and samples to the bit, without solve_ivp's per-step
+    event arrays and bookkeeping.  It keeps solve_ivp's name as the module attribute that a
+    tracer may replace, reading ``nfev`` from what it returns.  scipy is imported on first
+    use, so the closed forms load no integrator.
+    """
+    from scipy.integrate import DOP853
+    from scipy.optimize import brentq
+
+    t_eval, i = np.linspace(0.0, t_end, EOM_SAMPLES), 0
+    if not t_end > 0.0:  # solve_ivp's order: ascending, sliced by solver.direction
+        t_eval, i = t_eval[::-1], EOM_SAMPLES
+    samples, end = [], None
+    # a failing step meets inf and NaN inside scipy; the run reports it as a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        solver = DOP853(rhs, 0.0, y0, float(t_end), rtol=tol, atol=tol)
+        g = abs(y0[0]) - BLOWUP_BOUND
+        while solver.status == "running" and end is None:
+            solver.step()
+            if solver.status == "failed":  # step collapse: a blow-up at the last sample
+                end = samples[-1][0] if samples else 0.0
+                break
+            t, sol, g_old = solver.t, None, g
+            g = abs(solver.y[0].item()) - BLOWUP_BOUND
+            if (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0):
+                sol = solver.dense_output()
+                t = end = brentq(lambda s: abs(sol(s)[0]) - BLOWUP_BOUND, solver.t_old, t,
+                                 xtol=4 * np.finfo(float).eps, rtol=4 * np.finfo(float).eps)
+            if solver.direction > 0:
+                j = np.searchsorted(t_eval, t, side="right")
+                step = t_eval[i:j]
+            else:
+                j = np.searchsorted(t_eval, t, side="left")
+                step = t_eval[j:i][::-1]
+            if step.size:
+                sol = solver.dense_output() if sol is None else sol
+                samples += zip(step.tolist(), *sol(step).tolist())
+                i = j
+            if end is not None:  # the blow-up state follows the samples
+                samples.append((end, *sol(end).tolist()))
+    return _Run(samples, end, solver.nfev)
 
 
 def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float) -> Trajectory:
@@ -214,48 +262,18 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
     or the step collapses; this is the expected outcome for lam < 0
     trajectories heading into the finite-time singularity.
     """
+    for name, value in (("x0", x0), ("xdot0", xdot0), ("lam", lam), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if x0 == 0.0:
         raise ValueError("x0 = 0 is outside the model domain")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def rhs(t, y):  # Python floats: the same bits as numpy scalars, at less cost per call
         x, v = y.tolist()
         return (v, 2.0 * v * v / x - lam * x**5)
 
-    def blowup(t, y):
-        return abs(y[0]) - BLOWUP_BOUND
-
-    blowup.terminal = True
-
-    t_eval = np.linspace(0.0, t_end, EOM_SAMPLES)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        (x0, xdot0),
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=tol,
-        atol=tol,
-        events=blowup,
-        dense_output=False,
-    )
-    # a first step that fails before t = 0 is sampled leaves t and y as empty lists
-    ts = np.asarray(sol.t).tolist()
-    xs, vs = np.reshape(sol.y, (2, -1)).tolist()
-
-    blew_up = False
-    singular_time = None
-    if sol.status == 1 and len(sol.t_events[0]):
-        blew_up = True
-        singular_time = float(sol.t_events[0][0])
-        ts.append(singular_time)
-        xs.append(float(sol.y_events[0][0][0]))
-        vs.append(float(sol.y_events[0][0][1]))
-    elif sol.status == -1:
-        # integrator step collapse: treat as blow-up at the last reached time
-        blew_up = True
-        singular_time = ts[-1] if ts else 0.0
-
-    states = tuple(ClassicalState(t, x, 2.0 * v / x**4) for t, x, v in zip(ts, xs, vs))
-    return Trajectory(states=states, blew_up=blew_up, singular_time=singular_time)
+    run = solve_ivp(rhs, t_end, (x0, xdot0), tol)
+    states = tuple(ClassicalState(t, x, 2.0 * v / x**4) for t, x, v in run.samples)
+    return Trajectory(states=states, blew_up=run.end is not None, singular_time=run.end)

@@ -25,6 +25,7 @@ while the energy E stays continuous.  Restricting the motion to |x| >= eps
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -383,6 +384,7 @@ def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxS
     return [BoxState(eps, int(n), N, energy, norm) for N, (energy, norm) in enumerate(rows, start=1)]
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) -> float:
     """Overlap 2 C_N C_M int_0^{1/eps} rho J_n(j_N eps rho) J_n(j_M eps rho) drho.
 
@@ -390,6 +392,10 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     orthogonality on the interval fixed by the box radius).  hbar does not
     enter the result; it stays a parameter only because
     perfbench/workloads.py passes it positionally.
+
+    Memoized on the arguments, 64 entries at most: the result is a pure function of them,
+    so a repeat call (the verify suite's Gram matrix in every run) returns the same float
+    without a quadrature.  Whoever replaces ``quad`` or ``jv`` calls ``cache_clear()``.
     """
     n, N, M = _check_zero_args(n, N, M)
     if not 0.0 < eps < math.inf:

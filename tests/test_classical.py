@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import struct
 import warnings
 
@@ -138,19 +139,115 @@ def test_integrate_eom_end_states_are_pinned():
 
 
 def test_a_first_step_that_fails_is_a_blow_up_at_t_0():
-    # xdot0 = 1e200 overflows the first step, so solve_ivp samples nothing and returns
-    # t and y as empty lists (scipy warns of the NaN it meets on the way)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traj = classical.integrate_eom(1.0, 1e200, 1.0, 1.0, 1e-9)
+    # xdot0 = 1e200 overflows the first step, so nothing is sampled; the inf and NaN
+    # that scipy meets on the way print no warning (the error::RuntimeWarning filter)
+    traj = classical.integrate_eom(1.0, 1e200, 1.0, 1.0, 1e-9)
     assert traj == classical.Trajectory(states=(), blew_up=True, singular_time=0.0)
 
 
 def test_integrator_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x0 = 0 is outside the model domain$"):
         classical.integrate_eom(0.0, 1.0, 1.0, 1.0, 1e-9)
-    with pytest.raises(ValueError):
-        classical.integrate_eom(1.0, 1.0, 1.0, 1.0, 0.0)
+    for args, message in [
+        ((math.nan, 1.0, 1.0, 1.0, 1e-9), "x0 must be finite, got nan"),
+        ((1.0, -math.inf, 1.0, 1.0, 1e-9), "xdot0 must be finite, got -inf"),
+        ((1.0, 1.0, math.nan, 1.0, 1e-9), "lam must be finite, got nan"),
+        ((1.0, 1.0, 1.0, math.nan, 1e-9), "t_end must be finite, got nan"),
+        ((1.0, 1.0, 1.0, math.inf, 1e-9), "t_end must be finite, got inf"),
+        ((1.0, 1.0, 1.0, 1.0, 0.0), "tol must be positive and finite, got 0.0"),
+        ((1.0, 1.0, 1.0, 1.0, -1e-9), "tol must be positive and finite, got -1e-09"),
+        ((1.0, 1.0, 1.0, 1.0, math.nan), "tol must be positive and finite, got nan"),
+        ((1.0, 1.0, 1.0, 1.0, math.inf), "tol must be positive and finite, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classical.integrate_eom(*args)
+
+
+def solve_ivp_reference(x0, xdot0, lam, t_end, tol):
+    """integrate_eom as written on scipy.integrate.solve_ivp: the trajectory and its nfev."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        x, v = y.tolist()
+        return (v, 2.0 * v * v / x - lam * x**5)
+
+    def blowup(t, y):
+        return abs(y[0]) - classical.BLOWUP_BOUND
+
+    blowup.terminal = True
+    t_eval = np.linspace(0.0, t_end, classical.EOM_SAMPLES)
+    with np.errstate(over="ignore", invalid="ignore"):  # the failed first step meets inf
+        sol = solve_ivp(rhs, (0.0, t_end), (x0, xdot0), method="DOP853", t_eval=t_eval,
+                        rtol=tol, atol=tol, events=blowup)
+    ts = np.asarray(sol.t).tolist()
+    xs, vs = np.reshape(sol.y, (2, -1)).tolist()
+    singular_time = None
+    if sol.status == 1:
+        singular_time = float(sol.t_events[0][0])
+        ts.append(singular_time)
+        xs.append(float(sol.y_events[0][0][0]))
+        vs.append(float(sol.y_events[0][0][1]))
+    elif sol.status == -1:
+        singular_time = ts[-1] if ts else 0.0
+    states = tuple(classical.ClassicalState(t, x, 2.0 * v / x**4) for t, x, v in zip(ts, xs, vs))
+    return classical.Trajectory(states, singular_time is not None, singular_time), sol.nfev
+
+
+def exact_start(lam, c1, c2):
+    """(x0, xdot0, lam) on the closed-form trajectory at t = 0."""
+    params = ModelParams(lam=lam, c1=c1, c2=c2)
+    x0 = classical.exact_solution(0.0, params)
+    return x0, classical.exact_momentum(0.0, params) * x0**4 / 2.0, lam
+
+
+def random_draws(count, seed=20240607):
+    """(x0, xdot0, lam, t_end, tol) on closed-form trajectories of either sign of lam."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        lam, c1, c2 = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)
+        if lam / c1 + c2 * c2 > 0.01:  # t = 0 lies off the singular interval
+            tol = rng.choice([1e-12, 1e-9, 1e-6])
+            draws.append((*exact_start(lam, c1, c2), rng.uniform(-6.0, 6.0), tol))
+    return draws
+
+
+EQUIVALENCE_CASES = {
+    **{f"forward-tol-{tol:g}": (1.0, 0.0, 1.0, 1.0, tol) for tol in (1e-12, 1e-9, 1e-6)},
+    "backward": (1.0, 0.3, 1.0, -2.0, 1e-9),
+    "t_end-0": (1.0, 0.0, 1.0, 0.0, 1e-12),
+    "blow-up-forward": (*exact_start(-1.0, 1.0, -2.0), 3.0, 1e-12),  # at t = 1
+    "blow-up-backward": (*exact_start(-1.0, 1.0, 2.0), -3.0, 1e-12),  # at t = -1
+    "x0-at-the-bound": (classical.BLOWUP_BOUND, 0.0, 1e-30, 1.0, 1e-9),
+    "x0-beyond-the-bound": (2e6, 0.0, 1e-30, 1.0, 1e-9),
+    "failed-first-step": (1.0, 1e200, 1.0, 1.0, 1e-9),
+    **{f"draw-{k}": draw for k, draw in enumerate(random_draws(50))},
+}
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES.values(), ids=EQUIVALENCE_CASES.keys())
+def test_integrate_eom_steps_dop853_as_solve_ivp_does(case, monkeypatch):
+    nfev = []
+    driver = classical.solve_ivp
+
+    def counted(*args, **kwargs):
+        run = driver(*args, **kwargs)
+        nfev.append(run.nfev)
+        return run
+
+    monkeypatch.setattr(classical, "solve_ivp", counted)
+    traj = classical.integrate_eom(*case)
+    expected, expected_nfev = solve_ivp_reference(*case)
+    assert [struct.pack("<3d", *s) for s in traj] == [struct.pack("<3d", *s) for s in expected]
+    assert traj.blew_up == expected.blew_up
+    assert repr(traj.singular_time) == repr(expected.singular_time)
+    assert nfev == [expected_nfev]
+
+
+def test_integrate_eom_at_t_end_0_samples_nothing():
+    # solve_ivp's direction is +1 at t_end = 0 and its t_eval is reversed, so the
+    # slice of the one finishing step is empty
+    assert classical.integrate_eom(1.0, 0.0, 1.0, 0.0, 1e-12).states == ()
 
 
 def test_singularity_time_examples():

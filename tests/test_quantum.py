@@ -509,10 +509,36 @@ def test_box_overlap_evaluates_j_once_per_node_on_the_diagonal(monkeypatch, n, N
 
     monkeypatch.setattr(quantum, "jv", counted_jv)
     monkeypatch.setattr(quantum, "quad", counted_quad)
+    quantum.box_orthonormality.cache_clear()  # a memoized value would count nothing
     # the values recorded when the diagonal evaluated J twice per node
     assert kernel(n, N, M, eps) == expected
     assert counts["integrand"] > 0
     assert counts["jv"] == (1 if N == M else 2) * counts["integrand"]
+
+
+def test_box_orthonormality_repeats_return_the_memoized_float(monkeypatch):
+    evals = []
+    quad = quantum.quad
+
+    def counted_quad(f, *args, **kwargs):
+        return quad(lambda r: evals.append(r) or f(r), *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "quad", counted_quad)
+    quantum.box_orthonormality.cache_clear()
+    first = quantum.box_orthonormality(2, 1, 3, 0.2)
+    computed = len(evals)
+    again = quantum.box_orthonormality(2, 1, 3, 0.2)
+    quantum.box_orthonormality.cache_clear()
+    assert computed > 0 and len(evals) == computed  # the repeat ran no integrand
+    assert again is first
+
+
+def test_box_orthonormality_refuses_a_bad_argument_on_every_call():
+    for _ in range(3):  # a refusal is not memoized
+        with pytest.raises(ValueError, match="^eps must be positive and finite, got nan$"):
+            quantum.box_orthonormality(1, 1, 2, math.nan)
+        with pytest.raises(QuadratureError, match=r"^orthonormality integral \(n=1, N=1, M=2\)"):
+            quantum.box_orthonormality(1, 1, 2, 1e-300)
 
 
 @pytest.mark.parametrize("eps", [-0.1, 0.0, math.nan, math.inf])
