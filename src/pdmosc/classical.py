@@ -180,7 +180,7 @@ def phase_curve(E: float, lam: float, x_grid) -> np.ndarray:
     must satisfy 0 < |x| <= A with A = sqrt(E/lam); p vanishes exactly at
     the turning points +-A.
     """
-    if E <= 0.0 or lam <= 0.0:
+    if not (0.0 < E < math.inf and 0.0 < lam < math.inf):
         raise ValueError("phase_curve requires E > 0 and lam > 0")
     xs = np.asarray(x_grid, dtype=float)
     amp = math.sqrt(E / lam)
@@ -207,49 +207,47 @@ class _Run(NamedTuple):
 
 def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
     """Steps scipy's DOP853 from t = 0 to t_end at rtol = atol = tol, sampling EOM_SAMPLES
-    uniform times, until |y[0]| crosses BLOWUP_BOUND or a step fails.
+    uniform times in the order the solver steps, until |y[0]| crosses BLOWUP_BOUND or the run
+    stops early, a blow-up at the last sample (t = 0 before any): a step fails, or rhs raises
+    OverflowError (x**5 left the double range) while the solver is built or while it steps.
 
     This is :func:`scipy.integrate.solve_ivp`'s loop cut down to one terminal event and one
     t_eval: the same steps, event root and samples to the bit, without solve_ivp's per-step
     event arrays and bookkeeping.  It keeps solve_ivp's name as the module attribute that a
-    tracer may replace, reading ``nfev`` from what it returns.  scipy is imported on first
-    use, so the closed forms load no integrator.
+    tracer may replace, reading ``nfev`` from what it returns (0 when building the solver
+    overflows).  scipy is imported on first use, so the closed forms load no integrator.
     """
     from scipy.integrate import DOP853
     from scipy.optimize import brentq
 
-    t_eval, i = np.linspace(0.0, t_end, EOM_SAMPLES), 0
-    if not t_end > 0.0:  # solve_ivp's order: ascending, sliced by solver.direction
-        t_eval, i = t_eval[::-1], EOM_SAMPLES
-    samples, end = [], None
+    t_eval = np.linspace(0.0, t_end, EOM_SAMPLES)
+    i = EOM_SAMPLES if t_end == 0.0 else 0  # as in solve_ivp, a run to t_end = 0 samples nothing
+    samples, end, solver = [], None, None
     # a failing step meets inf and NaN inside scipy; the run reports it as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = DOP853(rhs, 0.0, y0, float(t_end), rtol=tol, atol=tol)
-        g = abs(y0[0]) - BLOWUP_BOUND
-        while solver.status == "running" and end is None:
-            solver.step()
-            if solver.status == "failed":  # step collapse: a blow-up at the last sample
-                end = samples[-1][0] if samples else 0.0
-                break
-            t, sol, g_old = solver.t, None, g
-            g = abs(solver.y[0].item()) - BLOWUP_BOUND
-            if (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0):
-                sol = solver.dense_output()
-                t = end = brentq(lambda s: abs(sol(s)[0]) - BLOWUP_BOUND, solver.t_old, t,
-                                 xtol=4 * np.finfo(float).eps, rtol=4 * np.finfo(float).eps)
-            if solver.direction > 0:
-                j = np.searchsorted(t_eval, t, side="right")
-                step = t_eval[i:j]
-            else:
-                j = np.searchsorted(t_eval, t, side="left")
-                step = t_eval[j:i][::-1]
-            if step.size:
-                sol = solver.dense_output() if sol is None else sol
-                samples += zip(step.tolist(), *sol(step).tolist())
-                i = j
-            if end is not None:  # the blow-up state follows the samples
-                samples.append((end, *sol(end).tolist()))
-    return _Run(samples, end, solver.nfev)
+        try:
+            solver = DOP853(rhs, 0.0, y0, float(t_end), rtol=tol, atol=tol)
+            ahead = solver.direction * t_eval  # ascends as the solver steps
+            g = abs(y0[0]) - BLOWUP_BOUND
+            while solver.status == "running" and end is None:
+                if solver.step():  # scipy's failure message: the step size collapsed
+                    raise OverflowError  # stop as an overflow in rhs does
+                t, sol, g_old = solver.t, None, g
+                g = abs(solver.y[0].item()) - BLOWUP_BOUND
+                if (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0):
+                    sol = solver.dense_output()
+                    t = end = brentq(lambda s: abs(sol(s)[0]) - BLOWUP_BOUND, solver.t_old, t,
+                                     xtol=4 * np.finfo(float).eps, rtol=4 * np.finfo(float).eps)
+                j = np.searchsorted(ahead, solver.direction * t, side="right")
+                if j > i:
+                    sol = solver.dense_output() if sol is None else sol
+                    samples += zip(t_eval[i:j].tolist(), *sol(t_eval[i:j]).tolist())
+                    i = j
+                if end is not None:  # the blow-up state follows the samples
+                    samples.append((end, *sol(end).tolist()))
+        except OverflowError:  # the one early stop: a blow-up at the last sample
+            end = samples[-1][0] if samples else 0.0
+    return _Run(samples, end, solver.nfev if solver else 0)
 
 
 def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float) -> Trajectory:
@@ -258,9 +256,9 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
     Integrates from t = 0 to t_end (negative t_end integrates backward)
     with local error tolerance tol, sampling EOM_SAMPLES = 1001 points
     uniformly.  The run terminates early, with ``blew_up`` set and the
-    reached time in ``singular_time``, when |x| crosses BLOWUP_BOUND = 1e6
-    or the step collapses; this is the expected outcome for lam < 0
-    trajectories heading into the finite-time singularity.
+    reached time in ``singular_time``, when |x| crosses BLOWUP_BOUND = 1e6,
+    the step collapses or x**5 overflows; this is the expected outcome for
+    lam < 0 trajectories heading into the finite-time singularity.
     """
     for name, value in (("x0", x0), ("xdot0", xdot0), ("lam", lam), ("t_end", t_end)):
         if not math.isfinite(value):
@@ -270,7 +268,7 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    def rhs(t, y):  # Python floats: the same bits as numpy scalars, at less cost per call
+    def rhs(t, y):  # Python floats: numpy's bits, cheaper; x**5 may raise OverflowError
         x, v = y.tolist()
         return (v, 2.0 * v * v / x - lam * x**5)
 

@@ -322,7 +322,7 @@ def parity_match(nu: float) -> int | None:
     """Parity matching of a Bessel order at the origin: the sign in
     C_tilde = relation * C, -1 for odd integer nu and +1 for even, or None
     when nu is not a positive integer (inadmissible)."""
-    if nu <= 0.0:
+    if not 0.0 < nu < math.inf:
         return None
     nearest = round(nu)
     if nearest < 1 or abs(nu - nearest) > PARITY_INT_TOL:

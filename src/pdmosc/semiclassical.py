@@ -18,7 +18,7 @@ with the condition above quantizes the coupling:
 
 :func:`wkb_condition_check` returns lam_n, both sides and their difference
 as plain numbers, which `pdmosc wkb` prints and :mod:`pdmosc.verification`
-judges; this module imports no other pdmosc module.
+judges; its one pdmosc import is the scalar/array convention ``bessel._as_result``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .bessel import _as_result
 
 #: eps sequence for the finite-part limit: geometric, four points
 EPS_START_FRACTION = 1e-2
@@ -76,7 +78,7 @@ def _check_hbar(hbar: float) -> None:
 
 def turning_point(E: float, lam: float) -> float:
     """Classical turning point A = sqrt(E/lam) where the momentum vanishes."""
-    if E <= 0.0 or lam <= 0.0:
+    if not (0.0 < E < math.inf and 0.0 < lam < math.inf):
         raise ValueError(f"turning_point requires E > 0 and lam > 0, got E={E}, lam={lam}")
     A = math.sqrt(E / lam)
     if not math.isfinite(A):
@@ -179,7 +181,6 @@ def wkb_condition_check(n, hbar: float, A: float = 1.0) -> WkbCondition:
     """
     lam = wkb_lambda(n, hbar)
     action = finite_part_action(A)
-    lhs = 2.0 * np.sqrt(lam) * abs(action.finite_part)
-    lhs = lhs.item() if np.ndim(lhs) == 0 else lhs
+    lhs = _as_result(2.0 * np.sqrt(lam) * abs(action.finite_part))
     rhs = (n + 0.5) * hbar * math.pi
     return WkbCondition(lam, lhs, rhs, lhs - rhs)

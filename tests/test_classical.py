@@ -145,6 +145,23 @@ def test_a_first_step_that_fails_is_a_blow_up_at_t_0():
     assert traj == classical.Trajectory(states=(), blew_up=True, singular_time=0.0)
 
 
+RHS_OVERFLOW_CASES = {
+    "x0-1e70": (1e70, 0.0, 1.0, 1.0, 1e-9),  # x**5 overflows while the solver is built
+    "x0-1e62": (1e62, 0.0, 1.0, 1.0, 1e-9),
+    "t_end-1e300": (1.0, 0.0, 1.0, 1e300, 1e-9),  # a first step so long that x**5 overflows
+    "lam-0": (1e70, 0.0, 0.0, 1.0, 1e-9),  # where an inf x**5 would give 0 * inf = NaN
+}
+
+
+@pytest.mark.parametrize("case", RHS_OVERFLOW_CASES.values(), ids=RHS_OVERFLOW_CASES.keys())
+def test_an_overflow_in_the_rhs_is_a_blow_up_at_t_0(case):
+    # Python's float ** raises OverflowError; the run stops there, as at a failed step,
+    # and prints no warning (the error::RuntimeWarning filter)
+    traj = classical.integrate_eom(*case)
+    assert traj.blew_up and traj.singular_time == 0.0
+    assert all(s.t == 0.0 for s in traj.states)
+
+
 def test_integrator_validation():
     with pytest.raises(ValueError, match="^x0 = 0 is outside the model domain$"):
         classical.integrate_eom(0.0, 1.0, 1.0, 1.0, 1e-9)
@@ -407,3 +424,6 @@ def test_phase_curve_rejections():
         classical.phase_curve(0.5, 0.5, [0.0])
     with pytest.raises(ValueError):
         classical.phase_curve(-1.0, 0.5, [0.5])
+    for E, lam in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="requires E > 0 and lam > 0"):
+            classical.phase_curve(E, lam, [0.5])

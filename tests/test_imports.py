@@ -39,9 +39,12 @@ def test_bessel_loads_no_other_pdmosc_module_and_no_integrator():
     assert "scipy.integrate" not in loaded
 
 
-def test_semiclassical_loads_no_other_pdmosc_module():
+def test_semiclassical_loads_only_bessel_of_pdmosc_and_no_scipy():
+    # its one pdmosc import is bessel._as_result; bessel imports scipy on first use
     loaded = modules_after_import("pdmosc.semiclassical")
-    assert {m for m in loaded if m.startswith("pdmosc")} == {"pdmosc", "pdmosc.semiclassical"}
+    pdmosc = {m for m in loaded if m.startswith("pdmosc")}
+    assert pdmosc == {"pdmosc", "pdmosc.bessel", "pdmosc.semiclassical"}
+    assert "scipy" not in loaded
 
 
 def modules_after_cli(*command_lines: str) -> tuple[list[int], set[str]]:

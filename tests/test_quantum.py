@@ -364,6 +364,8 @@ def test_parity_match():
     assert quantum.parity_match(0.0) is None
     assert quantum.parity_match(1e-12) is None
     assert quantum.parity_match(5.0 + 1e-12) == -1
+    for nu in (math.nan, math.inf, -math.inf):
+        assert quantum.parity_match(nu) is None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ def test_turning_point_examples():
         sc.turning_point(-1.0, 1.0)
     with pytest.raises(ValueError):
         sc.turning_point(1.0, 0.0)
+    for E, lam in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="requires E > 0 and lam > 0"):
+            sc.turning_point(E, lam)
     with pytest.raises(OverflowError, match=r"sqrt\(E/lam\) overflows for E=1.0, lam=5e-324"):
         sc.turning_point(1.0, 5e-324)
 
