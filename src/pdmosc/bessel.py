@@ -13,8 +13,8 @@ Zeros of integer-order J_n are located here, so the zero finder shares no
 code with any library zero table: one evaluation of J_n on a unit grid
 brackets every zero of an order up to the one wanted, and a safeguarded
 Newton iteration polishes each bracket.  :func:`bessel_zeros` returns all
-zeros up to N_max from that single scan; :func:`bessel_zero` polishes only
-the last one; a zero polished before in the process comes from a memo.
+zeros up to N_max from that single scan; :func:`bessel_zero` is its last
+entry; a zero polished before in the process comes from a memo.
 
 Accuracy is guaranteed (relative error <= 1e-10 away from zeros) inside the
 box x <= 1e3, nu <= 50.  Outside the box :func:`bessel_j` still returns
@@ -226,10 +226,6 @@ def bessel_zeros(n: int, N_max: int) -> list[float]:
 
 
 def bessel_zero(n: int, N: int) -> float:
-    """N-th positive zero j_{n,N} of J_n for integer n >= 1, N >= 1.
-
-    Scans for the first N brackets (see :func:`_zero_brackets`) and polishes
-    only the last one.  Measured error up to 1.02e-12 (see ZERO_ABS_TOL).
-    """
-    n, N = _check_zero_args(n, N)
-    return _polish_zero(n, N, _zero_brackets(n, N)[-1])
+    """N-th positive zero j_{n,N} of J_n for integer n >= 1, N >= 1: the last entry of
+    :func:`bessel_zeros` (n, N).  Measured error up to 1.02e-12 (see ZERO_ABS_TOL)."""
+    return bessel_zeros(n, N)[-1]

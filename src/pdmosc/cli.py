@@ -9,8 +9,8 @@ diff reproducibly.  Exit codes: 0 success, 1 validation error (any
 ValueError or OSError), 2 failed verification or numerical failure: any
 ArithmeticError, as every pdmosc non-convergence, blow-up or non-finite row is.
 
-Every option but ``--emit-plot-script`` can also come from a flat key=value
-config file (``--config``), keyed by its dest in :data:`SUBCOMMANDS`;
+Every option but ``--config`` and ``--emit-plot-script`` can also come from a
+flat key=value config file (``--config``), keyed by its dest in :data:`SUBCOMMANDS`;
 command-line flags take precedence over config entries, which take
 precedence over built-in defaults.  Plots are never rendered here: the
 figure-producing subcommands can emit a small companion matplotlib script
@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy import errstate
 
 from . import bessel, classical, quantum, semiclassical, verification
 from .classical import ModelParams
@@ -222,8 +223,7 @@ def run_phase_portrait(o):
         amp = semiclassical.turning_point(E, o.lam)
         # an odd count gives the positive half the extra point; an infinite
         # turning point (inf - inf) gives a non-finite grid, refused as a row
-        with np.errstate(invalid="ignore"):
-            half = np.linspace(o.x_floor_frac * amp, amp, o.points - o.points // 2)
+        half = np.linspace(o.x_floor_frac * amp, amp, o.points - o.points // 2)
         grid = np.concatenate([-half[::-1][: o.points // 2], half])
         curve = classical.phase_curve(E, o.lam, grid)  # rows (x, p_plus, p_minus)
         curves.append(np.column_stack([np.full(grid.size, E), curve]))
@@ -253,8 +253,7 @@ def run_eigenfunction(o):
     xs = np.concatenate([-xs[::-1], xs]) if xs[0] > 0.0 else xs
     state = quantum.ContinuumState(n=o.n, E=o.energy, amplitude=o.amplitude)
     x_min = np.min(np.abs(xs))  # the largest argument; an infinite one is a NaN row, refused later
-    with np.errstate(divide="ignore", over="ignore"):
-        arg = 2.0 * math.sqrt(o.energy) / o.hbar / x_min
+    arg = 2.0 * math.sqrt(o.energy) / o.hbar / x_min
     if quantum.SQUEEZE_ARGUMENT < arg < math.inf:
         raise ValueError(f"--x reaches |x| = {x_min:g}, where the Bessel argument "
                          f"2 sqrt(E)/(hbar |x|) = {arg:g} passes {quantum.SQUEEZE_ARGUMENT:g}: "
@@ -353,10 +352,10 @@ SUBCOMMANDS = {
 #: main dispatches through this mapping, whose entries perfbench/tracing.py wraps
 HANDLERS = {name: handler for name, (handler, _, _) in SUBCOMMANDS.items()}
 
-#: a config file may set any option of any subcommand, so one file can serve several
+#: a config file may set any option of any subcommand but --config, so one file can serve several
 CONFIG_KEYS = frozenset(
     opt.dest for _, _, options in SUBCOMMANDS.values() for opt in COMMON_OPTIONS + options
-)
+) - {"config"}
 
 PLOTTABLE = {
     "trajectory": ("t", ["x"]),
@@ -418,8 +417,9 @@ def main(argv=None) -> int:
         plot = getattr(args, "emit_plot_script", False)
         if plot and (not output or o.fmt != "csv"):
             raise ValueError("--emit-plot-script requires --output and csv format")
-        header, columns, code = HANDLERS[args.command](o)
-        rows = build_rows(header, columns, args.command != "verify")  # a skipped check is NaN
+        with errstate(all="ignore"):  # build_rows refuses the NaN or inf a silenced overflow leaves
+            header, columns, code = HANDLERS[args.command](o)
+            rows = build_rows(header, columns, args.command != "verify")  # a skipped check is NaN
         write_rows(header, rows, o.fmt, output)
         if plot:
             emit_plot_script(args.command, output)

@@ -481,24 +481,19 @@ def similarity_check(
     lo, hi, npts = 0.5, 5.0, 901
     h = (hi - lo) / (npts - 1)
     xs = np.linspace(lo - 4 * h, hi + 4 * h, npts + 8)
-    f = np.asarray(testfn(xs), dtype=float)
-
     x_in = xs[4:-4]
-    f_in = f[4:-4]
-    f1 = _stencil(f, _D1_COEFFS, h, 1)
-    f2 = _stencil(f, _D2_COEFFS, h, 2)
-    lhs = _apply_ordered_operator(
-        x_in, f_in, f1, f2, ordering.alpha1, ordering.beta1, ordering.gamma1, lam, hbar
-    )
 
+    def apply(samples, alpha, gamma):
+        """The ordering (alpha, beta1, gamma) applied to samples on xs, at x_in."""
+        d1 = _stencil(samples, _D1_COEFFS, h, 1)
+        d2 = _stencil(samples, _D2_COEFFS, h, 2)
+        return _apply_ordered_operator(x_in, samples[4:-4], d1, d2, alpha, ordering.beta1, gamma,
+                                       lam, hbar)
+
+    f = np.asarray(testfn(xs), dtype=float)
+    lhs = apply(f, ordering.alpha1, ordering.gamma1)
     eta = ordering.eta
-    m_full = 2.0 / xs**4
-    g_samples = m_full**eta * f
-    g1 = _stencil(g_samples, _D1_COEFFS, h, 1)
-    g2 = _stencil(g_samples, _D2_COEFFS, h, 2)
     half = 0.5 * (ordering.alpha1 + ordering.gamma1)
-    her = _apply_ordered_operator(
-        x_in, g_samples[4:-4], g1, g2, half, ordering.beta1, half, lam, hbar
-    )
+    her = apply((2.0 / xs**4) ** eta * f, half, half)
     rhs = (2.0 / x_in**4) ** (-eta) * her
     return float(np.max(np.abs(lhs - rhs)))

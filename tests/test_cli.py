@@ -200,7 +200,8 @@ def test_config_file_and_precedence(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "sub, line",
-    [("trajectory", "format = json"), ("trajectory", "lamda = 3"), ("verify", "lambda = -1")],
+    [("trajectory", "format = json"), ("trajectory", "lamda = 3"), ("verify", "lambda = -1"),
+     ("spectrum", "config = other.cfg")],
 )
 def test_unknown_config_key_exits_1(sub, line, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

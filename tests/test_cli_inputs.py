@@ -8,14 +8,16 @@ other tests pin the bounds and choices that the option table declares.
 import contextlib
 import csv
 import io
+import json
 import math
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdmosc import cli, quantum
+from pdmosc import cli, quantum, verification
 from pdmosc.bessel import ZeroRefinementError
 from pdmosc.classical import SingularTrajectoryError
 from pdmosc.quantum import ComplexOrderError
@@ -67,7 +69,8 @@ def run_quietly(argv):
 
 
 def assert_clean(sub, code, out, err, caught):
-    """Exit 0 with finite rows, or 1 or 2 with one line; never a numpy warning."""
+    """Exit 0 with finite rows, or 1 or 2 with one line; never a numpy warning.
+    A CSV cell nan, inf or -inf and a JSON NaN, Infinity or -Infinity are non-finite."""
     assert not [w for w in caught if w.startswith("RuntimeWarning: ")], caught
     assert code in (0, 1, 2), err
     if sub == "verify" and err.startswith("verify: "):
@@ -75,6 +78,9 @@ def assert_clean(sub, code, out, err, caught):
     if code:
         assert out == ""
         assert err.startswith("pdmosc: ") and err.count("\n") == 1, err
+    elif out.startswith("{"):  # line-delimited JSON, which reads NaN and Infinity as floats
+        values = [v for line in out.splitlines() for v in json.loads(line).values()]
+        assert all(math.isfinite(v) for v in values if isinstance(v, float)), out
     else:
         cells = [c.lower() for row in csv.reader(io.StringIO(out)) for c in row]
         assert not [c for c in cells if c in ("nan", "inf", "-inf")], out
@@ -116,6 +122,93 @@ def test_any_float_config_entry_exits_cleanly(option, text, tmp_path_factory):
 def test_any_energies_entry_exits_cleanly(energies):
     argv = ["phase-portrait", "--lambda=1", "--points=8", f"--energies={','.join(energies)}"]
     assert_clean("phase-portrait", *run_recorded(argv))
+
+
+#: the most rows a drawn grid gives, and the most a drawn row count exceeds its low by,
+#: so that each whole command line runs in milliseconds
+FEW = 64
+
+
+def few_points_or_refused(spec):
+    """False for a start:stop:step whose point count lies in (FEW, MAX_POINTS): allowed, slow."""
+    start, stop, step = map(float, spec.split(":"))
+    count = (stop - start) / step if step else math.inf
+    return not FEW < count < cli.MAX_POINTS
+
+
+#: start:stop:step of a finite start, a positive step and the stop a few steps on, three
+#: times in four, else of any three texts
+GRID = st.one_of(
+    *[st.builds(lambda start, step, k: f"{start!r}:{start + k * step!r}:{step!r}",
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                st.integers(0, FEW))] * 3,
+    st.tuples(FLOAT_TEXT, FLOAT_TEXT, FLOAT_TEXT).map(":".join).filter(few_points_or_refused),
+)
+
+#: a strategy for the text of each str option of the table that has no choices
+TEXT_OPTIONS = {
+    "t": GRID,
+    "x": GRID,
+    "window": st.tuples(FLOAT_TEXT, FLOAT_TEXT).map(":".join),
+    "energies": st.lists(FLOAT_TEXT, max_size=4).map(",".join),
+    "checks": st.sampled_from(["all", *verification.all_check_ids()]),
+}
+
+
+#: as FLOAT_TEXT, but positive and finite three times in four, so that more whole command
+#: lines get past their options' checks to the computation
+WHOLE_LINE_FLOAT = st.one_of(
+    *[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)] * 3, FLOAT_TEXT
+)
+
+
+def option_text(opt):
+    """A strategy for the value of one option of the table, as the command line spells it."""
+    if opt.type is float:
+        return WHOLE_LINE_FLOAT
+    if opt.low is not None:  # a row count, from just below its low
+        return st.integers(opt.low - 1, opt.low + FEW).map(str)
+    if opt.type is int:  # an order or a seed
+        return st.integers(-1, 60).map(str)
+    if opt.choices:
+        return st.sampled_from(opt.choices)
+    return TEXT_OPTIONS[opt.dest]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with every option of its table and --format drawn at once."""
+    sub = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+    options = [cli.COMMON_OPTIONS[0], *cli.SUBCOMMANDS[sub][2]]
+    return [sub, *(f"{opt.flag}={draw(option_text(opt))}" for opt in options)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argv=command_lines())
+# numpy overflows in a multiply inside each, in classical.exact_momentum for the first and
+# last and in numpy's linspace for the second; no warning may reach the user
+@example(argv=["trajectory", "--lambda=1", "--c1=1e+300", "--c2=2.0"])
+@example(argv=["lambda-map", "--lambda-min=1.7976931348623157e+308", "--count=29"])
+@example(argv=["verify", "--seed=0", "--lambda=1e-300", "--hbar=1e-300", "--c1=1e+300",
+               "--gamma1=1e-300"])
+def test_any_whole_command_line_exits_cleanly(argv):
+    assert_clean(argv[0], *run_recorded(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["spectrum"], 0),
+        (["box-spectrum", "--n", "1", "--eps", "1e200"], 2),  # a row refused as non-finite
+        (["lambda-map", "--window", "0"], 1),  # the handler raises
+    ],
+)
+def test_numpy_error_state_is_restored(argv, exit_code):
+    with np.errstate(under="warn"):  # not numpy's default, so a reset to it shows too
+        before = np.geterr()
+        assert run_recorded(argv)[0] == exit_code
+        assert np.geterr() == before
 
 
 def test_config_count_below_its_bound_exits_1(tmp_path):
