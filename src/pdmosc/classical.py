@@ -122,7 +122,8 @@ def exact_momentum(t, params: ModelParams):
     q = _regular_radicand(t, params)
     rc1 = math.sqrt(params.c1)
     w = params.c2 + rc1 * np.asarray(t, dtype=float)
-    return _as_result(-2.0 * rc1 * w * np.sqrt(q))
+    with np.errstate(over="ignore"):  # +-inf, unwarned like radicand: each caller refuses it
+        return _as_result(-2.0 * rc1 * w * np.sqrt(q))
 
 
 def hamiltonian(x, p, lam: float):

@@ -37,8 +37,6 @@ from .bessel import _check_zero_args, bessel_j, bessel_zero, bessel_zeros  # noq
 from .bessel import _as_result, jv, jv_derivatives
 from .semiclassical import _check_hbar, quad
 
-CONSTRAINT_TOL = 1e-12
-
 #: grid of :func:`ode_residual`: Chebyshev points on [0.2, 10], dense
 #: enough to resolve the fastest oscillation for E <= 4, hbar >= 0.5
 RESIDUAL_GRID_RANGE = (0.2, 10.0)
@@ -62,10 +60,9 @@ class ComplexOrderError(ArithmeticError, ValueError):
 
 @dataclass(frozen=True)
 class SingleTermOrdering:
-    """One kinetic-term ordering m^alpha1 p m^beta1 p m^gamma1."""
+    """One kinetic-term ordering m^alpha1 p m^beta1 p m^gamma1, beta1 = -1 - alpha1 - gamma1."""
 
     alpha1: float
-    beta1: float
     gamma1: float
 
     def __post_init__(self):
@@ -74,15 +71,20 @@ class SingleTermOrdering:
                 "ordering exponents must be finite, got "
                 f"alpha1={self.alpha1}, beta1={self.beta1}, gamma1={self.gamma1}"
             )
-        if abs(self.alpha1 + self.beta1 + self.gamma1 + 1.0) > CONSTRAINT_TOL:
-            raise ValueError(
-                "ordering constraint alpha1 + beta1 + gamma1 = -1 violated: "
-                f"{self.alpha1} + {self.beta1} + {self.gamma1} != -1"
-            )
 
     @classmethod
     def from_alpha_gamma(cls, alpha1: float, gamma1: float) -> "SingleTermOrdering":
-        return cls(alpha1=alpha1, beta1=-1.0 - alpha1 - gamma1, gamma1=gamma1)
+        return cls(alpha1, gamma1)
+
+    @property
+    def beta1(self) -> float:
+        """The middle exponent fixed by alpha1 + beta1 + gamma1 = -1."""
+        return -1.0 - self.alpha1 - self.gamma1
+
+    @property
+    def reduces_cleanly(self) -> bool:
+        """gamma1 - alpha1 = 3/4 to 1e-9: psi = x^d J_nu has d = 0, no x^d prefactor."""
+        return abs((self.gamma1 - self.alpha1) - 0.75) <= 1e-9
 
     @property
     def eta(self) -> float:
@@ -231,10 +233,10 @@ def ode_residual(
     Derivatives of psi = C J_n(a/x), a = 2 sqrt(E)/hbar, are taken
     analytically through the recurrence (see
     :func:`pdmosc.bessel.jv_derivatives`).  The residual is below 1e-8
-    exactly when the ordering reduces cleanly (gamma1 - alpha1 = 3/4, so
-    the x^d prefactor is absent) *and* lam sits at its quantized value; it
-    is insensitive to E, which is the continuous-energy statement at the
-    level of the differential equation.
+    exactly when the ordering reduces cleanly (see
+    :attr:`SingleTermOrdering.reduces_cleanly`) *and* lam sits at its
+    quantized value; it is insensitive to E, which is the continuous-energy
+    statement at the level of the differential equation.
     """
     c = ode_coefficients(ordering, lam, state.E, hbar)
     lo, hi = RESIDUAL_GRID_RANGE
@@ -417,10 +419,10 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
 def hermitian_wavefunction(x, n: int, E: float, hbar: float = 1.0):
     """Similarity-transformed state x^{-3/2} J_n(2 sqrt(E)/(hbar x)), x > 0.
 
-    This is m^eta psi with eta = 3/8 for the cleanly reducing orderings
-    (gamma1 - alpha1 = 3/4), at amplitude 1: the constant 2^{3/8} from
-    m^eta = 2^{3/8} x^{-3/2} is dropped.  Unlike psi itself, the x^{-3/2}
-    prefactor beats the sqrt(x) squeeze envelope, so this function is
+    This is m^eta psi with eta = 3/8 for an ordering that reduces cleanly
+    (:attr:`SingleTermOrdering.reduces_cleanly`), at amplitude 1: the constant
+    2^{3/8} from m^eta = 2^{3/8} x^{-3/2} is dropped.  Unlike psi itself, the
+    x^{-3/2} prefactor beats the sqrt(x) squeeze envelope, so this function is
     singular at the origin: its local maxima grow like 1/x.  That growth is
     the reason only the non-Hermitian-ordered form yields bounded states.
     """

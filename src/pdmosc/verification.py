@@ -23,9 +23,6 @@ PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
-#: orderings with gamma1 - alpha1 = 3/4 reduce with no x^d prefactor
-CLEAN_REDUCTION_GAP = 0.75
-
 
 class SuiteConfig(NamedTuple):
     params: classical.ModelParams = classical.ModelParams(lam=1.0, c1=1.0, c2=-5.0)
@@ -51,10 +48,6 @@ def verdict(ok: bool | None, measured: float, tolerance: float, provenance: str,
     """A check's verdict: pass iff ok, skipped if ok is None (measured and tolerance NaN)."""
     status = SKIPPED if ok is None else PASS if ok else FAIL
     return Verdict(status, float(measured), float(tolerance), provenance, notes)
-
-
-def _clean_reduction(ordering: quantum.SingleTermOrdering) -> bool:
-    return abs((ordering.gamma1 - ordering.alpha1) - CLEAN_REDUCTION_GAP) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +103,7 @@ def check_wkb_identity(cfg: SuiteConfig) -> Verdict:
 
 def check_ode_residual(cfg: SuiteConfig) -> Verdict:
     """Wave-equation residual of psi_n at quantized lam, continuous E."""
-    if not _clean_reduction(cfg.ordering):
+    if not cfg.ordering.reduces_cleanly:
         return verdict(
             None, math.nan, math.nan, "DERIVED",
             "ordering has gamma1 - alpha1 != 3/4 (x^d prefactor present); not applicable",
@@ -132,7 +125,7 @@ def check_ode_residual(cfg: SuiteConfig) -> Verdict:
 
 def check_residual_negative_control(cfg: SuiteConfig) -> Verdict:
     """Deliberately broken configurations must NOT solve the wave equation."""
-    if not _clean_reduction(cfg.ordering):
+    if not cfg.ordering.reduces_cleanly:
         return verdict(None, math.nan, math.nan, "DERIVED", "needs a cleanly reducing ordering")
     hbar = cfg.hbar
     state = quantum.ContinuumState(n=2, E=1.0)

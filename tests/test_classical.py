@@ -317,6 +317,14 @@ def test_exact_solution_refuses_an_overflowing_radicand():
                 f(np.array([0.0, 1e308]), params)
 
 
+def test_overflowing_momentum_is_inf_without_a_warning():
+    # the radicand stays finite, the product 2 sqrt(c1) w sqrt(q) does not; the
+    # error::RuntimeWarning filter fails this test on a numpy overflow warning
+    params = ModelParams(lam=1.0, c1=1e300, c2=2.0)
+    assert classical.exact_momentum(1.0, params) == -math.inf
+    assert classical.exact_momentum(np.array([1.0]), params).tolist() == [-math.inf]
+
+
 def test_localization_peak_and_monotone_decay():
     peak_t = -FIG1.c2 / math.sqrt(FIG1.c1)
     assert classical.exact_solution(peak_t, FIG1) == pytest.approx(

@@ -268,6 +268,7 @@ def test_grid_parsing():
         ["spectrum", "--alpha1", "inf"],
         ["spectrum", "--gamma1=-inf"],
         ["verify", "--checks", "ode_residual", "--alpha1", "nan"],
+        ["spectrum", "--alpha1", "1e308", "--gamma1", "1e308"],  # beta1 = -inf
     ],
 )
 def test_non_finite_ordering_exits_1(argv, capsys):
@@ -276,6 +277,16 @@ def test_non_finite_ordering_exits_1(argv, capsys):
     assert out == ""
     assert err.startswith("pdmosc: ") and err.count("\n") == 1
     assert "must be finite" in err
+
+
+def test_ordering_far_from_the_origin_runs(capsys):
+    # beta1 = -1 - alpha1 - gamma1 rounds, so alpha1 + beta1 + gamma1 misses -1 by
+    # about 6e-12 here; the ordering the user gave is still a valid one
+    code, out, err = run_cli(["spectrum", "--alpha1", "1e5", "--gamma1", "0.1"], capsys)
+    assert (code, err) == (0, "")
+    rows = read_csv(out)
+    assert len(rows) == 10
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 @pytest.mark.parametrize("field", [0, 1, 2])

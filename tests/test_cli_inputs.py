@@ -192,6 +192,8 @@ def command_lines(draw):
 @example(argv=["lambda-map", "--lambda-min=1.7976931348623157e+308", "--count=29"])
 @example(argv=["verify", "--seed=0", "--lambda=1e-300", "--hbar=1e-300", "--c1=1e+300",
                "--gamma1=1e-300"])
+# a valid ordering whose derived beta1 misses alpha1 + beta1 + gamma1 = -1 by rounding
+@example(argv=["spectrum", "--alpha1=100000.0", "--gamma1=0.1"])
 def test_any_whole_command_line_exits_cleanly(argv):
     assert_clean(argv[0], *run_recorded(argv))
 

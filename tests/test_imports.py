@@ -108,6 +108,8 @@ def test_readme_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(example, "README.md", "exec"), {})
-    residual, finite_part = (float(v) for v in out.getvalue().split())
+    clean, residual, finite_part = out.getvalue().split()
+    assert clean == "True"
+    residual, finite_part = float(residual), float(finite_part)
     assert residual < 1e-8
     assert finite_part == pytest.approx(-math.pi, abs=1e-6)

@@ -34,13 +34,37 @@ def random_orderings(count, seed=7):
 
 
 def test_single_term_constraint_and_derived_values():
-    with pytest.raises(ValueError):
-        SingleTermOrdering(alpha1=0.0, beta1=0.0, gamma1=0.0)
     assert CLEAN.beta1 == pytest.approx(-1.75)
     assert CLEAN.s == pytest.approx(3.0)
     assert CLEAN.eta == pytest.approx(0.375)
+    assert CLEAN.reduces_cleanly
     plain = SingleTermOrdering.from_alpha_gamma(0.0, 0.0)
     assert plain.s == pytest.approx(1.5)
+    assert not plain.reduces_cleanly
+
+
+@pytest.mark.parametrize("a, g", [(1e5, 0.1), (1e10, 0.3)])
+def test_ordering_far_from_the_origin_derives_beta1(a, g):
+    ordering = SingleTermOrdering.from_alpha_gamma(a, g)
+    assert (ordering.alpha1, ordering.gamma1) == (a, g)
+    assert ordering.beta1 == -1.0 - a - g  # rounded, so a + beta1 + g is not exactly -1
+
+
+def _reduces_cleanly_reference(ordering):
+    """The gap test the residual checks made before the ordering answered it."""
+    return abs((ordering.gamma1 - ordering.alpha1) - 0.75) <= 1e-9
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, 0.3, 1e3])
+def test_reduces_cleanly_matches_the_gap_test_at_its_edge(a):
+    gaps = [0.75 + k * 2.5e-10 for k in range(-6, 7)]
+    gaps += [math.nextafter(0.75, -math.inf), math.nextafter(0.75, math.inf)]
+    decisions = set()
+    for gap in gaps:
+        ordering = SingleTermOrdering.from_alpha_gamma(a, a + gap)
+        assert ordering.reduces_cleanly == _reduces_cleanly_reference(ordering), gap
+        decisions.add(ordering.reduces_cleanly)
+    assert decisions == {True, False}  # the grid straddles the 1e-9 edge
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +722,19 @@ def test_box_spectrum_bad_order_raises_the_bessel_zero_error():
         assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("field", ["alpha1", "beta1", "gamma1"])
+@pytest.mark.parametrize("field", ["alpha1", "gamma1"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_single_term_ordering_rejects_non_finite_exponents(field, bad):
-    exponents = {"alpha1": 0.0, "beta1": -1.75, "gamma1": 0.75, field: bad}
+    exponents = {"alpha1": 0.0, "gamma1": 0.75, field: bad}
     with pytest.raises(ValueError, match="must be finite"):
         SingleTermOrdering(**exponents)
+
+
+def test_single_term_ordering_rejects_an_overflowing_beta1():
+    message = "ordering exponents must be finite, got alpha1=1e+308, beta1=-inf, gamma1=1e+308"
+    with pytest.raises(ValueError) as raised:
+        SingleTermOrdering(1e308, 1e308)
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
