@@ -79,6 +79,12 @@ def _as_result(out):
     return arr.item() if arr.ndim == 0 else arr
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """The one rule for a positive and finite scalar (hbar, E, eps, tol, A, c1)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def jv(nu: float, x):
     """J_nu(x) for any real order (J_{-m} = (-1)^m J_m for integer m).
 
@@ -144,12 +150,11 @@ def mcmahon_zero_estimate(n: int, N: int) -> float:
 
 
 def _check_zero_args(n, *indices) -> tuple[int, ...]:
-    """Validate the order n, then each zero index in turn; return them as ints."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"integer order n >= 1 required, got {n!r}")
-    for N in indices:
-        if int(N) != N or N < 1:
-            raise ValueError(f"zero index N >= 1 required, got {N!r}")
+    """The rule for every Bessel order n: an integer n >= 1, then each zero index
+    N >= 1 in turn; NaN and +-inf are refused before any int().  Returns them as ints."""
+    for what, value in (("integer order n", n), *(("zero index N", N) for N in indices)):
+        if not 1 <= value < math.inf or value % 1 != 0:
+            raise ValueError(f"{what} >= 1 required, got {value!r}")
     return (int(n), *map(int, indices))
 
 

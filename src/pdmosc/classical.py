@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import _as_result
+from .bessel import _as_result, _check_positive_finite
 
 #: closed-form trajectories are only evaluated where the radicand exceeds
 #: this floor, to avoid catastrophic cancellation next to a singular time
@@ -55,8 +55,7 @@ class ModelParams:
         for name in ("lam", "c1", "c2"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if self.c1 <= 0.0:
-            raise ValueError(f"c1 must be positive (it is the total energy), got {self.c1}")
+        _check_positive_finite("c1", self.c1)
 
 
 class ClassicalState(NamedTuple):
@@ -266,8 +265,7 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
             raise ValueError(f"{name} must be finite, got {value}")
     if x0 == 0.0:
         raise ValueError("x0 = 0 is outside the model domain")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_positive_finite("tol", tol)
 
     def rhs(t, y):  # Python floats: numpy's bits, cheaper; x**5 may raise OverflowError
         x, v = y.tolist()

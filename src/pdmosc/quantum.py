@@ -34,8 +34,8 @@ import numpy as np
 
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
-from .bessel import _as_result, jv, jv_derivatives
-from .semiclassical import _check_hbar, quad
+from .bessel import _as_result, _check_positive_finite, jv, jv_derivatives
+from .semiclassical import quad
 
 #: grid of :func:`ode_residual`: Chebyshev points on [0.2, 10], dense
 #: enough to resolve the fastest oscillation for E <= 4, hbar >= 0.5
@@ -114,7 +114,7 @@ def ode_coefficients(
     ordering: SingleTermOrdering, lam: float, E: float, hbar: float
 ) -> OdeCoefficients:
     """Coefficients of the single-term-ordered wave equation."""
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     a, g = ordering.alpha1, ordering.gamma1
     return OdeCoefficients(
         first_order=4.0 * (1.0 + a - g),
@@ -126,7 +126,7 @@ def ode_coefficients(
 def nu_squared(ordering: SingleTermOrdering, lam, hbar: float):
     """nu^2 = s^2 + 4 lam / hbar^2, the squared order of the Bessel reduction;
     elementwise for an array lam, which fails like a scalar one where hbar^2 underflows."""
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     if hbar**2 == 0.0:
         raise ZeroDivisionError("float division by zero")
     with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
@@ -153,7 +153,7 @@ def lambda_quantized(n, ordering: SingleTermOrdering, hbar: float):
     Negative values (n < |s|) are legitimate outputs here; nothing in the
     quantization argument requires lam > 0.
     """
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     if not np.all((n % 1 == 0) & (n >= 1)):
         raise ValueError(f"quantum number n must be a positive integer, got {n!r}")
     with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
@@ -167,7 +167,7 @@ def general_solution(x, nu: float, E: float, d: float, hbar: float):
     The second-kind Y_nu term is left out: the boundary analysis discards it,
     since it grows without bound as x -> infinity.
     """
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise ValueError("the solution is defined on x > 0; use parity for x < 0")
@@ -193,10 +193,8 @@ class ContinuumState:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer (nu = 0 is excluded), got {self.n!r}")
-        if not 0.0 < self.E < math.inf:
-            raise ValueError(f"E must be positive and finite, got {self.E}")
+        _check_zero_args(self.n)
+        _check_positive_finite("E", self.E)
 
 
 def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
@@ -210,7 +208,7 @@ def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     argument past the double range is not squeezed: J_n(inf) is NaN.  x = 0
     is excluded (the limit is 0 by the squeeze argument).
     """
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     xa = np.asarray(x, dtype=float)
     if np.any(xa == 0.0):
         raise ValueError("x = 0 is excluded; psi -> 0 there by the squeeze bound")
@@ -267,7 +265,7 @@ def ode_residual(
 
 def pct_strength(ordering: SingleTermOrdering, lam: float, hbar: float) -> float:
     """Inverse-square strength 4 lam/hbar^2 + (2a+2g+2)(2a+2g+1); plus 1/4 it is nu^2."""
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     two_ag = 2.0 * ordering.alpha1 + 2.0 * ordering.gamma1
     return 4.0 * lam / hbar**2 + (two_ag + 2.0) * (two_ag + 1.0)
 
@@ -341,7 +339,7 @@ def overlap_kernel(n: int, E: float, E_prime: float, R: float, hbar: float = 1.0
     constant exists on the full line.  For E != E' it stays bounded and
     oscillatory.
     """
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     ContinuumState(n, E)  # checks n and E
     ContinuumState(n, E_prime)
     if not 0.0 <= R < math.inf:
@@ -375,9 +373,8 @@ class BoxState(NamedTuple):
 
 def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxState]:
     """Discrete spectrum of the box-regularized problem for N = 1..N_max."""
-    _check_hbar(hbar)
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_positive_finite("hbar", hbar)
+    _check_positive_finite("eps", eps)
     zeros = np.array(bessel_zeros(n, N_max))
     with np.errstate(over="ignore"):  # a huge eps overflows; the caller refuses an inf row
         energies = 0.25 * hbar**2 * zeros * zeros * eps * eps
@@ -400,8 +397,7 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
     without a quadrature.  Whoever replaces ``quad`` or ``jv`` calls ``cache_clear()``.
     """
     n, N, M = _check_zero_args(n, N, M)
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_positive_finite("eps", eps)
     if 1.0 / eps == math.inf:
         raise ValueError(f"eps = {eps} is too small: the box radius 1/eps overflows")
     zeros = bessel_zeros(n, max(N, M))  # one scan; zeros polished before come from the memo
@@ -479,7 +475,7 @@ def similarity_check(
     on smooth test functions is the expected signature of the similarity
     relation.
     """
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     lo, hi, npts = 0.5, 5.0, 901
     h = (hi - lo) / (npts - 1)
     xs = np.linspace(lo - 4 * h, hi + 4 * h, npts + 8)

@@ -18,7 +18,7 @@ with the condition above quantizes the coupling:
 
 :func:`wkb_condition_check` returns lam_n, both sides and their difference
 as plain numbers, which `pdmosc wkb` prints and :mod:`pdmosc.verification`
-judges; its one pdmosc import is the scalar/array convention ``bessel._as_result``.
+judges; its pdmosc imports are ``bessel._as_result`` and ``bessel._check_positive_finite``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import _as_result
+from .bessel import _as_result, _check_positive_finite
 
 #: eps sequence for the finite-part limit: geometric, four points
 EPS_START_FRACTION = 1e-2
@@ -69,11 +69,6 @@ class WkbCondition(NamedTuple):
     lhs: float
     rhs: float
     measured: float
-
-
-def _check_hbar(hbar: float) -> None:
-    if not 0.0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
 def turning_point(E: float, lam: float) -> float:
@@ -144,8 +139,7 @@ def finite_part_action(A: float) -> ActionResult:
     (every wkb_condition_check at the same A) return the same frozen
     ActionResult instead of redoing the four quadratures.
     """
-    if A <= 0.0:
-        raise ValueError(f"A must be positive, got {A}")
+    _check_positive_finite("A", A)
     eps_seq = tuple(A * EPS_START_FRACTION / EPS_RATIO**i for i in range(EPS_COUNT))
     subtracted = [action_integral_regularized(A, e) - divergent_part(A, e) for e in eps_seq]
 
@@ -167,7 +161,7 @@ def wkb_lambda(n, hbar: float):
     elementwise for an integer array n."""
     if not np.all((n % 1 == 0) & (n >= 0)):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    _check_hbar(hbar)
+    _check_positive_finite("hbar", hbar)
     with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
         return (n + 0.5) ** 2 * hbar**2 / 4.0
 

@@ -160,6 +160,11 @@ def test_zero_argument_validation():
         bessel.bessel_zero(1, 0)
     with pytest.raises(ValueError):
         bessel.bessel_zero(1.5, 1)
+    for bad in (math.nan, math.inf, -math.inf):  # refused before int(), which would overflow
+        with pytest.raises(ValueError, match=f"^integer order n >= 1 required, got {bad}$"):
+            bessel.bessel_zero(bad, 1)
+        with pytest.raises(ValueError, match=f"^zero index N >= 1 required, got {bad}$"):
+            bessel.bessel_zero(1, bad)
 
 
 def test_vectorized_evaluation():
@@ -205,7 +210,9 @@ def test_zeros_single_scan_equals_per_zero_calls(n):
 
 
 def test_zeros_argument_validation_matches_bessel_zero():
-    for args in [(0, 1), (1, 0), (1.5, 1), (1, 2.5), (-1, 3), (2, -4)]:
+    nonfinite = [(bad, 1) for bad in (math.nan, math.inf, -math.inf)]
+    nonfinite += [(1, bad) for bad in (math.nan, math.inf, -math.inf)]
+    for args in [(0, 1), (1, 0), (1.5, 1), (1, 2.5), (-1, 3), (2, -4), *nonfinite]:
         with pytest.raises(ValueError) as single:
             bessel.bessel_zero(*args)
         with pytest.raises(ValueError) as scan:

@@ -17,10 +17,12 @@ FIG1 = ModelParams(lam=1.0, c1=1.0, c2=-5.0)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(lam=1.0, c1=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(lam=1.0, c1=-2.0)
+    for c1 in (0.0, -0.0, -1.0, -2.0):
+        with pytest.raises(ValueError, match=f"^c1 must be positive and finite, got {c1}$"):
+            ModelParams(lam=1.0, c1=c1)
+    for c1 in (math.nan, math.inf, -math.inf):  # the finiteness check comes first
+        with pytest.raises(ValueError, match="^c1 must be finite$"):
+            ModelParams(lam=1.0, c1=c1)
     with pytest.raises(ValueError, match="hbar must be positive"):  # hbar lives on the suite
         verification.run_suite(["parity"], verification.SuiteConfig(hbar=0.0))
     with pytest.raises(ValueError):

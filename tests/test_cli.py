@@ -54,6 +54,10 @@ def test_trajectory_singular_exit_code(capsys):
 def test_validation_exit_codes(capsys):
     code, _, err = run_cli(["trajectory", "--lambda", "1", "--c1", "-1"], capsys)
     assert code == 1
+    code, _, err = run_cli(["trajectory", "--lambda", "1", "--c1", "0"], capsys)
+    assert (code, err) == (1, "pdmosc: c1 must be positive and finite, got 0.0\n")
+    code, _, err = run_cli(["eigenfunction", "--n", "0", "--E", "1"], capsys)
+    assert (code, err) == (1, "pdmosc: integer order n >= 1 required, got 0\n")
     code, _, err = run_cli(["no-such-command"], capsys)
     assert code == 1
     assert "usage" in err.lower()

@@ -172,8 +172,12 @@ def test_general_solution_second_kind_divergence():
 
 
 def test_continuum_state_validation():
-    with pytest.raises(ValueError):
+    # n is checked by the zero finder's integer-order rule
+    with pytest.raises(ValueError, match="^integer order n >= 1 required, got 0$"):
         ContinuumState(n=0, E=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^integer order n >= 1 required, got {bad}$"):
+            ContinuumState(n=bad, E=1.0)
     with pytest.raises(ValueError):
         ContinuumState(n=2, E=-1.0)
     state = ContinuumState(n=2, E=1.0)
@@ -440,7 +444,9 @@ def test_overlap_kernel_edge_cases():
 
 
 @pytest.mark.parametrize(
-    "n, E", [(0, 1.0), (1.5, 1.0), (1, 0.0), (1, -1.0), (1, math.nan), (1, math.inf)]
+    "n, E",
+    [(0, 1.0), (1.5, 1.0), (1, 0.0), (1, -1.0), (1, math.nan), (1, math.inf),
+     (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)],
 )
 def test_n_and_E_are_checked_by_continuum_state_alone(n, E):
     with pytest.raises(ValueError) as expected:
@@ -703,7 +709,9 @@ def test_box_spectrum_bit_identical_to_per_zero_path(n, N_max, eps, hbar):
 @pytest.mark.parametrize(
     "n,N,M,first_bad",
     [(0, 1, 1, (0, 1)), (1.5, 1, 2, (1.5, 1)), (1, 0, 3, (1, 0)), (1, 3, 0, (1, 0)),
-     (1, 2, 1.5, (1, 1.5))],
+     (1, 2, 1.5, (1, 1.5)), (math.nan, 1, 1, (math.nan, 1)), (math.inf, 1, 2, (math.inf, 1)),
+     (1, math.nan, 2, (1, math.nan)), (1, math.inf, 2, (1, math.inf)),
+     (1, 2, -math.inf, (1, -math.inf))],
 )
 def test_box_orthonormality_bad_arguments_raise_the_bessel_zero_errors(n, N, M, first_bad):
     with pytest.raises(ValueError) as expected:
@@ -714,12 +722,15 @@ def test_box_orthonormality_bad_arguments_raise_the_bessel_zero_errors(n, N, M, 
 
 
 def test_box_spectrum_bad_order_raises_the_bessel_zero_error():
-    for n in (0, 1.5):
+    for n in (0, 1.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError) as expected:
             bessel.bessel_zero(n, 1)
         with pytest.raises(ValueError) as got:
             quantum.box_spectrum(n, 3, eps=0.1)
         assert str(got.value) == str(expected.value)
+    for N_max in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^zero index N >= 1 required, got {N_max}$"):
+            quantum.box_spectrum(1, N_max, eps=0.1)
 
 
 @pytest.mark.parametrize("field", ["alpha1", "gamma1"])

@@ -117,8 +117,11 @@ def test_finite_part_bookkeeping(monkeypatch):
     remainder = sc.action_integral_regularized(A, eps) - sc.divergent_part(A, eps)
     assert remainder == pytest.approx(-math.pi + 2.0 * math.asin(eps / A), abs=1e-8)
     assert result.error_estimate < 1e-6
-    with pytest.raises(ValueError):
-        sc.finite_part_action(0.0)
+    for A in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^A must be positive and finite, got {A}$"):
+            sc.finite_part_action(A)
+        with pytest.raises(ValueError, match=f"^A must be positive and finite, got {A}$"):
+            sc.wkb_condition_check(1, 1.0, A)
 
 
 def test_wkb_lambda_examples():
