@@ -18,7 +18,8 @@ entry; a zero polished before in the process comes from a memo.
 
 Accuracy is guaranteed (relative error <= 1e-10 away from zeros) inside the
 box x <= 1e3, nu <= 50.  Outside the box :func:`bessel_j` still returns
-best-effort values but emits :class:`AccuracyLossWarning`.
+best-effort values but emits :class:`AccuracyLossWarning`; the psi evaluators
+of :mod:`pdmosc.quantum` refuse an argument past ARGUMENT_RESOLVED_MAX = 1e15.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ _sp = _Special()
 #: guaranteed-accuracy box
 ORDER_GUARANTEED_MAX = 50.0
 ARGUMENT_GUARANTEED_MAX = 1.0e3
+#: not a knob: scipy's J_nu has no correct digits from an argument of about 2e15
+ARGUMENT_RESOLVED_MAX = 1.0e15
 
 #: the zero polish stops once a step is below this; the error reaches 1.02e-12
 #: near x ~ 540 because the polish ends in bisection (see :func:`_polish_zero`)

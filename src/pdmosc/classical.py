@@ -103,10 +103,12 @@ def _regular_radicand(t, params: ModelParams):
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("radicand overflows the double range at a requested t")
     if np.any(np.asarray(q) <= RADICAND_FLOOR):
+        roots = radicand_roots(params)  # None for lam > 0: name the radicand's minimum instead
+        t_min = 0.0 - params.c2 / math.sqrt(params.c1)  # 0.0 - keeps c2 = 0 from printing -0
+        where = (f"singular roots at {roots}" if roots else
+                 f"no real root; minimum lam/c1 = {params.lam / params.c1:g} at t = {t_min:g}")
         raise SingularTrajectoryError(
-            f"radicand <= {RADICAND_FLOOR:g} in the requested range "
-            f"(singular roots at {radicand_roots(params)})"
-        )
+            f"radicand <= {RADICAND_FLOOR:g} in the requested range ({where})")
     return q
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
-from .bessel import _as_result, _check_positive_finite, jv, jv_derivatives
+from .bessel import ARGUMENT_RESOLVED_MAX, _as_result, _check_positive_finite, jv, jv_derivatives
 from .semiclassical import quad
 
 #: grid of :func:`ode_residual`: Chebyshev points on [0.2, 10], dense
@@ -44,10 +44,6 @@ RESIDUAL_GRID_SIZE = 400
 
 #: nu must be within this distance of an integer to be parity-admissible
 PARITY_INT_TOL = 1e-9
-
-#: the floor past which :func:`eigenfunction` returns the squeeze envelope, not psi:
-#: a finite Bessel argument 2 sqrt(E)/(hbar |x|) above it is squeezed
-SQUEEZE_ARGUMENT = 2000.0
 
 
 class ComplexOrderError(ArithmeticError, ValueError):
@@ -165,13 +161,19 @@ def general_solution(x, nu: float, E: float, d: float, hbar: float):
 
     The half-line x < 0 is handled by :func:`eigenfunction` through parity.
     The second-kind Y_nu term is left out: the boundary analysis discards it,
-    since it grows without bound as x -> infinity.
+    since it grows without bound as x -> infinity.  A Bessel argument past
+    ARGUMENT_RESOLVED_MAX = 1e15, inf or NaN raises: J has no correct digits there.
     """
     _check_positive_finite("hbar", hbar)
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise ValueError("the solution is defined on x > 0; use parity for x < 0")
-    return _as_result(xa**d * jv(nu, 2.0 * math.sqrt(E) / (hbar * xa)))
+    with np.errstate(over="ignore"):  # an argument that overflows is inf, refused below
+        z = 2.0 * math.sqrt(E) / hbar / xa
+    if not np.all(z <= ARGUMENT_RESOLVED_MAX):  # NaN fails the comparison too
+        raise ValueError(f"Bessel argument 2 sqrt(E)/(hbar x) = {np.max(z):g} is past "
+                         f"{ARGUMENT_RESOLVED_MAX:g}, where J has no correct digits")
+    return _as_result(xa**d * jv(nu, z))
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +202,14 @@ class ContinuumState:
 def eigenfunction(x, state: ContinuumState, hbar: float = 1.0):
     """psi_n(x) = C J_n(2 sqrt(E)/(hbar |x|)) with parity factor (-1)^n for x < 0.
 
-    Where the Bessel argument 2 sqrt(E)/(hbar |x|) exceeds SQUEEZE_ARGUMENT =
-    2000, that is below the floor |x| = 1e-3 * sqrt(E) / hbar, the Bessel factor
-    oscillates infinitely fast; the squeeze-theorem envelope
-    C sqrt(hbar |x| / (pi sqrt(E))) is returned there instead, signed so the
-    parity relation psi(-x) = (-1)^n psi(x) is preserved exactly.  An
-    argument past the double range is not squeezed: J_n(inf) is NaN.  x = 0
-    is excluded (the limit is 0 by the squeeze argument).
+    The Bessel factor is :func:`general_solution` at d = 0 and |x|, which refuses
+    an argument past 1e15.  x = 0 is excluded (the limit is 0 by the squeeze argument).
     """
-    _check_positive_finite("hbar", hbar)
     xa = np.asarray(x, dtype=float)
     if np.any(xa == 0.0):
         raise ValueError("x = 0 is excluded; psi -> 0 there by the squeeze bound")
-    ax = np.abs(xa)
-    sign = np.where(xa > 0.0, 1.0, (-1.0) ** state.n)
-    with np.errstate(over="ignore"):  # the argument or hbar |x| may overflow: NaN or inf psi
-        arg = 2.0 * math.sqrt(state.E) / hbar / ax
-        squeeze = (arg > SQUEEZE_ARGUMENT) & (arg < math.inf)
-        out = np.empty_like(ax)
-        out[~squeeze] = jv(state.n, arg[~squeeze])
-        out[squeeze] = np.sqrt(hbar * ax[squeeze] / (math.pi * math.sqrt(state.E)))
-    return _as_result(state.amplitude * sign * out)
+    amplitude = state.amplitude * np.where(xa > 0.0, 1.0, (-1.0) ** state.n)  # C (-1)^n for x < 0
+    return _as_result(amplitude * general_solution(np.abs(xa), state.n, state.E, 0.0, hbar))
 
 
 def ode_residual(

@@ -32,7 +32,7 @@ import random
 
 import pytest
 
-from pdmosc import cli, quantum, semiclassical
+from pdmosc import cli, semiclassical
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -215,7 +215,6 @@ def eigenfunction_errors():
         want = []
         for row in rows:
             x = exact(row["x"])
-            assert scale / abs(x) <= quantum.SQUEEZE_ARGUMENT  # psi is the Bessel factor
             parity = 1 if x > 0 else (-1) ** case["n"]
             want.append(parity * mpmath.besselj(case["n"], scale / abs(x)))
         peak = max(abs(w) for w in want)

@@ -310,6 +310,19 @@ def test_exact_solution_raises_near_singular_time():
     assert classical.exact_solution(3.0, params) == pytest.approx(1.0 / math.sqrt(8.0))
 
 
+@pytest.mark.parametrize("params, where", [
+    # lam > 0: no real root, so the minimum lam/c1 at t = -c2/sqrt(c1) is named
+    (ModelParams(lam=1e-300, c1=1.0, c2=0.0), "no real root; minimum lam/c1 = 1e-300 at t = 0"),
+    (ModelParams(lam=1e-300, c1=4.0, c2=-3.0),
+     "no real root; minimum lam/c1 = 2.5e-301 at t = 1.5"),
+    (ModelParams(lam=-1.0, c1=1.0, c2=0.0), "singular roots at (-1.0, 1.0)"),
+])
+def test_a_singular_radicand_names_its_roots_or_its_minimum(params, where):
+    with pytest.raises(SingularTrajectoryError) as info:
+        classical.exact_solution(np.array([0.0, 1.0, 1.5, 2.0]), params)
+    assert str(info.value) == f"radicand <= 1e-15 in the requested range ({where})"
+
+
 def test_exact_solution_refuses_an_overflowing_radicand():
     params = ModelParams(lam=1.0)
     with warnings.catch_warnings():

@@ -262,8 +262,9 @@ def test_odd_points_give_that_many_rows(points):
         (["box-spectrum", "--n", "1", "--eps", "1e200"], "non-finite E = inf in row 1"),
         (["phase-portrait", "--lambda=5e-324"],
          "turning point sqrt(E/lam) overflows for E=0.5, lam=5e-324"),
-        (["eigenfunction", "--n", "1", "--E", "1", "--hbar", "1e-308"],
-         "non-finite psi = nan in row 1"),
+        # a momentum that overflows is refused as a row, with no numpy warning ahead of it
+        (["trajectory", "--lambda", "1", "--c1", "1e300", "--c2", "2"],
+         "non-finite p = -inf in row 2"),
         # lam/c1 = -inf meets (c2 + sqrt(c1) t)^2 = +inf in the radicand: NaN, unwarned
         (["lambda-map", "--lambda-min=-1e308", "--lambda-max=-1e308", "--count=4", "--c1=0.5",
           "--c2=1e200"], "non-finite singular_time = inf in row 1"),
@@ -283,44 +284,46 @@ def test_overflow_and_non_finite_rows_exit_2(argv, message):
     assert message in err
 
 
-#: (E, hbar, smallest |x|) with 2 sqrt(E)/(hbar |x|) exactly at the squeeze floor 2000
+#: (E, hbar, smallest |x|) with 2 sqrt(E)/(hbar |x|) exactly 2000, the squeeze floor past
+#: which psi was once its envelope and the command line refused the grid; the same cases
+#: an ulp past it, and one far past it, where J_1(4000) is 4.13e-4 and the envelope once
+#: printed as psi(5e-4) was 0.0126
 AT_THE_FLOOR = [(1.0, 1.0, 1e-3), (4.0, 0.5, 4e-3), (0.25, 2e-3, 0.25)]
-
-
-@pytest.mark.parametrize("E, hbar, x", AT_THE_FLOOR)
-def test_eigenfunction_at_the_squeeze_floor_prints_the_bessel_factor(E, hbar, x):
-    mpmath = pytest.importorskip("mpmath")
-    assert 2 * math.sqrt(E) / hbar / x == quantum.SQUEEZE_ARGUMENT
-    code, out, err, caught = run_recorded(
-        ["eigenfunction", "--n=1", f"--E={E!r}", f"--hbar={hbar!r}", f"--x={x!r}:{2 * x!r}:{x!r}"]
-    )
-    assert (code, err, caught) == (0, "", [])
-    psi = {float(r["x"]): float(r["psi"]) for r in csv.DictReader(io.StringIO(out))}
-    with mpmath.workdps(40):
-        want = float(mpmath.besselj(1, 2 * mpmath.sqrt(E) / (hbar * mpmath.mpf(x))))
-    assert psi[x] == pytest.approx(want, rel=1e-9)  # J_1(2000) = 0.01637; the envelope is 0.01784
-    assert psi[-x] == -psi[x]
-
-
-#: the floor cases an ulp below it, and one far below: there J_1(4000) is 4.13e-4, and the
-#: envelope once printed as psi(5e-4) was 0.0126
 PAST_THE_FLOOR = [(E, hbar, math.nextafter(x, 0.0)) for E, hbar, x in AT_THE_FLOOR] + [
     (1.0, 1.0, 5e-4)
 ]
 
 
-@pytest.mark.parametrize("E, hbar, x", PAST_THE_FLOOR)
-def test_eigenfunction_refuses_a_grid_past_the_squeeze_floor_before_computing(
-        E, hbar, x, monkeypatch):
-    def no_psi(*args):
-        raise AssertionError("psi was computed")
+@pytest.mark.parametrize("E, hbar, x", AT_THE_FLOOR + PAST_THE_FLOOR)
+def test_eigenfunction_at_the_squeeze_floor_prints_the_bessel_factor(E, hbar, x):
+    mpmath = pytest.importorskip("mpmath")
 
-    monkeypatch.setattr(quantum, "eigenfunction", no_psi)
-    message = (f"pdmosc: --x reaches |x| = {x:g}, where the Bessel argument 2 sqrt(E)/(hbar |x|) "
-               f"= {2 * math.sqrt(E) / hbar / x:g} passes 2000: psi would be its squeeze envelope\n")
-    for grid in (f"{x!r}:{2 * x!r}:{x!r}", f"{-x!r}:{-x!r}:{x!r}"):  # mirrored, and not
+    def printed(grid):
         argv = ["eigenfunction", "--n=1", f"--E={E!r}", f"--hbar={hbar!r}", f"--x={grid}"]
-        assert run_recorded(argv) == (1, "", message, [])
+        code, out, err, caught = run_recorded(argv)
+        assert (code, err, caught) == (0, "", [])
+        return {float(r["x"]): float(r["psi"]) for r in csv.DictReader(io.StringIO(out))}
+
+    with mpmath.workdps(40):
+        want = float(mpmath.besselj(1, 2 * mpmath.sqrt(E) / (hbar * mpmath.mpf(x))))
+    mirrored = printed(f"{x!r}:{2 * x!r}:{x!r}")
+    assert mirrored[x] == pytest.approx(want, rel=1e-9)  # J_1(2000) = 0.01637; envelope 0.01784
+    assert mirrored[-x] == -mirrored[x]
+    assert printed(f"{-x!r}:{-x!r}:{x!r}") == {-x: mirrored[-x]}  # a grid that is not mirrored
+
+
+#: a Bessel argument 2 sqrt(E)/(hbar |x|) past bessel.ARGUMENT_RESOLVED_MAX = 1e15: in the
+#: first 2 sqrt(E)/hbar overflows to inf; in verify, ode_residual fails its check (1e33
+#: against 1e32 at hbar = 1e-20) and parity then refuses its first grid point, x = 0.2
+@pytest.mark.parametrize("argv, largest", [
+    (["eigenfunction", "--n", "1", "--E", "1", "--hbar", "1e-308"], "inf"),
+    (["verify", "--hbar", "1e-20"], "1e+21"),
+    (["verify", "--hbar", "1e-15"], "1e+16"),
+])
+def test_a_bessel_argument_past_1e15_exits_1_naming_the_limit(argv, largest):
+    assert run_recorded(argv) == (
+        1, "", f"pdmosc: Bessel argument 2 sqrt(E)/(hbar x) = {largest} is past 1e+15, "
+               "where J has no correct digits\n", [])
 
 
 @pytest.mark.parametrize("low, high", [("-1e308", "1e308"), ("1e308", "-1e308")])
