@@ -85,16 +85,13 @@ def radicand(t, params: ModelParams):
     return _as_result(out)
 
 
-def radicand_roots(params: ModelParams) -> tuple[float, float] | None:
-    """Both real roots (t_minus, t_plus) of the radicand, or None if lam > 0.
-
-    For lam = 0 the double root is returned twice.
-    """
-    if params.lam > 0.0:
-        return None
+def radicand_roots(params: ModelParams):
+    """Both real roots (t_minus, t_plus) of the radicand, elementwise over lam: both
+    NaN where lam > 0, which has no real root, and the double root twice where lam = 0."""
     rc1 = math.sqrt(params.c1)
-    half = math.sqrt(-params.lam / params.c1)
-    return ((-half - params.c2) / rc1, (half - params.c2) / rc1)
+    with np.errstate(over="ignore", invalid="ignore"):  # -lam/c1 may overflow; lam > 0 is NaN
+        half = np.sqrt(-np.asarray(params.lam, dtype=float) / params.c1)
+        return _as_result((-half - params.c2) / rc1), _as_result((half - params.c2) / rc1)
 
 
 def _regular_radicand(t, params: ModelParams):
@@ -103,9 +100,8 @@ def _regular_radicand(t, params: ModelParams):
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("radicand overflows the double range at a requested t")
     if np.any(np.asarray(q) <= RADICAND_FLOOR):
-        roots = radicand_roots(params)  # None for lam > 0: name the radicand's minimum instead
         t_min = 0.0 - params.c2 / math.sqrt(params.c1)  # 0.0 - keeps c2 = 0 from printing -0
-        where = (f"singular roots at {roots}" if roots else
+        where = (f"singular roots at {radicand_roots(params)}" if params.lam <= 0.0 else
                  f"no real root; minimum lam/c1 = {params.lam / params.c1:g} at t = {t_min:g}")
         raise SingularTrajectoryError(
             f"radicand <= {RADICAND_FLOOR:g} in the requested range ({where})")
@@ -142,18 +138,14 @@ def hamiltonian(x, p, lam: float):
 
 
 def singularity_time(params: ModelParams) -> float | None:
-    """Finite blow-up time (sqrt(|lam|/c1) - c2)/sqrt(c1) for lam < 0.
+    """Finite blow-up time for lam < 0: the later root t_plus of :func:`radicand_roots`,
+    the conventional choice of the two when c1, c2 > 0.
 
     Returns None for lam >= 0 (temporally localized trajectory); an array
-    lam gives an object array holding None there.  The radicand actually
-    vanishes at two times; this closed form selects the later root t_plus,
-    the conventional choice when c1, c2 > 0.  Use :func:`radicand_roots`
-    when both are needed.
+    lam gives an object array holding None there.
     """
     lam = np.asarray(params.lam, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # -lam/c1 may overflow; lam >= 0 is masked
-        t_plus = (np.sqrt(-lam / params.c1) - params.c2) / math.sqrt(params.c1)
-    return _as_result(np.where(lam < 0.0, t_plus, None))
+    return _as_result(np.where(lam < 0.0, radicand_roots(params)[1], None))
 
 
 def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:
@@ -175,22 +167,24 @@ def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:
     return _as_result(np.where(singular, "singular", "bounded"))
 
 
-def phase_curve(E: float, lam: float, x_grid) -> np.ndarray:
-    """Momentum branches p = +-sqrt(4E/x^4 - 4 lam/x^2) on a grid.
+def phase_curve(E: float, lam: float, points: int, x_floor_frac: float) -> np.ndarray:
+    """Rows (x, p_plus, p_minus) of the momentum branches p = +-sqrt(4E/x^4 - 4 lam/x^2).
 
-    Returns an (N, 3) array of rows (x, p_plus, p_minus).  Every grid point
-    must satisfy 0 < |x| <= A with A = sqrt(E/lam); p vanishes exactly at
-    the turning points +-A.
+    On each side of the origin |x| runs evenly from x_floor_frac * A to the turning point
+    A = sqrt(E/lam), where p vanishes up to the rounding of A; an odd points gives the positive
+    side the extra row, and points = 2 gives only x = +-x_floor_frac * A.
     """
+    if not (0.0 < x_floor_frac < 1.0):
+        raise ValueError(f"x_floor_frac must be in (0, 1), got {x_floor_frac}")
     if not (0.0 < E < math.inf and 0.0 < lam < math.inf):
-        raise ValueError("phase_curve requires E > 0 and lam > 0")
-    xs = np.asarray(x_grid, dtype=float)
+        raise ValueError(f"phase_curve requires E > 0 and lam > 0, got E={E}, lam={lam}")
     amp = math.sqrt(E / lam)
-    if np.any(xs == 0.0):
+    if not math.isfinite(amp):
+        raise OverflowError(f"turning point sqrt(E/lam) overflows for E={E!r}, lam={lam!r}")
+    half = np.linspace(x_floor_frac * amp, amp, points - points // 2)
+    xs = np.concatenate([-half[::-1][: points // 2], half])
+    if np.any(xs == 0.0):  # A underflows to 0 when E/lam does
         raise ValueError("x = 0 is outside the model domain")
-    if np.any(np.abs(xs) > amp * (1.0 + 1e-12)):
-        bad = xs[np.abs(xs) > amp * (1.0 + 1e-12)]
-        raise ValueError(f"grid points outside the turning points +-{amp:g}: {bad[:3]}")
     # 4E and xs**4 may overflow (inf/inf is NaN), xs**4 underflow to 0; the caller refuses NaN
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rad = 4.0 * E / xs**4 - 4.0 * lam / xs**2

@@ -216,18 +216,9 @@ def run_phase_portrait(o):
     energies = parse_floats(o.energies)
     if not energies:
         raise ValueError("--energies must name at least one energy")
-    if not (0.0 < o.x_floor_frac < 1.0):
-        raise ValueError("--x-floor-frac must be in (0, 1)")
-    curves = []
-    for E in energies:
-        amp = semiclassical.turning_point(E, o.lam)
-        # an odd count gives the positive half the extra point; an infinite
-        # turning point (inf - inf) gives a non-finite grid, refused as a row
-        half = np.linspace(o.x_floor_frac * amp, amp, o.points - o.points // 2)
-        grid = np.concatenate([-half[::-1][: o.points // 2], half])
-        curve = classical.phase_curve(E, o.lam, grid)  # rows (x, p_plus, p_minus)
-        curves.append(np.column_stack([np.full(grid.size, E), curve]))
-    return ["E", "x", "p_plus", "p_minus"], list(np.concatenate(curves).T), EXIT_OK
+    curves = [classical.phase_curve(E, o.lam, o.points, o.x_floor_frac) for E in energies]
+    tables = [np.column_stack([np.full(o.points, E), c]) for E, c in zip(energies, curves)]
+    return ["E", "x", "p_plus", "p_minus"], list(np.concatenate(tables).T), EXIT_OK
 
 
 def run_wkb(o):

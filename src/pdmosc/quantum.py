@@ -156,6 +156,15 @@ def lambda_quantized(n, ordering: SingleTermOrdering, hbar: float):
         return (n * n - ordering.s**2) * hbar**2 / 4.0
 
 
+def _bessel_argument(z):
+    """z, the Bessel argument 2 sqrt(E)/(hbar x); raises past ARGUMENT_RESOLVED_MAX = 1e15, at inf
+    or at NaN, where J has no correct digits.  Callers compute z with overflow ignored."""
+    if not np.all(z <= ARGUMENT_RESOLVED_MAX):  # NaN fails the comparison too
+        raise ValueError(f"Bessel argument 2 sqrt(E)/(hbar x) = {np.max(z):g} is past "
+                         f"{ARGUMENT_RESOLVED_MAX:g}, where J has no correct digits")
+    return z
+
+
 def general_solution(x, nu: float, E: float, d: float, hbar: float):
     """x^d J_nu(2 sqrt(E)/(hbar x)) for x > 0, the first-kind solution.
 
@@ -163,17 +172,15 @@ def general_solution(x, nu: float, E: float, d: float, hbar: float):
     The second-kind Y_nu term is left out: the boundary analysis discards it,
     since it grows without bound as x -> infinity.  A Bessel argument past
     ARGUMENT_RESOLVED_MAX = 1e15, inf or NaN raises: J has no correct digits there.
+    An x^d past the double range gives an unwarned inf or NaN, which the caller refuses.
     """
     _check_positive_finite("hbar", hbar)
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise ValueError("the solution is defined on x > 0; use parity for x < 0")
-    with np.errstate(over="ignore"):  # an argument that overflows is inf, refused below
-        z = 2.0 * math.sqrt(E) / hbar / xa
-    if not np.all(z <= ARGUMENT_RESOLVED_MAX):  # NaN fails the comparison too
-        raise ValueError(f"Bessel argument 2 sqrt(E)/(hbar x) = {np.max(z):g} is past "
-                         f"{ARGUMENT_RESOLVED_MAX:g}, where J has no correct digits")
-    return _as_result(xa**d * jv(nu, z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _bessel_argument(2.0 * math.sqrt(E) / hbar / xa)
+        return _as_result(xa**d * jv(nu, z))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +224,9 @@ def ode_residual(
 ) -> float:
     """Max absolute wave-equation residual of psi_n at 400 Chebyshev points in [0.2, 10].
 
-    Derivatives of psi = C J_n(a/x), a = 2 sqrt(E)/hbar, are taken
-    analytically through the recurrence (see
-    :func:`pdmosc.bessel.jv_derivatives`).  The residual is below 1e-8
+    Derivatives of psi = C J_n(a/x), a = 2 sqrt(E)/hbar, are taken analytically through
+    the recurrence (see :func:`pdmosc.bessel.jv_derivatives`); an argument a/x past
+    1e15 raises, as in :func:`general_solution`.  The residual is below 1e-8
     exactly when the ordering reduces cleanly (see
     :attr:`SingleTermOrdering.reduces_cleanly`) *and* lam sits at its
     quantized value; it is insensitive to E, which is the continuous-energy
@@ -232,7 +239,8 @@ def ode_residual(
 
     n = state.n
     a = 2.0 * math.sqrt(state.E) / hbar
-    u = a / xs
+    with np.errstate(over="ignore"):
+        u = _bessel_argument(a / xs)
     j, jp, jpp = jv_derivatives(n, u)
 
     # chain rule for psi(x) = C J(a/x):  u' = -a/x^2,  u'' = 2a/x^3
@@ -273,7 +281,7 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
     grid: phi(g) = x^{-1/2} J_nu(2 sqrt(E)/(hbar x)) expressed in
     t = |g| is sqrt(2t) J_nu(2 a t), whose analytic derivatives must satisfy
     the equation at the 200 points t = linspace(0.05, 2.5, 200); the worst
-    violation is returned.
+    violation is returned.  An argument 2 a t past 1e15 raises, as in :func:`general_solution`.
     """
     ContinuumState(1, E)  # checks E
     nu = nu_from_params(ordering, lam, hbar)
@@ -282,7 +290,8 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
 
     t = np.linspace(0.05, 2.5, 200)
     a = 2.0 * math.sqrt(E) / hbar
-    u = 2.0 * a * t
+    with np.errstate(over="ignore"):
+        u = _bessel_argument(2.0 * a * t)
     j, jp, jpp = jv_derivatives(nu, u)
 
     rt = np.sqrt(2.0 * t)

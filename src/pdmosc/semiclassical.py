@@ -71,16 +71,6 @@ class WkbCondition(NamedTuple):
     measured: float
 
 
-def turning_point(E: float, lam: float) -> float:
-    """Classical turning point A = sqrt(E/lam) where the momentum vanishes."""
-    if not (0.0 < E < math.inf and 0.0 < lam < math.inf):
-        raise ValueError(f"turning_point requires E > 0 and lam > 0, got E={E}, lam={lam}")
-    A = math.sqrt(E / lam)
-    if not math.isfinite(A):
-        raise OverflowError(f"turning point sqrt(E/lam) overflows for E={E!r}, lam={lam!r}")
-    return A
-
-
 def divergent_part(A: float, eps: float) -> float:
     """The 2 sqrt(A^2 - eps^2)/eps term subtracted at each cutoff."""
     return 2.0 * math.sqrt(A * A - eps * eps) / eps

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import struct
@@ -295,9 +296,25 @@ def test_radicand_roots():
     params = ModelParams(lam=-1.0, c1=1.0, c2=0.0)
     roots = classical.radicand_roots(params)
     assert roots == pytest.approx((-1.0, 1.0))
-    assert classical.radicand_roots(FIG1) is None
     for t in roots:
         assert abs(classical.radicand(t, params)) < 1e-14
+    assert all(map(math.isnan, classical.radicand_roots(FIG1)))  # lam > 0: no real root
+    assert classical.radicand_roots(ModelParams(lam=0.0, c1=4.0, c2=-3.0)) == (1.5, 1.5)
+
+
+def test_radicand_roots_of_an_array_lam_are_the_scalar_roots_and_give_singularity_time():
+    lams = np.linspace(-3.0, 3.0, 61)  # crosses lam = 0 exactly
+    for c1, c2 in [(1.0, 0.0), (0.37, 1.3), (2.0, -5.0)]:
+        params = ModelParams(lam=lams, c1=c1, c2=c2)
+        t_minus, t_plus = classical.radicand_roots(params)
+        t_star = classical.singularity_time(params)
+        for i, lam in enumerate(lams.tolist()):
+            scalar = classical.radicand_roots(ModelParams(lam=lam, c1=c1, c2=c2))
+            assert struct.pack("<2d", t_minus[i], t_plus[i]) == struct.pack("<2d", *scalar)
+            if lam < 0.0:
+                assert t_star[i] == t_plus[i]
+            else:
+                assert t_star[i] is None
 
 
 def test_exact_solution_raises_near_singular_time():
@@ -430,23 +447,51 @@ def test_overflowing_singularity_time_is_inf_without_a_warning():
 
 
 def test_phase_curve_turning_points_and_divergence():
-    # turning points of the E = 0.5 curve at lam = 0.5 sit at x = +-1
-    rows = classical.phase_curve(0.5, 0.5, [-1.0, 1.0])
-    assert rows[:, 1] == pytest.approx([0.0, 0.0], abs=1e-12)
-    rows = classical.phase_curve(1.0, 0.5, [1.0])
-    assert rows[0, 1] == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert rows[0, 2] == pytest.approx(-math.sqrt(2.0), rel=1e-14)
-    small = classical.phase_curve(1.0, 0.5, [1e-3])
-    assert small[0, 1] > 1e5
+    # the turning points +-A, A = sqrt(E/lam), are the end rows, with p = 0 there
+    for (E, lam, amp), points in itertools.product([(1.0, 1.0, 1.0), (0.5, 0.5, 1.0),
+                                                    (4.0, 1.0, 2.0)], (4, 5)):
+        rows = classical.phase_curve(E, lam, points, 0.25)
+        assert rows.shape == (points, 3)
+        assert rows[[0, -1], 0].tolist() == [-amp, amp]
+        assert rows[[0, -1], 1].tolist() == [0.0, 0.0]
+        assert (rows[:, 0] < 0.0).sum() == points // 2  # an odd count: the extra row is positive
+    xs, p_plus, p_minus = classical.phase_curve(1.0, 0.5, 9, 0.05).T
+    assert p_plus**2 == pytest.approx(4.0 * 1.0 / xs**4 - 4.0 * 0.5 / xs**2, rel=1e-13)
+    assert np.array_equal(p_minus, -p_plus)
+    peaks = [classical.phase_curve(1.0, 0.5, 2, frac)[0, 1] for frac in (0.5, 0.05, 1e-3)]
+    assert peaks == sorted(peaks) and peaks[-1] > 1e5  # p diverges toward the origin
+
+
+def _reference_phase_curve(E, lam, points, x_floor_frac):
+    """The command line's grid and phase_curve's rows on it, as they were computed
+    apart: the reference whose bits phase_curve must keep."""
+    amp = math.sqrt(E / lam)
+    half = np.linspace(x_floor_frac * amp, amp, points - points // 2)
+    xs = np.concatenate([-half[::-1][: points // 2], half])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rad = 4.0 * E / xs**4 - 4.0 * lam / xs**2
+    p = np.sqrt(np.maximum(rad, 0.0))
+    return np.column_stack([xs, p, -p])
+
+
+@pytest.mark.parametrize("points", [2, 7, 400, 401])
+@pytest.mark.parametrize("x_floor_frac", [1e-3, 0.05, 0.9])
+def test_phase_curve_keeps_the_bits_of_the_command_line_grid(points, x_floor_frac):
+    for E, lam in [(0.5, 1.0), (0.7, 1.0), (0.8, 0.37), (3.0, 1e-3)]:
+        assert np.array_equal(classical.phase_curve(E, lam, points, x_floor_frac),
+                              _reference_phase_curve(E, lam, points, x_floor_frac))
 
 
 def test_phase_curve_rejections():
-    with pytest.raises(ValueError):
-        classical.phase_curve(0.5, 0.5, [1.5])  # beyond the turning point
-    with pytest.raises(ValueError):
-        classical.phase_curve(0.5, 0.5, [0.0])
-    with pytest.raises(ValueError):
-        classical.phase_curve(-1.0, 0.5, [0.5])
-    for E, lam in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]:
-        with pytest.raises(ValueError, match="requires E > 0 and lam > 0"):
-            classical.phase_curve(E, lam, [0.5])
+    for frac in (0.0, 1.0, -0.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^x_floor_frac must be in \(0, 1\), got {frac}$"):
+            classical.phase_curve(0.5, 0.5, 4, frac)
+    for E, lam in [(-1.0, 0.5), (0.0, 1.0), (1.0, 0.0), (1.0, -1.0), (math.nan, 1.0),
+                   (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match=f"^phase_curve requires E > 0 and lam > 0, got "
+                                             f"E={E}, lam={lam}$"):
+            classical.phase_curve(E, lam, 4, 0.05)
+    with pytest.raises(OverflowError, match=r"sqrt\(E/lam\) overflows for E=1.0, lam=5e-324"):
+        classical.phase_curve(1.0, 5e-324, 4, 0.05)
+    with pytest.raises(ValueError, match="^x = 0 is outside the model domain$"):
+        classical.phase_curve(5e-324, 1e300, 4, 0.05)  # E/lam underflows: A = 0

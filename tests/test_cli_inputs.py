@@ -268,10 +268,9 @@ def test_odd_points_give_that_many_rows(points):
         # lam/c1 = -inf meets (c2 + sqrt(c1) t)^2 = +inf in the radicand: NaN, unwarned
         (["lambda-map", "--lambda-min=-1e308", "--lambda-max=-1e308", "--count=4", "--c1=0.5",
           "--c2=1e200"], "non-finite singular_time = inf in row 1"),
-        # the wave equation's terms leave the double range in ode_residual, the first
-        # check to read hbar; numpy once warned three times before this line
-        (["verify", "--hbar", "1e-160"],
-         "ode_residual at hbar = 1e-160: overflow encountered in square"),
+        # lam = 0: the radicand's double root, named twice
+        (["trajectory", "--lambda", "0", "--c2=-1", "--t", "0:2:0.5"],
+         "radicand <= 1e-15 in the requested range (singular roots at (1.0, 1.0))"),
         # A * A overflows in the cutoff integrand; its NaN quadrature once gave a NaN row
         (["wkb", "--turning-point", "1e200"], "cutoff integral (A=1e+200, eps=1e+198)"),
     ],
@@ -322,12 +321,14 @@ def test_eigenfunction_past_the_squeeze_floor_prints_the_bessel_factor(E, hbar, 
 
 
 #: a Bessel argument 2 sqrt(E)/(hbar |x|) past bessel.ARGUMENT_RESOLVED_MAX = 1e15: in the
-#: first 2 sqrt(E)/hbar overflows to inf; in verify, ode_residual fails its check (1e33
-#: against 1e32 at hbar = 1e-20) and parity then refuses its first grid point, x = 0.2
+#: first 2 sqrt(E)/hbar overflows to inf; in verify, ode_residual, the first check to
+#: evaluate J, refuses its first state (E = 1/2) at its smallest grid point, x = 0.2000189,
+#: where it once returned a residual of 3.4e24 at hbar = 1e-15 and overflowed at 1e-160
 @pytest.mark.parametrize("argv, largest", [
     (["eigenfunction", "--n", "1", "--E", "1", "--hbar", "1e-308"], "inf"),
-    (["verify", "--hbar", "1e-20"], "1e+21"),
-    (["verify", "--hbar", "1e-15"], "1e+16"),
+    (["verify", "--hbar", "1e-20"], "7.06973e+20"),
+    (["verify", "--hbar", "1e-15"], "7.06973e+15"),
+    (["verify", "--hbar", "1e-160"], "7.06973e+160"),
 ])
 def test_a_bessel_argument_past_1e15_exits_1_naming_the_limit(argv, largest):
     assert run_recorded(argv) == (
@@ -408,6 +409,13 @@ def test_unknown_flag_points_to_its_subcommands_help():
         (["phase-portrait", "--lambda", "1", "--energies=,"], "must name at least one energy"),
         (["lambda-map", "--window", "0"], "expected t0:t1, got '0'"),
         (["lambda-map", "--window", "1:2:3"], "expected t0:t1, got '1:2:3'"),
+        (["phase-portrait", "--lambda", "1", "--x-floor-frac", "1"],
+         "x_floor_frac must be in (0, 1), got 1.0"),
+        (["phase-portrait", "--lambda=-1"],
+         "phase_curve requires E > 0 and lam > 0, got E=0.5, lam=-1.0"),
+        # E/lam underflows, so the turning point and the whole grid are x = 0
+        (["phase-portrait", "--lambda", "1e300", "--energies", "5e-324"],
+         "x = 0 is outside the model domain"),
     ],
 )
 def test_malformed_lists_windows_and_config_values_exit_1(argv, message, tmp_path,

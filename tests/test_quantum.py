@@ -507,8 +507,32 @@ def test_overlap_kernel_refuses_a_non_finite_R(R):
 
 def test_ode_residual_overflow_raises_naming_itself_and_hbar():
     state = ContinuumState(n=2, E=1.0)
-    with pytest.raises(FloatingPointError, match=r"^ode_residual at hbar = 1e-160: overflow"):
-        quantum.ode_residual(state, CLEAN, quantum.lambda_quantized(2, CLEAN, 1e-160), 1e-160)
+    with pytest.raises(FloatingPointError,
+                       match=r"^ode_residual at hbar = 1.0: overflow encountered in divide$"):
+        quantum.ode_residual(state, CLEAN, 1e307, 1.0)  # (4 lam/hbar^2)/x^2 overflows
+
+
+#: ode_residual once returned 3.4e24 at hbar = 1e-15 and overflowed at 1e-160, and
+#: pct_reduce returned 9.0e30 at 1e-20: both evaluate J past the argument limit there
+@pytest.mark.parametrize("hbar", [1e-15, 1e-20, 1e-160])
+def test_the_residual_checks_refuse_a_bessel_argument_past_1e15(hbar):
+    state = ContinuumState(n=2, E=1.0)
+    calls = [lambda: quantum.ode_residual(state, CLEAN, quantum.lambda_quantized(2, CLEAN, hbar),
+                                          hbar),
+             lambda: quantum.pct_reduce(CLEAN, 0.0, 1.0, hbar)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^Bessel argument 2 sqrt\(E\)/\(hbar x\) = "
+                                                 r".* is past 1e\+15, where J"):
+                call()
+
+
+def test_an_x_power_past_the_double_range_is_an_unwarned_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # x^(-3/2) overflows at x = 1e-250
+        psi = quantum.hermitian_wavefunction(np.array([1e-250, 1.0]), 1, 1.0, 1e300)
+    assert psi[0] == math.inf and math.isfinite(psi[1])
 
 
 def test_box_spectrum_values():

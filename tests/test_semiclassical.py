@@ -12,21 +12,6 @@ ACTION_A1_E05 = 1.3697065127445587  # = 2 sqrt(3) + pi/3 - pi
 ACTION_A1_E01 = 16.958490930865725
 
 
-def test_turning_point_examples():
-    assert sc.turning_point(1.0, 1.0) == 1.0
-    assert sc.turning_point(0.5, 0.5) == 1.0
-    assert sc.turning_point(4.0, 1.0) == 2.0
-    with pytest.raises(ValueError):
-        sc.turning_point(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        sc.turning_point(1.0, 0.0)
-    for E, lam in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]:
-        with pytest.raises(ValueError, match="requires E > 0 and lam > 0"):
-            sc.turning_point(E, lam)
-    with pytest.raises(OverflowError, match=r"sqrt\(E/lam\) overflows for E=1.0, lam=5e-324"):
-        sc.turning_point(1.0, 5e-324)
-
-
 def test_action_integral_frozen_values():
     assert sc.action_integral_regularized(1.0, 0.5) == pytest.approx(ACTION_A1_E05, abs=1e-9)
     assert sc.action_integral_regularized(1.0, 0.1) == pytest.approx(ACTION_A1_E01, abs=1e-9)
@@ -201,7 +186,7 @@ def test_wkb_identity_makes_one_condition_call_per_hbar(monkeypatch):
 def contour_action(E: float, lam: float) -> float:
     """Loop action around the two-branch phase curve, finite-part reading:
     both momentum branches, so twice the one-pass action 2 sqrt(lam) |I|."""
-    return 4.0 * math.sqrt(lam) * abs(sc.finite_part_action(sc.turning_point(E, lam)).finite_part)
+    return 4.0 * math.sqrt(lam) * abs(sc.finite_part_action(math.sqrt(E / lam)).finite_part)
 
 
 def test_contour_action_values():
