@@ -7,8 +7,6 @@ recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2) take any real order unchecked.
 :func:`jv` at a float argument, as a quadrature integrand calls it, goes to
 the same routine through :mod:`scipy.special.cython_special`, which skips the
 ufunc's per-call overhead and returns the same bits as a Python float.
-:func:`bessel_j` is the one checked evaluator, for callers that need its
-order/domain checks and its warning below.
 Zeros of integer-order J_n are located here, so the zero finder shares no
 code with any library zero table: one evaluation of J_n on a unit grid
 brackets every zero of an order up to the one wanted, and a safeguarded
@@ -16,17 +14,18 @@ Newton iteration polishes each bracket.  :func:`bessel_zeros` returns all
 zeros up to N_max from that single scan; :func:`bessel_zero` is its last
 entry; a zero polished before in the process comes from a memo.
 
-Accuracy is guaranteed (relative error <= 1e-10 away from zeros) inside the
-box x <= 1e3, nu <= 50.  Outside the box :func:`bessel_j` still returns
-best-effort values but emits :class:`AccuracyLossWarning`; the psi evaluators
-of :mod:`pdmosc.quantum` refuse an argument past ARGUMENT_RESOLVED_MAX = 1e15.
+J has one measured domain: order nu <= ORDER_MAX = 50 and argument
+z <= ARGUMENT_RESOLVED_MAX = 1e15.  Inside it the error of J_nu(z) is at most
+1e-12 relative to max(sqrt(2/(pi z)), |J_nu(z)|), the larger of the envelope
+and the value, and relative to |J_nu(z)| where z < nu (tests/test_bessel.py
+pins this against mpmath).  The CLI refuses an order past ORDER_MAX and the
+psi evaluators of :mod:`pdmosc.quantum` an argument past ARGUMENT_RESOLVED_MAX.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -57,19 +56,14 @@ class _Special:
 #: call time, so a test or tracer may replace ``_sp`` with its own namespace
 _sp = _Special()
 
-#: guaranteed-accuracy box
-ORDER_GUARANTEED_MAX = 50.0
-ARGUMENT_GUARANTEED_MAX = 1.0e3
-#: not a knob: scipy's J_nu has no correct digits from an argument of about 2e15
+#: the measured domain of J (see the module docstring): the highest order
+ORDER_MAX = 50.0
+#: and the highest argument; not a knob: scipy's J_nu has no correct digits from about 2e15
 ARGUMENT_RESOLVED_MAX = 1.0e15
 
 #: the zero polish stops once a step is below this; the error reaches 1.02e-12
 #: near x ~ 540 because the polish ends in bisection (see :func:`_polish_zero`)
 ZERO_ABS_TOL = 1e-12
-
-
-class AccuracyLossWarning(UserWarning):
-    """Evaluation left the guaranteed-accuracy box (x <= 1e3, nu <= 50)."""
 
 
 class ZeroRefinementError(ArithmeticError, RuntimeError):
@@ -91,8 +85,8 @@ def _check_positive_finite(name: str, value: float) -> None:
 def jv(nu: float, x):
     """J_nu(x) for any real order (J_{-m} = (-1)^m J_m for integer m).
 
-    No order or domain check and no accuracy-box warning, for inner loops
-    such as quadrature integrands, where a check costs more than the value.
+    No order or domain check, for inner loops such as quadrature integrands,
+    where a check costs more than the value.
     A float x (``numpy.float64`` included) takes the scalar path
     ``_sp.jv_scalar``: the same routine with the same bits, returned as a
     Python float, without the ufunc's per-call overhead.
@@ -117,30 +111,6 @@ def jv_derivatives(nu: float, x):
     j = _sp.jv(nu, x)
     jpp = 0.25 * (_sp.jv(nu - 2.0, x) - 2.0 * j + _sp.jv(nu + 2.0, x))
     return j, _jv_prime(nu, x), jpp
-
-
-def bessel_j(nu: float, x) -> float:
-    """J_nu(x) for x >= 0; the one checked evaluator, warning its caller outside the box.
-
-    J_nu(0) = 0 for nu > 0 and J_0(0) = 1.  Negative arguments are a domain
-    error: callers that need x < 0 are expected to apply the parity relation
-    J_n(-z) = (-1)^n J_n(z) explicitly.
-    """
-    nu = float(nu)
-    if not np.isfinite(nu) or nu < 0.0:
-        raise ValueError(f"Bessel order must be finite and non-negative, got {nu!r}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise ValueError("bessel_j requires x >= 0; map negative arguments via parity")
-    if nu > ORDER_GUARANTEED_MAX or np.any(xa > ARGUMENT_GUARANTEED_MAX):
-        warnings.warn(
-            "evaluation outside the guaranteed-accuracy box "
-            f"(x <= {ARGUMENT_GUARANTEED_MAX:g}, nu <= {ORDER_GUARANTEED_MAX:g}); "
-            "result is best effort",
-            AccuracyLossWarning,
-            stacklevel=2,
-        )
-    return _as_result(_sp.jv(nu, xa))
 
 
 def mcmahon_zero_estimate(n: int, N: int) -> float:

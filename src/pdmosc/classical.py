@@ -138,14 +138,16 @@ def hamiltonian(x, p, lam: float):
 
 
 def singularity_time(params: ModelParams) -> float | None:
-    """Finite blow-up time for lam < 0: the later root t_plus of :func:`radicand_roots`,
-    the conventional choice of the two when c1, c2 > 0.
+    """Finite blow-up time for lam <= 0: the later root t_plus of :func:`radicand_roots`,
+    the conventional choice of the two when c1, c2 > 0, and at lam = 0 the double root
+    -c2/sqrt(c1), where the radicand touches zero.
 
-    Returns None for lam >= 0 (temporally localized trajectory); an array
+    Returns None for lam > 0 (temporally localized trajectory); an array
     lam gives an object array holding None there.
     """
     lam = np.asarray(params.lam, dtype=float)
-    return _as_result(np.where(lam < 0.0, radicand_roots(params)[1], None))
+    # 0.0 + keeps the double root of lam = c2 = 0 from printing -0
+    return _as_result(np.where(lam <= 0.0, 0.0 + radicand_roots(params)[1], None))
 
 
 def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:
@@ -172,7 +174,9 @@ def phase_curve(E: float, lam: float, points: int, x_floor_frac: float) -> np.nd
 
     On each side of the origin |x| runs evenly from x_floor_frac * A to the turning point
     A = sqrt(E/lam), where p vanishes up to the rounding of A; an odd points gives the positive
-    side the extra row, and points = 2 gives only x = +-x_floor_frac * A.
+    side the extra row.  Fewer than 4 points cannot give each side both ends (points = 2 gives
+    only x = +-x_floor_frac * A, points = 3 gives -A, x_floor_frac * A and A), so the CLI asks
+    for at least 4.
     """
     if not (0.0 < x_floor_frac < 1.0):
         raise ValueError(f"x_floor_frac must be in (0, 1), got {x_floor_frac}")

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
-from .bessel import _check_zero_args, bessel_j, bessel_zero, bessel_zeros  # noqa: F401
+from .bessel import _check_zero_args, bessel_zero, bessel_zeros  # noqa: F401
 from .bessel import ARGUMENT_RESOLVED_MAX, _as_result, _check_positive_finite, jv, jv_derivatives
 from .semiclassical import quad
 
@@ -376,7 +376,7 @@ def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxS
     zeros = np.array(bessel_zeros(n, N_max))
     with np.errstate(over="ignore"):  # a huge eps overflows; the caller refuses an inf row
         energies = 0.25 * hbar**2 * zeros * zeros * eps * eps
-        norms = eps / bessel_j(n + 1, zeros)
+        norms = eps / jv(n + 1, zeros)
     rows = zip(energies.tolist(), norms.tolist())
     return [BoxState(eps, int(n), N, energy, norm) for N, (energy, norm) in enumerate(rows, start=1)]
 
@@ -400,7 +400,7 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
         raise ValueError(f"eps = {eps} is too small: the box radius 1/eps overflows")
     zeros = bessel_zeros(n, max(N, M))  # one scan; zeros polished before come from the memo
     jN, jM = zeros[N - 1], zeros[M - 1]
-    cN, cM = (eps / bessel_j(n + 1, np.array([jN, jM]))).tolist()
+    cN, cM = (eps / jv(n + 1, np.array([jN, jM]))).tolist()
     value = _product_integral(n, jN * eps, jM * eps, 1.0 / eps, 1e-13, limit=400, gate=1e-9,
                               gate_rel=0.0, label=f"orthonormality integral (n={n}, N={N}, M={M})")
     return 2.0 * cN * cM * value

@@ -171,9 +171,9 @@ def test_criterion_8_special_function_kernel():
         worst = max(worst, float(np.max(np.abs(wron))))
         if nu >= 1:
             rec = (
-                bessel.bessel_j(nu - 1, xs)
-                + bessel.bessel_j(nu + 1, xs)
-                - (2.0 * nu / xs) * bessel.bessel_j(nu, xs)
+                bessel.jv(nu - 1, xs)
+                + bessel.jv(nu + 1, xs)
+                - (2.0 * nu / xs) * bessel.jv(nu, xs)
             )
             worst = max(worst, float(np.max(np.abs(rec))))
     assert worst < 1e-9

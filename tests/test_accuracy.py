@@ -15,8 +15,9 @@ points; p_minus must be exactly -p_plus.  `wkb`'s lhs takes the library's
 finite part I as its input, so the budget measures the arithmetic and not the
 quadrature; the residual is an absolute bound.  psi is compared relative to
 max |psi| on the compared rows, since it is ill-conditioned near the zeros of
-J_n.  `box-spectrum` compares every row: its budgets record the error of the
-Bessel zeros' polish (ROADMAP item 2), which a few zeros carry.
+J_n.  `box-spectrum` compares every row up to N = 50, and every 75th row (and the
+last) of three cases out to N = 3000, zeros near x = 9400: its budgets record the
+error of the Bessel zeros' polish (ROADMAP item 2), which a few zeros carry.
 
 Each budget is the measured worst case times the margin stated beside it.
 To print the measured worst cases of the current tree:
@@ -186,9 +187,11 @@ def box_spectrum_errors():
              eps=10 ** rng.uniform(-2, 0), hbar=10 ** rng.uniform(-1, 1))
         for _ in range(2)
     ]
-    for case in cases:
+    far = [dict(n=1, n_zeros=3000, eps=0.1, hbar=1.0), dict(n=5, n_zeros=3000, eps=0.03, hbar=0.7),
+           dict(n=30, n_zeros=3000, eps=0.5, hbar=2.0)]
+    for case, stride in [(case, 1) for case in cases] + [(case, 75) for case in far]:
         n, eps, hbar = case["n"], mpmath.mpf(case["eps"]), mpmath.mpf(case["hbar"])
-        for row in run("box-spectrum", case, stride=1):
+        for row in run("box-spectrum", case, stride):
             zero = mpmath.besseljzero(n, int(row["N"]))
             worst["E"] = max(worst["E"], ulps(row["E"], hbar**2 * zero**2 * eps**2 / 4))
             worst["C"] = max(worst["C"], ulps(row["C"], eps / mpmath.besselj(n + 1, zero)))

@@ -311,7 +311,7 @@ def test_radicand_roots_of_an_array_lam_are_the_scalar_roots_and_give_singularit
         for i, lam in enumerate(lams.tolist()):
             scalar = classical.radicand_roots(ModelParams(lam=lam, c1=c1, c2=c2))
             assert struct.pack("<2d", t_minus[i], t_plus[i]) == struct.pack("<2d", *scalar)
-            if lam < 0.0:
+            if lam <= 0.0:
                 assert t_star[i] == t_plus[i]
             else:
                 assert t_star[i] is None

@@ -80,8 +80,12 @@ def test_lambda_map_classification(capsys):
     # x(t) = 1/|t| blows up at t = 0
     assert [r["status"] for r in rows] == ["singular", "singular", "singular", "bounded", "bounded"]
     assert float(rows[0]["singular_time"]) == pytest.approx(1.0)
-    assert rows[2]["singular_time"] == ""  # closed form only exists for lam < 0
+    # at lam = 0 the radicand (c2 + sqrt(c1) t)^2 touches zero at its double root -c2/sqrt(c1)
+    assert rows[2]["singular_time"] == "0"  # unsigned, though c2 = 0
     assert rows[-1]["singular_time"] == ""
+    code, out, _ = run_cli(["lambda-map", "--lambda-min", "-1", "--lambda-max", "1", "--count", "3",
+                            "--c1", "4", "--c2", "-3"], capsys)
+    assert (code, out.splitlines()[2]) == (0, "0,singular,1.5")
 
 
 def test_phase_portrait_turning_points(capsys):
@@ -355,7 +359,7 @@ def test_grid_cap_boundary(monkeypatch):
 # (argv without the count, flag, lowest accepted value, data rows at that value)
 COUNT_OPTIONS = [
     (["lambda-map"], "--count", 2, 2),
-    (["phase-portrait", "--lambda", "1", "--energies", "1"], "--points", 2, 2),
+    (["phase-portrait", "--lambda", "1", "--energies", "1"], "--points", 4, 4),
     (["wkb"], "--n-max", 0, 1),
     (["spectrum"], "--n-max", 1, 1),
     (["box-spectrum", "--n", "1"], "--n-zeros", 1, 1),

@@ -62,7 +62,7 @@ CASES.update(
         "help": ["--help"],
         "unknown-flag": ["trajectory", "--frobnicate"],
         "config-run": ["trajectory", "--config", "run.cfg"],
-        # the norms' order 81 leaves the accuracy box: box-spectrum refuses it ...
+        # the norms' order 81 is past J's domain (order <= 50): box-spectrum refuses it ...
         "box-spectrum-n80": ["box-spectrum", "--n", "80", "--n-zeros", "1"],
         # ... and eigenfunction refuses J_80 the same way, before computing
         "eigenfunction-n80": ["eigenfunction", "--n", "80", "--E", "1", "--x", "0.5:1:0.25"],
@@ -107,9 +107,9 @@ DIGESTS = {
     "eigenfunction-json": "2f54963418bc688bc20e0e3b362108052216ae7bcb3487eb626a9f66e54c7459",
     "eigenfunction-n80": "e25b18d65fcc27f2eb941a425a6299b52b93b75ac56ad1227796c25df99a0d9e",
     "help": "cb9d32bfd8d33018660d900ec0915f2b39ebde34d36f26c18fda3fb8e191036d",
-    "lambda-map-csv": "2dd46c9bcd46adcdc9a626d95911d475f8b7b1d2a4b30545c615f67ef11d5d4e",
+    "lambda-map-csv": "9349a391fe8756e4b6ddaf8e8b0dfc374bfbe5a006e09e1ae1a46d0385065979",
     "lambda-map-help": "ff5e0a0c1562085cf332c3a13c735d5611a9d465e7c5bc5ea54799639c3cb642",
-    "lambda-map-json": "e4f865570ab14f18df2ce291c2658b46d5961741cce448957787e8ca69f2368d",
+    "lambda-map-json": "9344422548e470b6a7ea57efc351dccd459e14d666136b990fceeaaa50ab9992",
     "lambda-map-large-csv": "0655e8f862044568b6fb429208fe3d575ac92aa1b25ed260ac4556a556372d58",
     "lambda-map-large-json": "49f88c0b549e93109af5f5ff85c82bc31d9cbcf7adffebfe544874c251c425e7",
     "lambda-map-large-reversed-csv": "0655e8f862044568b6fb429208fe3d575ac92aa1b25ed260ac4556a556372d58",

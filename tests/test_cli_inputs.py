@@ -241,7 +241,7 @@ def test_plot_script_refused_before_computing(extra, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("points", [3, 5])
+@pytest.mark.parametrize("points", [5, 7])
 def test_odd_points_give_that_many_rows(points):
     code, out, _ = run_quietly(
         ["phase-portrait", "--lambda", "1", "--energies", "1", "--points", str(points)]
@@ -444,19 +444,14 @@ def test_reversed_and_far_windows_give_the_same_rows(window, same_as):
     assert out == lambda_map(same_as)[1]
 
 
-def test_n_zeros_stops_at_the_accuracy_box():
-    # j_{1,318} = 999.81 is the last zero of J_1 below x = 1000; j_{1,319} = 1002.95
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(["box-spectrum", "--n", "1", "--n-zeros", "318"])
-    assert (code, caught) == (0, [])
-    out = out.getvalue()
+@pytest.mark.parametrize("n_zeros", [319, 3000])
+def test_n_zeros_past_x_1000_print_every_row(n_zeros):
+    # j_{1,319} = 1002.95 is the first zero of J_1 past x = 1000, j_{1,3000} = 9425.56:
+    # both are inside J's domain (argument <= 1e15), so nothing is refused or warned
+    code, out, err, caught = run_recorded(["box-spectrum", "--n", "1", "--n-zeros", str(n_zeros)])
+    assert (code, err, caught) == (0, "", [])
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 318 and float(rows[-1]["E"]) < 0.25 * 1000.0**2 * 0.1**2
-    code, out, err = run_quietly(["box-spectrum", "--n", "1", "--n-zeros", "319"])
-    assert (code, out) == (1, "")
-    assert err == "pdmosc: --n-zeros 319 of J_1 reach x = 1002.95, past the accuracy box\n"
+    assert [int(row["N"]) for row in rows] == list(range(1, n_zeros + 1))
 
 
 @pytest.mark.parametrize("n", [50, 100])
@@ -498,7 +493,7 @@ def test_box_spectrum_at_the_last_order_in_the_box_is_silent():
         (["trajectory", "--lambda", "1", "--t=0:1e308:1e307"],
          "radicand overflows the double range at a requested t"),
         # 4E overflows to inf and inf/inf is NaN
-        (["phase-portrait", "--lambda", "1", "--energies=1e308", "--points", "2"],
+        (["phase-portrait", "--lambda", "1", "--energies=1e308", "--points", "4"],
          "non-finite p_plus = nan in row 1"),
     ],
     ids=["trajectory", "phase-portrait"],
@@ -527,5 +522,6 @@ def test_hamiltonian_past_the_double_range_still_gives_E_equal_c1(argv):
 def test_phase_curve_past_x4_overflow_warns_nothing():
     # |x| >= 5e152 overflows x**4 to inf; 4E/inf = 0 = 4 lam/x**2 there, so p = 0
     assert run_recorded(["phase-portrait", "--lambda", "1e-308", "--energies=1",
-                         "--points", "2"]) == (
-        0, "E,x,p_plus,p_minus\n1,-5e+152,0,-0\n1,5e+152,0,-0\n", "", [])
+                         "--points", "4"]) == (
+        0, "E,x,p_plus,p_minus\n1,-1e+154,0,-0\n1,-5e+152,0,-0\n1,5e+152,0,-0\n1,1e+154,0,-0\n",
+        "", [])
