@@ -91,7 +91,9 @@ def radicand_roots(params: ModelParams):
     rc1 = math.sqrt(params.c1)
     with np.errstate(over="ignore", invalid="ignore"):  # -lam/c1 may overflow; lam > 0 is NaN
         half = np.sqrt(-np.asarray(params.lam, dtype=float) / params.c1)
-        return _as_result((-half - params.c2) / rc1), _as_result((half - params.c2) / rc1)
+        # + 0.0 turns the -0.0 of sqrt(-0.0) at lam = c2 = 0 into 0.0 and keeps every other bit
+        return (_as_result((-half - params.c2) / rc1 + 0.0),
+                _as_result((half - params.c2) / rc1 + 0.0))
 
 
 def _regular_radicand(t, params: ModelParams):
@@ -146,8 +148,7 @@ def singularity_time(params: ModelParams) -> float | None:
     lam gives an object array holding None there.
     """
     lam = np.asarray(params.lam, dtype=float)
-    # 0.0 + keeps the double root of lam = c2 = 0 from printing -0
-    return _as_result(np.where(lam <= 0.0, 0.0 + radicand_roots(params)[1], None))
+    return _as_result(np.where(lam <= 0.0, radicand_roots(params)[1], None))
 
 
 def classify_lambda(params: ModelParams, t_window: tuple[float, float]) -> str:
@@ -206,31 +207,89 @@ class _Run(NamedTuple):
 
 
 def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
-    """Steps scipy's DOP853 from t = 0 to t_end at rtol = atol = tol, sampling EOM_SAMPLES
-    uniform times in the order the solver steps, until |y[0]| crosses BLOWUP_BOUND or the run
-    stops early, a blow-up at the last sample (t = 0 before any): a step fails, or rhs raises
-    OverflowError (x**5 left the double range) while the solver is built or while it steps.
+    """Steps DOP853 from t = 0 to t_end at rtol = atol = tol, sampling EOM_SAMPLES uniform
+    times in the order the solver steps, until |y[0]| crosses BLOWUP_BOUND or the run stops
+    early, a blow-up at the last sample (t = 0 before any): a step fails, or rhs(x, v) ->
+    (xdot, vdot) raises OverflowError (x**5 left the double range) while the solver is built
+    or while it steps.
 
     This is :func:`scipy.integrate.solve_ivp`'s loop cut down to one terminal event and one
     t_eval: the same steps, event root and samples to the bit, without solve_ivp's per-step
-    event arrays and bookkeeping.  It keeps solve_ivp's name as the module attribute that a
-    tracer may replace, reading ``nfev`` from what it returns (0 when building the solver
-    overflows).  scipy is imported on first use, so the closed forms load no integrator.
+    event arrays and bookkeeping.  scipy's DOP853 object picks the first step and gives the
+    dense output; the loop takes each step itself.  It keeps solve_ivp's name as the module
+    attribute that a tracer may replace, reading ``nfev`` from what it returns (0 when
+    building the solver overflows).  scipy is imported on first use, so the closed forms load
+    no integrator.
     """
     from scipy.integrate import DOP853
+    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
     from scipy.optimize import brentq
+
+    def step() -> bool:
+        """One accepted step as OdeSolver.step, RungeKutta._step_impl and rk_step take it, on
+        the solver's state and K; False where scipy's step size collapses.  Every reduction is
+        scipy's numpy call on the same arrays (a Python sum, a 2-term x*x + y*y or a Python **
+        can round differently); only the elementwise * h, y + dy and rhs run on floats."""
+        t, y = solver.t, solver.y
+        if t == t_bound:  # t_end = 0: scipy finishes without a step
+            solver.t_old, solver.status = t, "finished"
+            return True
+        x, v = y.tolist()
+        K[0] = solver.f
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min_step if solver.h_abs < min_step else solver.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = float(t_new - t)  # stage inputs stay floats, whose x**5 raises OverflowError
+            h_abs = abs(h)
+            row = 0
+            try:  # the last stage's input is y_new, its rhs f_new
+                for row, (k, a) in enumerate(stages, 1):
+                    dx, dv = np.dot(k, a).tolist()
+                    xs, vs = x + dx * h, v + dv * h
+                    K[row] = rhs(xs, vs)
+            finally:  # scipy counts a call that raises
+                solver.nfev += row
+            y_new = np.array((xs, vs))
+            scale = solver.atol + np.maximum(np.abs(y), np.abs(y_new)) * solver.rtol
+            err5, err3 = np.dot(KT, E5) / scale, np.dot(KT, E3) / scale
+            err5_norm_2, err3_norm_2 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
+            error_norm = 0.0 if err5_norm_2 == 0 and err3_norm_2 == 0 else (
+                abs(h) * err5_norm_2 / np.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale)))
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(
+                    MAX_FACTOR, SAFETY * error_norm ** solver.error_exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** solver.error_exponent)
+            rejected = True
+        solver.h_previous, solver.y_old, solver.t_old = h, y, t
+        solver.t, solver.y, solver.h_abs, solver.f = t_new, y_new, h_abs, K[-1].copy()
+        if direction * (t_new - t_bound) >= 0:
+            solver.status = "finished"
+        return True
 
     t_eval = np.linspace(0.0, t_end, EOM_SAMPLES)
     i = EOM_SAMPLES if t_end == 0.0 else 0  # as in solve_ivp, a run to t_end = 0 samples nothing
     samples, end, solver = [], None, None
-    # a failing step meets inf and NaN inside scipy; the run reports it as a blow-up
+    # a failing step meets inf and NaN; the run reports it as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            solver = DOP853(rhs, 0.0, y0, float(t_end), rtol=tol, atol=tol)
+            solver = DOP853(lambda t, y: rhs(*y.tolist()), 0.0, y0, float(t_end),
+                            rtol=tol, atol=tol)
+            t_bound, direction = solver.t_bound, float(solver.direction)
+            K, KT, E5, E3 = solver.K, solver.K.T, solver.E5, solver.E3
+            stages = [(K[:s].T, solver.A[s, :s]) for s in range(1, solver.n_stages)]
+            stages.append((K[:-1].T, solver.B))
             ahead = solver.direction * t_eval  # ascends as the solver steps
             g = abs(y0[0]) - BLOWUP_BOUND
             while solver.status == "running" and end is None:
-                if solver.step():  # scipy's failure message: the step size collapsed
+                if not step():  # scipy's failure: the step size collapsed
                     raise OverflowError  # stop as an overflow in rhs does
                 t, sol, g_old = solver.t, None, g
                 g = abs(solver.y[0].item()) - BLOWUP_BOUND
@@ -267,8 +326,7 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
         raise ValueError("x0 = 0 is outside the model domain")
     _check_positive_finite("tol", tol)
 
-    def rhs(t, y):  # Python floats: numpy's bits, cheaper; x**5 may raise OverflowError
-        x, v = y.tolist()
+    def rhs(x, v):  # Python floats: numpy's bits, cheaper; x**5 may raise OverflowError
         return (v, 2.0 * v * v / x - lam * x**5)
 
     run = solve_ivp(rhs, t_end, (x0, xdot0), tol)

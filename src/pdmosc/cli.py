@@ -238,7 +238,7 @@ def run_spectrum(o):
 
 def run_eigenfunction(o):
     if o.n > bessel.ORDER_MAX:
-        raise ValueError(f"--n {o.n} needs J_{o.n}, past the accuracy box "
+        raise ValueError(f"--n {o.n} needs J_{o.n}, past J's domain "
                          f"(order <= {bessel.ORDER_MAX:g})")
     xs = parse_grid(o.x)
     xs = np.concatenate([-xs[::-1], xs]) if xs[0] > 0.0 else xs
@@ -248,7 +248,7 @@ def run_eigenfunction(o):
 
 def run_box_spectrum(o):
     if o.n + 1 > bessel.ORDER_MAX:  # the norms evaluate J_{n+1}
-        raise ValueError(f"--n {o.n} needs J_{o.n + 1}, past the accuracy box "
+        raise ValueError(f"--n {o.n} needs J_{o.n + 1}, past J's domain "
                          f"(order <= {bessel.ORDER_MAX:g})")
     eps, n, N, E, C = zip(*quantum.box_spectrum(o.n, o.n_zeros, o.eps, o.hbar))
     return ["n", "N", "eps", "E", "C"], [n, N, eps, E, C], EXIT_OK

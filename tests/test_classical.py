@@ -184,10 +184,15 @@ def test_integrator_validation():
 
 
 def solve_ivp_reference(x0, xdot0, lam, t_end, tol):
-    """integrate_eom as written on scipy.integrate.solve_ivp: the trajectory and its nfev."""
+    """integrate_eom as written on scipy.integrate.solve_ivp: the trajectory and its nfev.
+    Where x**5 overflows solve_ivp passes the OverflowError on: None and the rhs calls up to
+    and with the one that raised."""
     from scipy.integrate import solve_ivp
 
+    calls = []
+
     def rhs(t, y):
+        calls.append(t)
         x, v = y.tolist()
         return (v, 2.0 * v * v / x - lam * x**5)
 
@@ -197,8 +202,11 @@ def solve_ivp_reference(x0, xdot0, lam, t_end, tol):
     blowup.terminal = True
     t_eval = np.linspace(0.0, t_end, classical.EOM_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):  # the failed first step meets inf
-        sol = solve_ivp(rhs, (0.0, t_end), (x0, xdot0), method="DOP853", t_eval=t_eval,
-                        rtol=tol, atol=tol, events=blowup)
+        try:
+            sol = solve_ivp(rhs, (0.0, t_end), (x0, xdot0), method="DOP853", t_eval=t_eval,
+                            rtol=tol, atol=tol, events=blowup)
+        except OverflowError:
+            return None, len(calls)
     ts = np.asarray(sol.t).tolist()
     xs, vs = np.reshape(sol.y, (2, -1)).tolist()
     singular_time = None
@@ -218,6 +226,14 @@ def exact_start(lam, c1, c2):
     params = ModelParams(lam=lam, c1=c1, c2=c2)
     x0 = classical.exact_solution(0.0, params)
     return x0, classical.exact_momentum(0.0, params) * x0**4 / 2.0, lam
+
+
+def sweep_start(lam, c1, t_minus, backward=False):
+    """exact_start of a lam < 0 trajectory as the kernel_sweep benchmark draws it: t = 0 lies
+    t_minus before the singular interval, or after it (t_plus = -t_minus) when backward."""
+    half = math.sqrt(-lam / c1)
+    c2 = half + math.sqrt(c1) * t_minus if backward else -half - math.sqrt(c1) * t_minus
+    return exact_start(lam, c1, c2)
 
 
 def random_draws(count, seed=20240607):
@@ -241,6 +257,11 @@ EQUIVALENCE_CASES = {
     "x0-at-the-bound": (classical.BLOWUP_BOUND, 0.0, 1e-30, 1.0, 1e-9),
     "x0-beyond-the-bound": (2e6, 0.0, 1e-30, 1.0, 1e-9),
     "failed-first-step": (1.0, 1e200, 1.0, 1.0, 1e-9),
+    # kernel_sweep's shape, t_end = t_minus + 2: a blow-up mid-run, forward and backward
+    "sweep-blow-up": (*sweep_start(-0.7, 1.3, 2.4), 4.4, 1e-12),
+    "sweep-blow-up-backward": (*sweep_start(-0.7, 1.3, 2.4, backward=True), -4.4, 1e-12),
+    "sweep-rejected-steps": (*sweep_start(-1.5, 0.6, 1.2), 3.2, 1e-9),  # 200 of 402 rejected
+    "sweep-tol-1e-6": (*sweep_start(-0.2, 1.9, 4.1), 6.1, 1e-6),
     **{f"draw-{k}": draw for k, draw in enumerate(random_draws(50))},
 }
 
@@ -262,6 +283,38 @@ def test_integrate_eom_steps_dop853_as_solve_ivp_does(case, monkeypatch):
     assert traj.blew_up == expected.blew_up
     assert repr(traj.singular_time) == repr(expected.singular_time)
     assert nfev == [expected_nfev]
+
+
+@pytest.mark.parametrize("name", ["sweep-rejected-steps", "blow-up-backward", "t_end-0",
+                                  "failed-first-step", "t_end-1e300"])
+def test_the_driver_counts_each_rhs_call_and_never_calls_scipy_step(name, monkeypatch):
+    import scipy.integrate
+
+    # t_end-1e300: x**5 overflows mid-step, after the solver is built
+    case = {**EQUIVALENCE_CASES, **RHS_OVERFLOW_CASES}[name]
+    expected, expected_nfev = solve_ivp_reference(*case)
+    calls, nfev = [], []
+    driver = classical.solve_ivp
+
+    def counted(rhs, *args):
+        def counted_rhs(*state):
+            calls.append(state)  # before the call: scipy counts a call that raises
+            return rhs(*state)
+
+        run = driver(counted_rhs, *args)
+        nfev.append(run.nfev)
+        return run
+
+    def no_step(self):
+        raise AssertionError("DOP853.step was called")
+
+    monkeypatch.setattr(classical, "solve_ivp", counted)
+    monkeypatch.setattr(scipy.integrate.DOP853, "step", no_step)
+    traj = classical.integrate_eom(*case)
+    assert nfev == [len(calls)] == [expected_nfev]
+    if expected is not None:
+        assert [struct.pack("<3d", *s) for s in traj] == [struct.pack("<3d", *s) for s in expected]
+        assert repr(traj.singular_time) == repr(expected.singular_time)
 
 
 def test_integrate_eom_at_t_end_0_samples_nothing():
@@ -300,6 +353,8 @@ def test_radicand_roots():
         assert abs(classical.radicand(t, params)) < 1e-14
     assert all(map(math.isnan, classical.radicand_roots(FIG1)))  # lam > 0: no real root
     assert classical.radicand_roots(ModelParams(lam=0.0, c1=4.0, c2=-3.0)) == (1.5, 1.5)
+    # sqrt(-0.0) is -0.0: the double root of lam = c2 = 0 must still be +0.0 twice
+    assert repr(classical.radicand_roots(ModelParams(lam=0.0))) == "(0.0, 0.0)"
 
 
 def test_radicand_roots_of_an_array_lam_are_the_scalar_roots_and_give_singularity_time():

@@ -99,13 +99,13 @@ DIGESTS = {
     "box-spectrum-csv": "68f7ec10e0f5c9bfdec97509da7a23c2ede96fdafca1242b9c3d2d54c1d08ab4",
     "box-spectrum-help": "7be9b30ded889b9e150ed657502d9dc59472695f75ecfde0b4607e321dd2d6a6",
     "box-spectrum-json": "88d4cf5294a7c3ab99f8cec8cd994a9a144bf43647df492b57cc02c300c7f323",
-    "box-spectrum-n80": "aa9ec8a81565a424fd442f910be1877b5660e50406baf6120a43b186e05a4d1a",
+    "box-spectrum-n80": "0cf7d97661d3970f24a2492a8b4e16ba0527516e516d5fb5ba3cb46951654366",
     "checks-nope": "a1dbf759664e3dbc70c49f7a69d40fd11a7355ff961769eea76ba150d5bfd639",
     "config-run": "4bc3e5c878fc993cb32e3bbaceba3ec1e6d71a904a35f7a8ba7bc6b8199557d3",
     "eigenfunction-csv": "3003a62397de2c2fa8bc5f55f4ee0394f8025c4bf0f007496fab1557f889a02e",
     "eigenfunction-help": "3a871c02fea2aba740dd458ffbbedb4576c960d0854bf01361ee5fa87d59ebb4",
     "eigenfunction-json": "2f54963418bc688bc20e0e3b362108052216ae7bcb3487eb626a9f66e54c7459",
-    "eigenfunction-n80": "e25b18d65fcc27f2eb941a425a6299b52b93b75ac56ad1227796c25df99a0d9e",
+    "eigenfunction-n80": "c9ed9a1c4ee8f9105fea59a4fda40b35665cd5f70d79849b785df6613d28aed0",
     "help": "cb9d32bfd8d33018660d900ec0915f2b39ebde34d36f26c18fda3fb8e191036d",
     "lambda-map-csv": "9349a391fe8756e4b6ddaf8e8b0dfc374bfbe5a006e09e1ae1a46d0385065979",
     "lambda-map-help": "ff5e0a0c1562085cf332c3a13c735d5611a9d465e7c5bc5ea54799639c3cb642",

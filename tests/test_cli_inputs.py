@@ -273,6 +273,9 @@ def test_odd_points_give_that_many_rows(points):
          "radicand <= 1e-15 in the requested range (singular roots at (1.0, 1.0))"),
         # A * A overflows in the cutoff integrand; its NaN quadrature once gave a NaN row
         (["wkb", "--turning-point", "1e200"], "cutoff integral (A=1e+200, eps=1e+198)"),
+        # lam = c2 = 0: the double root t = 0 is named 0.0 twice, not 0.0 and -0.0
+        (["trajectory", "--lambda", "0", "--c2", "0", "--t=-1:1:0.5"],
+         "radicand <= 1e-15 in the requested range (singular roots at (0.0, 0.0))"),
     ],
 )
 def test_overflow_and_non_finite_rows_exit_2(argv, message):
@@ -456,9 +459,9 @@ def test_n_zeros_past_x_1000_print_every_row(n_zeros):
 
 @pytest.mark.parametrize("n", [50, 100])
 def test_box_spectrum_refuses_an_order_past_the_accuracy_box(n):
-    # the norm constants evaluate J_{n+1}, which leaves the box at n = 50
+    # the norm constants evaluate J_{n+1}, which leaves J's domain at n = 50
     assert run_recorded(["box-spectrum", "--n", str(n)]) == (
-        1, "", f"pdmosc: --n {n} needs J_{n + 1}, past the accuracy box (order <= 50)\n", []
+        1, "", f"pdmosc: --n {n} needs J_{n + 1}, past J's domain (order <= 50)\n", []
     )
 
 
@@ -469,7 +472,7 @@ def test_eigenfunction_refuses_an_order_past_the_accuracy_box_before_computing(n
 
     monkeypatch.setattr(quantum, "eigenfunction", no_psi)
     assert run_recorded(["eigenfunction", "--n", str(n), "--E", "1"]) == (
-        1, "", f"pdmosc: --n {n} needs J_{n}, past the accuracy box (order <= 50)\n", []
+        1, "", f"pdmosc: --n {n} needs J_{n}, past J's domain (order <= 50)\n", []
     )
 
 
