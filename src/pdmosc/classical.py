@@ -313,8 +313,8 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
     """Adaptive Runge-Kutta integration of the equation of motion.
 
     Integrates from t = 0 to t_end (negative t_end integrates backward)
-    with local error tolerance tol, sampling EOM_SAMPLES = 1001 points
-    uniformly.  The run terminates early, with ``blew_up`` set and the
+    with local error tolerance tol (at least 100 eps), sampling
+    EOM_SAMPLES = 1001 points uniformly.  The run terminates early, with ``blew_up`` set and the
     reached time in ``singular_time``, when |x| crosses BLOWUP_BOUND = 1e6,
     the step collapses or x**5 overflows; this is the expected outcome for
     lam < 0 trajectories heading into the finite-time singularity.
@@ -325,6 +325,9 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
     if x0 == 0.0:
         raise ValueError("x0 = 0 is outside the model domain")
     _check_positive_finite("tol", tol)
+    floor = 100 * np.finfo(float).eps  # DOP853 raises a smaller rtol to this, but not atol
+    if tol < floor:
+        raise ValueError(f"tol = {tol} is below DOP853's floor 100 eps = {floor}")
 
     def rhs(x, v):  # Python floats: numpy's bits, cheaper; x**5 may raise OverflowError
         return (v, 2.0 * v * v / x - lam * x**5)

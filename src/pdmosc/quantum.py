@@ -441,25 +441,6 @@ def _stencil(values: np.ndarray, coeffs: np.ndarray, h: float, power: int) -> np
     return out / h**power
 
 
-def _apply_ordered_operator(x, f, fp, fpp, alpha, beta, gamma, lam, hbar):
-    """Apply (1/2) m^alpha p m^beta p m^gamma + V to sampled f.
-
-    Expanded form (using alpha + beta + gamma = -1):
-        -hbar^2/2 [ f''/m + (beta + 2 gamma) m'/m^2 f'
-                    + gamma ((beta+gamma-1) m'^2/m^3 + m''/m^2) f ] + lam x^2 f
-    with m = 2/x^4, m' = -8/x^5, m'' = 40/x^6.
-    """
-    m = 2.0 / x**4
-    mp = -8.0 / x**5
-    mpp = 40.0 / x**6
-    kin = (
-        fpp / m
-        + (beta + 2.0 * gamma) * mp / m**2 * fp
-        + gamma * ((beta + gamma - 1.0) * mp**2 / m**3 + mpp / m**2) * f
-    )
-    return -0.5 * hbar**2 * kin + lam * x**2 * f
-
-
 def similarity_check(
     ordering: SingleTermOrdering, testfn, hbar: float = 1.0, lam: float = 0.0
 ) -> float:
@@ -469,27 +450,41 @@ def similarity_check(
     outer exponents (alpha1+gamma1)/2.  testfn maps an array of points to
     the array of its values there; it is sampled on 901 uniform points of
     [0.5, 5] (h = 0.005) plus a 4-point stencil margin at each end, and
-    differentiated by 8th-order central differences, so agreement to ~1e-6
-    on smooth test functions is the expected signature of the similarity
-    relation.
+    differentiated by 8th-order central differences.  On smooth test
+    functions the value stays below 1e-6 only for small exponents: on
+    exp(-(x-2)^2) with gamma1 = 0.1 it is 1.6e-6 at alpha1 = 20 and 46.6 at
+    100, where the stencils cannot resolve m^eta f, and NaN from about 1000.
     """
     _check_positive_finite("hbar", hbar)
     lo, hi, npts = 0.5, 5.0, 901
     h = (hi - lo) / (npts - 1)
     xs = np.linspace(lo - 4 * h, hi + 4 * h, npts + 8)
     x_in = xs[4:-4]
+    m_xs = 2.0 / xs**4
+    m = m_xs[4:-4]
+    mp = -8.0 / x_in**5
+    mpp = 40.0 / x_in**6
+    beta = ordering.beta1
 
-    def apply(samples, alpha, gamma):
-        """The ordering (alpha, beta1, gamma) applied to samples on xs, at x_in."""
-        d1 = _stencil(samples, _D1_COEFFS, h, 1)
-        d2 = _stencil(samples, _D2_COEFFS, h, 2)
-        return _apply_ordered_operator(x_in, samples[4:-4], d1, d2, alpha, ordering.beta1, gamma,
-                                       lam, hbar)
+    def apply(samples, gamma):
+        """(1/2) m^alpha p m^beta p m^gamma + lam x^2 applied to samples on xs, at x_in, expanded
+        with alpha + beta + gamma = -1 (alpha drops out), m' = -8/x^5 and m'' = 40/x^6:
+            -hbar^2/2 [f''/m + (beta + 2 gamma) m'/m^2 f'
+                       + gamma ((beta+gamma-1) m'^2/m^3 + m''/m^2) f] + lam x^2 f"""
+        f = samples[4:-4]
+        fp = _stencil(samples, _D1_COEFFS, h, 1)
+        fpp = _stencil(samples, _D2_COEFFS, h, 2)
+        kin = (
+            fpp / m
+            + (beta + 2.0 * gamma) * mp / m**2 * fp
+            + gamma * ((beta + gamma - 1.0) * mp**2 / m**3 + mpp / m**2) * f
+        )
+        return -0.5 * hbar**2 * kin + lam * x_in**2 * f
 
     f = np.asarray(testfn(xs), dtype=float)
-    lhs = apply(f, ordering.alpha1, ordering.gamma1)
+    lhs = apply(f, ordering.gamma1)
     eta = ordering.eta
     half = 0.5 * (ordering.alpha1 + ordering.gamma1)
-    her = apply((2.0 / xs**4) ** eta * f, half, half)
-    rhs = (2.0 / x_in**4) ** (-eta) * her
+    her = apply(m_xs**eta * f, half)
+    rhs = m ** (-eta) * her
     return float(np.max(np.abs(lhs - rhs)))

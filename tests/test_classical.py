@@ -178,9 +178,16 @@ def test_integrator_validation():
         ((1.0, 1.0, 1.0, 1.0, -1e-9), "tol must be positive and finite, got -1e-09"),
         ((1.0, 1.0, 1.0, 1.0, math.nan), "tol must be positive and finite, got nan"),
         ((1.0, 1.0, 1.0, 1.0, math.inf), "tol must be positive and finite, got inf"),
+        ((1.0, 1.0, 1.0, 1.0, 1e-15),
+         r"tol = 1e-15 is below DOP853's floor 100 eps = 2\.220446049250313e-14"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             classical.integrate_eom(*args)
+    # at the floor itself DOP853 keeps rtol = tol: no UserWarning (an error under pytest)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = classical.integrate_eom(1.0, 0.0, 1.0, 1.0, 100 * np.finfo(float).eps)
+    assert len(traj.states) == classical.EOM_SAMPLES and not traj.blew_up
 
 
 def solve_ivp_reference(x0, xdot0, lam, t_end, tol):

@@ -764,16 +764,28 @@ def test_similarity_check_potential_cancels():
 
 
 # exact floats of the two acceptance-criterion-9 cases on the fixed [0.5, 5] grid
+GAUSSIAN = lambda x: np.exp(-((x - 2.0) ** 2))  # noqa: E731 (a lambda keeps the test ids)
+
+# (alpha1, gamma1), test function, value, hbar and lam; the large exponents are the regime
+# where the strict xfails above fail, up to the NaN from about alpha1 = 1000
 SIMILARITY_PINNED = [
-    ((0.0, 0.75), lambda x: np.exp(-((x - 2.0) ** 2)), 3.397992998088739e-10),
-    ((-1.0, 0.0), lambda x: (x - 1.0) * np.exp(-((x - 2.5) ** 2)), 1.935926974283575e-09),
+    ((0.0, 0.75), GAUSSIAN, 3.397992998088739e-10, 1.0, 0.0),
+    ((-1.0, 0.0), lambda x: (x - 1.0) * np.exp(-((x - 2.5) ** 2)), 1.935926974283575e-09,
+     1.0, 0.0),
+    ((0.3, -0.2), GAUSSIAN, 9.384226729025613e-11, 0.5, 0.0),
+    ((0.3, -0.2), GAUSSIAN, 1.5014904874988133e-09, 2.0, 1.5),
+    ((0.0, 0.75), GAUSSIAN, 3.398028525225527e-10, 1.0, 1.5),
+    ((20.0, 0.1), GAUSSIAN, 1.5797497556757634e-06, 1.0, 0.0),
+    ((1000.0, 0.1), GAUSSIAN, math.nan, 1.0, 0.0),
 ]
 
 
-@pytest.mark.parametrize("alpha_gamma, testfn, expected", SIMILARITY_PINNED)
-def test_similarity_check_bits_are_pinned(alpha_gamma, testfn, expected):
+@pytest.mark.parametrize("alpha_gamma, testfn, expected, hbar, lam", SIMILARITY_PINNED)
+def test_similarity_check_bits_are_pinned(alpha_gamma, testfn, expected, hbar, lam):
     ordering = SingleTermOrdering.from_alpha_gamma(*alpha_gamma)
-    assert quantum.similarity_check(ordering, testfn) == expected
+    with np.errstate(all="ignore"):  # the NaN case overflows on its way there
+        got = quantum.similarity_check(ordering, testfn, hbar, lam)
+    assert math.isnan(got) if math.isnan(expected) else got == expected
 
 
 @pytest.mark.parametrize("n,N_max,eps,hbar", [(1, 60, 0.1, 1.0), (4, 37, 0.3, 1.7)])
