@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import signal
+import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,3 +281,152 @@ def test_zeros_match_mpmath_to_1e_14():
     zeros = bessel.bessel_zeros(1, 200)
     err = max(abs(zeros[N - 1] - float(mpmath.besseljzero(1, N))) for N in range(10, 201, 10))
     assert err < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# order tables and the two-thread split: the bits of one ufunc call per order
+
+
+def per_order_derivatives(nu, x):
+    """(J, J', J'') of one order from one ufunc call per order, the reference
+    :func:`bessel.jv_derivatives` must reproduce bit for bit."""
+    j = special.jv(nu, x)
+    jp = 0.5 * (special.jv(nu - 1.0, x) - special.jv(nu + 1.0, x))
+    return j, jp, 0.25 * (special.jv(nu - 2.0, x) - 2.0 * j + special.jv(nu + 2.0, x))
+
+
+def same_bits(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+ORDER_ARRAYS = {
+    "consecutive": np.arange(1.0, 7.0),
+    "negative": np.arange(-4.0, 3.0),
+    # 0.3 + k as pct_reduce takes nu: 1.3 - 1.0 is not 0.3, so each order keeps its own row
+    "non-integer": 0.3 + np.arange(6.0),
+    "repeated": np.array([2.0, 2.0, 5.5]),
+}
+
+
+@pytest.mark.parametrize("orders", ORDER_ARRAYS.values(), ids=ORDER_ARRAYS.keys())
+def test_jv_derivatives_over_an_order_array_are_the_per_order_bits(orders):
+    xs = np.logspace(-1, 2, 41)
+    table = bessel.jv_derivatives(orders, xs)
+    for k, got in enumerate(table):
+        assert got.shape == (orders.size, xs.size)
+        for row, nu in zip(got, orders.tolist()):
+            assert same_bits(row, per_order_derivatives(nu, xs)[k])
+
+
+@pytest.mark.parametrize("x", [1.7, np.float64(1.7), np.linspace(0.1, 30.0, 37),
+                               np.linspace(0.5, 5.0, 12).reshape(3, 4)])
+@pytest.mark.parametrize("nu", [-2.0, 0.0, 0.3, 1.3, 3])
+def test_jv_derivatives_at_a_scalar_order_keep_their_types_and_bits(nu, x):
+    for got, want in zip(bessel.jv_derivatives(nu, x), per_order_derivatives(nu, x)):
+        assert same_bits(got, want)
+
+
+def test_jv_derivatives_evaluate_each_distinct_order_once(monkeypatch):
+    calls = []
+
+    def jv(nu, x):
+        calls.append(np.ravel(nu).tolist())
+        return special.jv(nu, x)
+
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))
+    bessel.jv_derivatives(np.arange(1.0, 7.0), np.linspace(1.0, 2.0, 5))
+    assert calls == [list(range(-1, 9))]  # one call, 10 orders for the 30 terms of n = 1..6
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The split's CPU test passes, whatever CPUs this process may use, and every
+    ``_sp.jv`` call is recorded with the size of its result."""
+    calls = []
+
+    def jv(nu, x):
+        calls.append(np.broadcast(nu, x).size)
+        return special.jv(nu, x)
+
+    monkeypatch.setattr(bessel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))
+    return calls
+
+
+@pytest.mark.parametrize("size", [bessel._SPLIT_MIN - 1, bessel._SPLIT_MIN,
+                                  bessel._SPLIT_MIN + 1, 3 * bessel._SPLIT_MIN + 7])
+def test_the_split_has_the_bits_of_one_call(two_cpus, size):
+    xs = 2.0 / np.linspace(0.01, 3.0, size)
+    got = bessel.jv(3, xs)
+    assert same_bits(got, special.jv(3, xs))
+    # below _SPLIT_MIN one call; from it two halves, of sizes differing by at most 1
+    assert sorted(two_cpus) == ([size] if size < bessel._SPLIT_MIN else [size // 2, (size + 1) // 2])
+
+
+def test_the_split_of_an_order_table_has_the_bits_of_one_call(two_cpus):
+    orders = np.arange(-1.0, 9.0)[:, None]
+    xs = np.linspace(0.2, 40.0, bessel._SPLIT_MIN // 10 + 3)
+    assert same_bits(bessel._jv_array(orders, xs), special.jv(orders, xs))
+    assert len(two_cpus) == 2
+
+
+def test_one_cpu_makes_one_call(two_cpus, monkeypatch):
+    monkeypatch.setattr(bessel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    bessel.jv(1, np.linspace(1.0, 2.0, 2 * bessel._SPLIT_MIN))
+    assert two_cpus == [2 * bessel._SPLIT_MIN]
+
+
+def j_dividing_by_zero_at_odd_places(nu, x):
+    """J times 1/(x - x) at odd indices: the worker's half divides by zero, the caller's does not."""
+    x = np.asarray(x)
+    return special.jv(nu, x) * (1.0 / (x - x)) if x[0] == 1.0 else special.jv(nu, x)
+
+
+def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(bessel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=j_dividing_by_zero_at_odd_places))
+    xs = np.tile([2.0, 1.0], bessel._SPLIT_MIN)  # the odd half starts at 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning in either thread would raise
+        with np.errstate(all="ignore"):
+            assert np.isinf(bessel.jv(1, xs)[1::2]).all()
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide by zero"):
+            bessel.jv(1, xs)
+
+
+def test_an_exception_in_the_worker_is_raised_in_the_caller(monkeypatch):
+    def jv(nu, x):
+        if np.asarray(x)[0] == 1.0:
+            raise ArithmeticError("the odd half")
+        return special.jv(nu, x)
+
+    monkeypatch.setattr(bessel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))
+    xs = np.tile([2.0, 1.0], bessel._SPLIT_MIN)
+    with pytest.raises(ArithmeticError, match="^the odd half$"):
+        bessel.jv(1, xs)
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=special.jv))
+    assert same_bits(bessel.jv(1, xs), special.jv(1, xs))  # the worker serves the next split
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_through_a_worker_of_its_own(two_cpus):
+    xs = np.linspace(1.0, 30.0, 2 * bessel._SPLIT_MIN + 1)
+    assert same_bits(bessel.jv(2, xs), special.jv(2, xs))  # the parent's worker thread runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12+: fork with a thread
+        pid = os.fork()
+    if pid == 0:  # the child has no copy of the worker thread; a split must not wait for it
+        ok = False
+        try:
+            ok = same_bits(bessel.jv(2, xs), special.jv(2, xs))
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the forked child hung in its split"
+    assert os.waitstatus_to_exitcode(done[1]) == 0

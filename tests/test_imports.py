@@ -113,3 +113,24 @@ def test_readme_library_example_runs():
     residual, finite_part = float(residual), float(finite_part)
     assert residual < 1e-8
     assert finite_part == pytest.approx(-math.pi, abs=1e-6)
+
+
+def test_closed_forms_and_the_default_eigenfunction_start_no_thread():
+    # the Bessel kernel hands half of a J array of bessel._SPLIT_MIN values or more to one
+    # worker thread, made on first use; the default eigenfunction grid (1,194 rows) stays
+    # below that, and a long grid starts exactly one thread.  The closed forms load no
+    # thread pool; scipy.special imports concurrent.futures itself
+    code = (
+        "import contextlib, io, sys, threading\n"
+        "from pdmosc import cli\n"
+        "for line in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(line.split()) == 0, line\n"
+        "    print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    closed_forms = ["trajectory --lambda 1", "lambda-map", "phase-portrait --lambda 1", "spectrum"]
+    bessel_lines = ["eigenfunction --n 1 --E 1", "eigenfunction --n 3 --E 2 --x 0.001:3:0.0001"]
+    out = run_fresh(code, *closed_forms, *bessel_lines).splitlines()
+    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    assert out[:4] == ["1 False"] * 4
+    assert [line.split()[0] for line in out[4:]] == ["1", "2" if two_cpus else "1"]

@@ -372,6 +372,35 @@ def test_ode_residual_bits_are_pinned(n):
     assert (clean, off) == ODE_RESIDUAL_BITS[n]
 
 
+@pytest.mark.parametrize("E", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0])
+def test_batched_residuals_are_the_per_n_bits(hbar, E):
+    rows = [(n, CLEAN, quantum.lambda_quantized(n, CLEAN, hbar)) for n in range(1, 7)]
+    batched = quantum.ode_residuals(rows, E, hbar)
+    assert batched.tolist() == [quantum.ode_residual(ContinuumState(n, E), o, lam, hbar)
+                                for n, o, lam in rows]
+
+
+def test_rows_of_other_orderings_and_couplings_share_one_table():
+    # the two controls of verify's residual_negative_control: psi_2 at E = 1, once under a
+    # spoiled reduction gap and once at an offset coupling, with amplitude 2
+    broken = SingleTermOrdering.from_alpha_gamma(0.0, 0.5)
+    rows = [(2, broken, quantum.lambda_quantized(2, broken, 0.8)), (2, CLEAN, 0.3), (5, CLEAN, -1.0)]
+    batched = quantum.ode_residuals(rows, 1.0, 0.8, amplitude=2.0)
+    assert batched.tolist() == [quantum.ode_residual(ContinuumState(n, 1.0, 2.0), o, lam, 0.8)
+                                for n, o, lam in rows]
+
+
+def test_batched_residuals_check_n_and_E_and_name_an_overflow():
+    with pytest.raises(ValueError, match="integer order n >= 1 required"):
+        quantum.ode_residuals([(1, CLEAN, -2.0), (0, CLEAN, -2.0)], 1.0, 1.0)
+    with pytest.raises(ValueError, match="E must be positive and finite"):
+        quantum.ode_residuals([(1, CLEAN, -2.0)], -1.0, 1.0)
+    with pytest.raises(FloatingPointError,
+                       match=r"^ode_residual at hbar = 1.0: overflow encountered in divide$"):
+        quantum.ode_residuals([(1, CLEAN, -2.0), (2, CLEAN, 1e307)], 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # constant-mass reduction
 
