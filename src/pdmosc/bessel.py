@@ -5,11 +5,12 @@ routines behind :mod:`scipy.special` through one path: :func:`jv`,
 :func:`yv` and :func:`jv_derivatives` (J, J', J'' from the two-term
 recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2) take any real order unchecked.
 :func:`jv_derivatives` takes an array of orders too, with J evaluated once per
-distinct order, and a J array of ``_SPLIT_MIN`` values or more runs on two
-threads when two CPUs are allowed, with the bits of one call.
-:func:`jv` at a float argument, as a quadrature integrand calls it, goes to
-the same routine through :mod:`scipy.special.cython_special`, which skips the
-ufunc's per-call overhead and returns the same bits as a Python float.
+distinct order.  Every array J value, the zero scan and polish included, comes
+from :func:`_jv_array`, which runs ``_SPLIT_MIN`` values or more on two threads
+when two CPUs are allowed, with the bits of one call.  :func:`jv` at a float
+argument, as a quadrature integrand calls it, goes to the same routine through
+:mod:`scipy.special.cython_special`, which skips the ufunc's per-call overhead
+and returns the same bits as a Python float.
 Zeros of integer-order J_n are located here, so the zero finder shares no
 code with any library zero table: one evaluation of J_n on a unit grid
 brackets every zero of an order up to the one wanted, and a safeguarded
@@ -160,10 +161,6 @@ def yv(nu: float, x):
     return _sp.yv(nu, x)
 
 
-def _jv_prime(nu: float, x):
-    return 0.5 * (_sp.jv(nu - 1.0, x) - _sp.jv(nu + 1.0, x))
-
-
 def jv_derivatives(nu, x):
     """(J_nu, J'_nu, J''_nu) at x, unchecked like :func:`jv`; J' = (J_{nu-1} -
     J_{nu+1})/2 applied twice gives J'' = (J_{nu-2} - 2 J_nu + J_{nu+2})/4.
@@ -208,7 +205,7 @@ def _zero_brackets(n: int, N_max: int) -> list[tuple[float, float]]:
     """
     x_max = mcmahon_zero_estimate(n, N_max) + 2.0
     xs = n + np.arange(math.ceil(x_max - n) + 1.0)
-    fs = _sp.jv(n, xs)
+    fs = _jv_array(n, xs)
     # an exact 0.0 makes both of its products 0.0, so no sign change repeats it
     ends = np.flatnonzero((fs[:-1] * fs[1:] < 0.0) | (fs[1:] == 0.0))[:N_max] + 1
     brackets = [(x, x) if f == 0.0 else (x - 1.0, x) for x, f in zip(xs[ends].tolist(), fs[ends])]
@@ -223,6 +220,7 @@ def _zero_brackets(n: int, N_max: int) -> list[tuple[float, float]]:
 def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
     """Newton iteration from the bracket midpoint, with bisection fallback
     whenever an iterate leaves the open bracket.  Stops on a step < ZERO_ABS_TOL.
+    Each iterate takes J_n, J_{n-1}, J_{n+1} (for J'_n) from one three-order :func:`_jv_array` call.
 
     Memoized per process on (n, N, bracket), 4096 entries at most: zero N gets
     the same bracket whatever N_max is, so a hit has a fresh polish's bits.
@@ -235,10 +233,10 @@ def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
     leave the 1.02e-12 error (a <= x_new <= b: 4 iterations, 3.6e-15 error).
     """
     a, b = bracket
-    fa = _sp.jv(n, a)
+    fa = _jv_array(n, a)
     x = 0.5 * (a + b)
     for _ in range(100):
-        f = _sp.jv(n, x)
+        f, jm1, jp1 = _jv_array(n + np.array([0.0, -1.0, 1.0]), x).tolist()
         if f == 0.0:
             return x
         # maintain the sign-change bracket
@@ -246,7 +244,7 @@ def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
             b = x
         else:
             a, fa = x, f
-        df = _jv_prime(n, x)
+        df = 0.5 * (jm1 - jp1)
         step = f / df if df != 0.0 else np.inf
         x_new = x - step
         if not (a < x_new < b):

@@ -406,7 +406,7 @@ def main(argv=None) -> int:
         if plot:
             emit_plot_script(args.command, output)
         return code
-    except OverflowError as exc:  # float ** past the double range, as in wkb --hbar 1e200
+    except (OverflowError, ZeroDivisionError) as exc:  # as in wkb --hbar 1e200, verify --c1 1e-300
         print(f"pdmosc: numerical failure: {args.command}: an input is too large or too small "
               f"({exc.args[-1]})", file=sys.stderr)
         return EXIT_NUMERICAL

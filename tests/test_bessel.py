@@ -230,7 +230,7 @@ def test_zeros_argument_validation_matches_bessel_zero():
 def test_exact_zero_at_a_scan_point_is_returned_as_is(fake_j):
     # J_1 replaced by (4 - x)(x - 8.5): exactly 0.0 at the grid point x = 4,
     # then a sign change in (8, 9)
-    fake_j(lambda nu, x: (4.0 - x) * (x - 8.5))
+    fake_j(lambda nu, x: (4.0 - x) * (x - 8.5) + 0.0 * nu)  # broadcast over an order array
     zeros = bessel.bessel_zeros(1, 2)
     assert zeros[0] == 4.0 == bessel.bessel_zero(1, 1)
     assert zeros[1] == bessel.bessel_zero(1, 2) == pytest.approx(8.5, abs=1e-9)
@@ -273,6 +273,59 @@ def test_zeros_bracket_from_one_array_evaluation(monkeypatch):
     brackets = bessel._zero_brackets(1, 5)
     assert len(calls) == 1 and len(brackets) == 5
     assert all(a < j < b for (a, b), j in zip(brackets, special.jn_zeros(1, 5)))
+
+
+def reference_polish(n, bracket, iterates=None):
+    """The zero polish as three one-value ``special.jv`` calls per iterate (J_n, then
+    J_{n-1} and J_{n+1} for J'), the reference :func:`bessel._polish_zero` must reproduce
+    bit for bit; each iterate x is appended to ``iterates`` when one is given."""
+    a, b = bracket
+    fa = special.jv(n, a)
+    x = 0.5 * (a + b)
+    for _ in range(100):
+        if iterates is not None:
+            iterates.append(x)
+        f = special.jv(n, x)
+        if f == 0.0:
+            return x
+        if fa * f < 0.0:
+            b = x
+        else:
+            a, fa = x, f
+        df = 0.5 * (special.jv(n - 1.0, x) - special.jv(n + 1.0, x))
+        step = f / df if df != 0.0 else np.inf
+        x_new = x - step
+        if not (a < x_new < b):
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) < bessel.ZERO_ABS_TOL:
+            return x_new
+        x = x_new
+    raise AssertionError(f"the reference polish of J_{n} did not converge in {bracket}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 49])
+def test_zeros_are_the_python_floats_of_the_one_value_polish(n):
+    zeros = bessel.bessel_zeros(n, 300)
+    assert all(type(z) is float for z in zeros)
+    want = [reference_polish(n, b) for b in bessel._zero_brackets(n, 300)]
+    assert [N for N, (z, w) in enumerate(zip(zeros, want), 1) if z != w] == []
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (3, 7), (10, 40), (49, 300)])
+def test_the_polish_makes_one_call_of_three_orders_per_iterate(monkeypatch, n, N):
+    calls = []
+
+    def jv(nu, x):
+        calls.append((np.ravel(nu).tolist(), x))
+        return special.jv(nu, x)
+
+    bracket = bessel._zero_brackets(n, N)[-1]
+    iterates = []
+    want = reference_polish(n, bracket, iterates)
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))
+    assert bessel._polish_zero.__wrapped__(n, N, bracket) == want
+    # one call for the bracket end, then one of the orders n, n - 1, n + 1 per iterate
+    assert calls == [([n], bracket[0])] + [([n, n - 1, n + 1], x) for x in iterates]
 
 
 @pytest.mark.xfail(strict=True, reason="the zero polish ends in bisection; see _polish_zero")

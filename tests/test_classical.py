@@ -262,6 +262,8 @@ EQUIVALENCE_CASES = {
     "blow-up-forward": (*exact_start(-1.0, 1.0, -2.0), 3.0, 1e-12),  # at t = 1
     "blow-up-backward": (*exact_start(-1.0, 1.0, 2.0), -3.0, 1e-12),  # at t = -1
     "x0-at-the-bound": (classical.BLOWUP_BOUND, 0.0, 1e-30, 1.0, 1e-9),
+    # no step, but the event is checked: one state, blown up at t = 0
+    "x0-at-the-bound-t_end-0": (classical.BLOWUP_BOUND, 0.0, 1.0, 0.0, 1e-12),
     "x0-beyond-the-bound": (2e6, 0.0, 1e-30, 1.0, 1e-9),
     "failed-first-step": (1.0, 1e200, 1.0, 1.0, 1e-9),
     # kernel_sweep's shape, t_end = t_minus + 2: a blow-up mid-run, forward and backward

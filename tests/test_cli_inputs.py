@@ -276,6 +276,12 @@ def test_odd_points_give_that_many_rows(points):
         # lam = c2 = 0: the double root t = 0 is named 0.0 twice, not 0.0 and -0.0
         (["trajectory", "--lambda", "0", "--c2", "0", "--t=-1:1:0.5"],
          "radicand <= 1e-15 in the requested range (singular roots at (0.0, 0.0))"),
+        # a float division by zero names the subcommand: x**4 underflows to 0.0 in
+        # verify's p = 2 xdot / x**4, and x * x in wkb's cutoff integrand
+        (["verify", "--c1", "1e-300"],
+         "verify: an input is too large or too small (float division by zero)"),
+        (["wkb", "--turning-point", "1e-160"],
+         "wkb: an input is too large or too small (float division by zero)"),
     ],
 )
 def test_overflow_and_non_finite_rows_exit_2(argv, message):
