@@ -7,10 +7,11 @@ recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2) take any real order unchecked.
 :func:`jv_derivatives` takes an array of orders too, with J evaluated once per
 distinct order.  Every array J value, the zero scan and polish included, comes
 from :func:`_jv_array`, which runs ``_SPLIT_MIN`` values or more on two threads
-when two CPUs are allowed, with the bits of one call.  :func:`jv` at a float
-argument, as a quadrature integrand calls it, goes to the same routine through
+when two CPUs are allowed, with the bits of one call.  A J value at one float,
+as a quadrature integrand of :mod:`pdmosc.quantum` takes it at each node, comes
+from ``_sp.jv_scalar``, the same routine through
 :mod:`scipy.special.cython_special`, which skips the ufunc's per-call overhead
-and returns the same bits as a Python float.
+and returns the same bits as a Python float; :func:`jv` at a float takes it too.
 Zeros of integer-order J_n are located here, so the zero finder shares no
 code with any library zero table: one evaluation of J_n on a unit grid
 brackets every zero of an order up to the one wanted, and a safeguarded
@@ -41,8 +42,9 @@ class _Special:
     the instance, so later lookups cost what a module attribute costs.
 
     ``jv_scalar`` is ``cython_special.jv``, J_nu at one float without the
-    ufunc machinery; it is imported only when first looked up, so a run that
-    evaluates J on arrays alone never loads it."""
+    ufunc machinery, which the quadrature integrands look up once per integral
+    and call at each node; it is imported only when first looked up, so a run
+    that evaluates J on arrays alone never loads it."""
 
     def __getattr__(self, name):
         if name == "jv_scalar":
@@ -93,15 +95,25 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _square(h: float) -> float:
+    """h * h, correctly rounded, for hbar^2: ``h**2`` is libm's pow, which is not, and with it
+    the exact scaling laws in hbar miss by one ulp at some hbar.  An inf product raises the
+    OverflowError that ``h**2`` raises, so a caller's message keeps its bytes."""
+    square = h * h
+    if square == math.inf:
+        raise OverflowError(34, "Numerical result out of range")
+    return square
+
+
 def jv(nu: float, x):
     """J_nu(x) for any real order (J_{-m} = (-1)^m J_m for integer m).
 
-    No order or domain check, for inner loops such as quadrature integrands,
-    where a check costs more than the value.
+    No order or domain check, for callers that check their own inputs.
     A float x (``numpy.float64`` included) takes the scalar path
     ``_sp.jv_scalar``: the same routine with the same bits, returned as a
-    Python float, without the ufunc's per-call overhead.  An array takes
-    :func:`_jv_array`.
+    Python float, without the ufunc's per-call overhead; a quadrature
+    integrand calls ``_sp.jv_scalar`` itself, without this dispatch.  An
+    array takes :func:`_jv_array`.
     """
     if isinstance(x, float):
         return _sp.jv_scalar(nu, x)

@@ -206,6 +206,21 @@ class _Run(NamedTuple):
     nfev: int
 
 
+def _dop853_interpolate(t, t_old, h, y_old, F) -> np.ndarray:
+    """DOP853's continuous extension at the times t, each on its own step's table: per row the
+    step's start t_old, length h and start state y_old, and its 7 x 2 table F (Hairer, Norsett
+    and Wanner, *Solving ODEs I*, II.6).  The Horner pass runs
+    ``Dop853DenseOutput._call_impl``'s elementwise operations on all rows at once, so each row
+    has the bits of its own call."""
+    u = ((t - t_old) / h)[:, None]
+    y = np.zeros(y_old.shape)
+    for k in range(F.shape[1]):  # F[-1] first, as reversed(F)
+        y += F[:, -1 - k]
+        y *= 1 - u if k % 2 else u
+    y += y_old
+    return y
+
+
 def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
     """Steps DOP853 from t = 0 to t_end at rtol = atol = tol, sampling EOM_SAMPLES uniform
     times in the order the solver steps, until |y[0]| crosses BLOWUP_BOUND or the run stops
@@ -215,11 +230,12 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
 
     This is :func:`scipy.integrate.solve_ivp`'s loop cut down to one terminal event and one
     t_eval: the same steps, event root and samples to the bit, without solve_ivp's per-step
-    event arrays and bookkeeping.  scipy's DOP853 object picks the first step and gives the
-    dense output; the loop takes each step itself.  It keeps solve_ivp's name as the module
-    attribute that a tracer may replace, reading ``nfev`` from what it returns (0 when
-    building the solver overflows).  scipy is imported on first use, so the closed forms load
-    no integrator.
+    event arrays, dense-output objects and bookkeeping.  scipy's DOP853 object picks the first
+    step; the loop takes each step and builds each sampled step's interpolation table itself,
+    and one :func:`_dop853_interpolate` pass evaluates every sample of the run at its end.  It
+    keeps solve_ivp's name as the module attribute that a tracer may replace, reading ``nfev``
+    from what it returns (0 when building the solver overflows).  scipy is imported on first
+    use, so the closed forms load no integrator.
     """
     from scipy.integrate import DOP853
     from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
@@ -249,10 +265,10 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             h_abs = abs(h)
             row = 0
             try:  # the last stage's input is y_new, its rhs f_new
-                for row, (k, a) in enumerate(stages, 1):
+                for row, (k, a, at) in enumerate(stages, 1):
                     dx, dv = np.dot(k, a).tolist()
                     xs, vs = x + dx * h, v + dv * h
-                    K[row] = rhs(xs, vs)
+                    flat[at], flat[at + 1] = rhs(xs, vs)
             finally:  # scipy counts a call that raises
                 solver.nfev += row
             y_new = np.array((xs, vs))
@@ -274,39 +290,88 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             solver.status = "finished"
         return True
 
+    def table():
+        """The last step's (t_old, h, y_old, F) as DOP853._dense_output_impl builds F, with
+        its three extra stages on floats as step() takes its stages; None where t == t_old,
+        scipy's ConstantDenseOutput, whose value is y itself."""
+        t_old, y_old, h = solver.t_old, solver.y_old, solver.h_previous
+        if solver.t == t_old:
+            return None
+        x, v = y_old.tolist()
+        for k, a, at in extra:
+            dx, dv = np.dot(k, a).tolist()
+            solver.nfev += 1  # before the call: scipy counts a call that raises
+            flat[at], flat[at + 1] = rhs(x + dx * h, v + dv * h)
+        F = np.empty((7, 2))
+        f_old = K_ext[0]
+        delta_y = solver.y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (solver.f + f_old)
+        F[3:] = h * np.dot(D, K_ext)
+        return t_old, solver.t - t_old, y_old, F
+
+    def blowup(tab):
+        """s -> |x(s)| - BLOWUP_BOUND on tab: Dop853DenseOutput's scalar call on floats."""
+        if tab is None:
+            g = abs(solver.y[0].item()) - BLOWUP_BOUND
+            return lambda s: g
+        t_old, h, y_old, F = tab
+        x_old, fs = y_old[0].item(), F[::-1, 0].tolist()
+
+        def g(s):
+            u, x = (s - t_old) / h, 0.0
+            for k, f in enumerate(fs):
+                x += f
+                x *= 1 - u if k % 2 else u
+            return abs(x + x_old) - BLOWUP_BOUND
+        return g
+
     t_eval = np.linspace(0.0, t_end, EOM_SAMPLES)
-    i = EOM_SAMPLES if t_end == 0.0 else 0  # as in solve_ivp, a run to t_end = 0 samples nothing
-    samples, end, solver = [], None, None
+    start = i = EOM_SAMPLES if t_end == 0.0 else 0  # as in solve_ivp, t_end = 0 samples nothing
+    tables, counts, end, crossed, solver = [], [], None, False, None
     # a failing step meets inf and NaN; the run reports it as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             solver = DOP853(lambda t, y: rhs(*y.tolist()), 0.0, y0, float(t_end),
                             rtol=tol, atol=tol)
             t_bound, direction = solver.t_bound, float(solver.direction)
-            K, KT, E5, E3 = solver.K, solver.K.T, solver.E5, solver.E3
-            stages = [(K[:s].T, solver.A[s, :s]) for s in range(1, solver.n_stages)]
-            stages.append((K[:-1].T, solver.B))
+            K_ext, K, D = solver.K_extended, solver.K, solver.D
+            flat, KT, E5, E3 = K_ext.reshape(-1), K.T, solver.E5, solver.E3
+            # (K rows, weights, flat index of the stage's row) of each stage
+            stages = [(K[:s].T, solver.A[s, :s], 2 * s) for s in range(1, solver.n_stages)]
+            stages.append((K[:-1].T, solver.B, 2 * solver.n_stages))
+            extra = [(K_ext[:s].T, a[:s], 2 * s)
+                     for s, a in enumerate(solver.A_EXTRA, start=solver.n_stages + 1)]
             ahead = solver.direction * t_eval  # ascends as the solver steps
             g = abs(y0[0]) - BLOWUP_BOUND
-            while solver.status == "running" and end is None:
+            while solver.status == "running" and not crossed:
                 if not step():  # scipy's failure: the step size collapsed
                     raise OverflowError  # stop as an overflow in rhs does
-                t, sol, g_old = solver.t, None, g
+                t, tab, g_old = solver.t, None, g
                 g = abs(solver.y[0].item()) - BLOWUP_BOUND
-                if (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0):
-                    sol = solver.dense_output()
-                    t = end = brentq(lambda s: abs(sol(s)[0]) - BLOWUP_BOUND, solver.t_old, t,
+                crossed = (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0)
+                if crossed:
+                    tab = table()
+                    t = end = brentq(blowup(tab), solver.t_old, t,
                                      xtol=4 * np.finfo(float).eps, rtol=4 * np.finfo(float).eps)
-                j = np.searchsorted(ahead, solver.direction * t, side="right")
-                if j > i:
-                    sol = solver.dense_output() if sol is None else sol
-                    samples += zip(t_eval[i:j].tolist(), *sol(t_eval[i:j]).tolist())
+                j = ahead.searchsorted(solver.direction * t, side="right")
+                if j > i or crossed:  # the blow-up state is one more row on its step's table
+                    tables.append(tab if crossed else table())
+                    counts.append(j - i + crossed)
                     i = j
-                if end is not None:  # the blow-up state follows the samples
-                    samples.append((end, *sol(end).tolist()))
         except OverflowError:  # the one early stop: a blow-up at the last sample
-            end = samples[-1][0] if samples else 0.0
-    return _Run(samples, end, solver.nfev if solver else 0)
+            crossed, end = False, t_eval[i - 1].item() if i > start else 0.0
+    nfev = solver.nfev if solver else 0
+    if crossed and tables[-1] is None:  # a constant step: only at t_end = 0, with no sample
+        return _Run([(end, *solver.y.tolist())], end, nfev)
+    if not tables:
+        return _Run([], end, nfev)
+    ts = np.append(t_eval[start:i], end) if crossed else t_eval[start:i]
+    at = np.repeat(np.arange(len(tables)), counts)
+    t_old, h, y_old, F = (np.array(column)[at] for column in zip(*tables))
+    y = _dop853_interpolate(ts, t_old, h, y_old, F)
+    return _Run(list(zip(ts.tolist(), *y.T.tolist())), end, nfev)
 
 
 def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float) -> Trajectory:

@@ -32,9 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bessel
 # bessel_zero stays a module attribute: perfbench/tracing.py wraps quantum.bessel_zero
 from .bessel import _check_zero_args, bessel_zero, bessel_zeros  # noqa: F401
-from .bessel import ARGUMENT_RESOLVED_MAX, _as_result, _check_positive_finite, jv, jv_derivatives
+from .bessel import ARGUMENT_RESOLVED_MAX, _as_result, _check_positive_finite, _square, jv
+from .bessel import jv_derivatives
 from .semiclassical import quad
 
 #: grid of :func:`ode_residual`: Chebyshev points on [0.2, 10], dense
@@ -114,8 +116,8 @@ def ode_coefficients(
     a, g = ordering.alpha1, ordering.gamma1
     return OdeCoefficients(
         first_order=4.0 * (1.0 + a - g),
-        inv_x2=16.0 * a * g + 12.0 * g + 4.0 * lam / hbar**2,
-        inv_x4=4.0 * E / hbar**2,
+        inv_x2=16.0 * a * g + 12.0 * g + 4.0 * lam / _square(hbar),
+        inv_x4=4.0 * E / _square(hbar),
     )
 
 
@@ -123,10 +125,11 @@ def nu_squared(ordering: SingleTermOrdering, lam, hbar: float):
     """nu^2 = s^2 + 4 lam / hbar^2, the squared order of the Bessel reduction;
     elementwise for an array lam, which fails like a scalar one where hbar^2 underflows."""
     _check_positive_finite("hbar", hbar)
-    if hbar**2 == 0.0:
+    hbar2 = _square(hbar)
+    if hbar2 == 0.0:
         raise ZeroDivisionError("float division by zero")
     with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
-        return ordering.s**2 + 4.0 * lam / hbar**2
+        return ordering.s**2 + 4.0 * lam / hbar2
 
 
 def nu_from_params(ordering: SingleTermOrdering, lam, hbar: float):
@@ -153,7 +156,7 @@ def lambda_quantized(n, ordering: SingleTermOrdering, hbar: float):
     if not np.all((n % 1 == 0) & (n >= 1)):
         raise ValueError(f"quantum number n must be a positive integer, got {n!r}")
     with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
-        return (n * n - ordering.s**2) * hbar**2 / 4.0
+        return (n * n - ordering.s**2) * _square(hbar) / 4.0
 
 
 def _bessel_argument(z):
@@ -276,7 +279,7 @@ def pct_strength(ordering: SingleTermOrdering, lam: float, hbar: float) -> float
     """Inverse-square strength 4 lam/hbar^2 + (2a+2g+2)(2a+2g+1); plus 1/4 it is nu^2."""
     _check_positive_finite("hbar", hbar)
     two_ag = 2.0 * ordering.alpha1 + 2.0 * ordering.gamma1
-    return 4.0 * lam / hbar**2 + (two_ag + 2.0) * (two_ag + 1.0)
+    return 4.0 * lam / _square(hbar) + (two_ag + 2.0) * (two_ag + 1.0)
 
 
 def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) -> float:
@@ -297,7 +300,7 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
     """
     ContinuumState(1, E)  # checks E
     nu = nu_from_params(ordering, lam, hbar)
-    k_squared = 16.0 * E / hbar**2
+    k_squared = 16.0 * E / _square(hbar)
     strength = pct_strength(ordering, lam, hbar)
 
     t = np.linspace(0.05, 2.5, 200)
@@ -321,10 +324,15 @@ def pct_reduce(ordering: SingleTermOrdering, lam: float, E: float, hbar: float) 
 
 def _product_integral(n: int, a: float, b: float, R: float, tol: float, **options) -> float:
     """int_0^R r J_n(a r) J_n(b r) dr by :func:`quad` at epsabs = epsrel = tol and the
-    caller's limit, gate values and label.  For a == b J is evaluated once per node."""
+    caller's limit, gate values and label.  For a == b J is evaluated once per node.
+
+    quad passes each node as a float, so the integrand calls ``bessel._sp.jv_scalar``, looked
+    up once per integral, without :func:`jv`'s dispatch: the same routine and bits."""
+    jv_scalar = bessel._sp.jv_scalar
+
     def integrand(r):  # r * j * j is (r * j) * j: the bits of two evaluations
-        j = jv(n, a * r)
-        return r * j * (j if a == b else jv(n, b * r))
+        j = jv_scalar(n, a * r)
+        return r * j * (j if a == b else jv_scalar(n, b * r))
     return quad(integrand, 0.0, R, epsabs=tol, epsrel=tol, **options)
 
 
@@ -387,7 +395,7 @@ def box_spectrum(n: int, N_max: int, eps: float, hbar: float = 1.0) -> list[BoxS
     _check_positive_finite("eps", eps)
     zeros = np.array(bessel_zeros(n, N_max))
     with np.errstate(over="ignore"):  # a huge eps overflows; the caller refuses an inf row
-        energies = 0.25 * hbar**2 * zeros * zeros * eps * eps
+        energies = 0.25 * _square(hbar) * zeros * zeros * eps * eps
         norms = eps / jv(n + 1, zeros)
     rows = zip(energies.tolist(), norms.tolist())
     return [BoxState(eps, int(n), N, energy, norm) for N, (energy, norm) in enumerate(rows, start=1)]
@@ -404,7 +412,7 @@ def box_orthonormality(n: int, N: int, M: int, eps: float, hbar: float = 1.0) ->
 
     Memoized on the arguments, 64 entries at most: the result is a pure function of them,
     so a repeat call (the verify suite's Gram matrix in every run) returns the same float
-    without a quadrature.  Whoever replaces ``quad`` or ``jv`` calls ``cache_clear()``.
+    without a quadrature.  Whoever replaces ``quad`` or ``bessel._sp`` calls ``cache_clear()``.
     """
     n, N, M = _check_zero_args(n, N, M)
     _check_positive_finite("eps", eps)
@@ -491,7 +499,7 @@ def similarity_check(
             + (beta + 2.0 * gamma) * mp / m**2 * fp
             + gamma * ((beta + gamma - 1.0) * mp**2 / m**3 + mpp / m**2) * f
         )
-        return -0.5 * hbar**2 * kin + lam * x_in**2 * f
+        return -0.5 * _square(hbar) * kin + lam * x_in**2 * f
 
     f = np.asarray(testfn(xs), dtype=float)
     lhs = apply(f, ordering.gamma1)

@@ -18,7 +18,8 @@ with the condition above quantizes the coupling:
 
 :func:`wkb_condition_check` returns lam_n, both sides and their difference
 as plain numbers, which `pdmosc wkb` prints and :mod:`pdmosc.verification`
-judges; its pdmosc imports are ``bessel._as_result`` and ``bessel._check_positive_finite``.
+judges; its pdmosc imports are ``bessel._as_result``, ``bessel._check_positive_finite``
+and ``bessel._square``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import _as_result, _check_positive_finite
+from .bessel import _as_result, _check_positive_finite, _square
 
 #: eps sequence for the finite-part limit: geometric, four points
 EPS_START_FRACTION = 1e-2
@@ -104,8 +105,11 @@ def action_integral_regularized(A: float, eps: float) -> float:
     if not (0.0 < eps < A):
         raise ValueError(f"need 0 < eps < A, got eps={eps}, A={A}")
 
-    def integrand(x: float) -> float:
-        return math.sqrt(max(A * A - x * x, 0.0)) / (x * x)
+    A2 = A * A
+
+    def integrand(x: float) -> float:  # clamps roundoff at x ~ A; NaN and -0.0 pass through
+        d = A2 - x * x
+        return math.sqrt(0.0 if d < 0.0 else d) / (x * x)
 
     # For tiny eps the integral is ~2A/eps, so an absolute 1e-9 certificate is
     # below the double-precision floor; allow a machine-relative allowance
@@ -153,7 +157,7 @@ def wkb_lambda(n, hbar: float):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     _check_positive_finite("hbar", hbar)
     with np.errstate(over="ignore"):  # an array overflows to inf as a scalar does
-        return (n + 0.5) ** 2 * hbar**2 / 4.0
+        return (n + 0.5) ** 2 * _square(hbar) / 4.0
 
 
 def wkb_condition_check(n, hbar: float, A: float = 1.0) -> WkbCondition:

@@ -132,7 +132,7 @@ def check_residual_negative_control(cfg: SuiteConfig) -> Verdict:
     lam1 = quantum.lambda_quantized(2, broken, hbar)
     # control 2: offset lam from its quantized value, by 1/4 of the hbar^2 scale
     # lam takes in the equation (4 lam/hbar^2 moves by 1)
-    lam2 = quantum.lambda_quantized(2, cfg.ordering, hbar) + 0.25 * hbar**2
+    lam2 = quantum.lambda_quantized(2, cfg.ordering, hbar) + 0.25 * bessel._square(hbar)
     # both controls are psi_2 at E = 1, so they share one J table
     r1, r2 = quantum.ode_residuals([(2, broken, lam1), (2, cfg.ordering, lam2)], 1.0, hbar).tolist()
     measured = min(r1, r2)
@@ -197,7 +197,8 @@ def check_similarity(cfg: SuiteConfig) -> Verdict:
     disc = quantum.similarity_check(
         cfg.ordering, lambda x: np.exp(-((x - 2.0) ** 2)), hbar=cfg.hbar
     )
-    tol = 1e-6 * cfg.hbar**2  # at lam = 0 both operators are hbar^2/2 times their kinetic part
+    # at lam = 0 both operators are hbar^2/2 times their kinetic part
+    tol = 1e-6 * bessel._square(cfg.hbar)
     return verdict(disc <= tol, disc, tol, "DERIVED", "Gaussian test function on [0.5, 5]")
 
 

@@ -271,6 +271,8 @@ EQUIVALENCE_CASES = {
     "sweep-blow-up-backward": (*sweep_start(-0.7, 1.3, 2.4, backward=True), -4.4, 1e-12),
     "sweep-rejected-steps": (*sweep_start(-1.5, 0.6, 1.2), 3.2, 1e-9),  # 200 of 402 rejected
     "sweep-tol-1e-6": (*sweep_start(-0.2, 1.9, 4.1), 6.1, 1e-6),
+    # steps much longer than the sample spacing: one step's table gives many samples
+    "long-steps": (1.0, 0.0, 1.0, 1000.0, 1e-6),
     **{f"draw-{k}": draw for k, draw in enumerate(random_draws(50))},
 }
 
@@ -295,7 +297,8 @@ def test_integrate_eom_steps_dop853_as_solve_ivp_does(case, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["sweep-rejected-steps", "blow-up-backward", "t_end-0",
-                                  "failed-first-step", "t_end-1e300"])
+                                  "x0-at-the-bound-t_end-0", "long-steps", "failed-first-step",
+                                  "t_end-1e300"])
 def test_the_driver_counts_each_rhs_call_and_never_calls_scipy_step(name, monkeypatch):
     import scipy.integrate
 
@@ -314,11 +317,16 @@ def test_the_driver_counts_each_rhs_call_and_never_calls_scipy_step(name, monkey
         nfev.append(run.nfev)
         return run
 
-    def no_step(self):
-        raise AssertionError("DOP853.step was called")
+    def no_call(name):
+        def raises(self):
+            raise AssertionError(f"DOP853.{name} was called")
+
+        return raises
 
     monkeypatch.setattr(classical, "solve_ivp", counted)
-    monkeypatch.setattr(scipy.integrate.DOP853, "step", no_step)
+    # the driver steps and interpolates itself
+    monkeypatch.setattr(scipy.integrate.DOP853, "step", no_call("step"))
+    monkeypatch.setattr(scipy.integrate.DOP853, "dense_output", no_call("dense_output"))
     traj = classical.integrate_eom(*case)
     assert nfev == [len(calls)] == [expected_nfev]
     if expected is not None:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -612,13 +613,19 @@ def test_box_orthonormality_roundoff_flag_stays_silent():
     ],
 )
 def test_box_overlap_evaluates_j_once_per_node_on_the_diagonal(monkeypatch, n, N, M, eps, expected):
+    from scipy import special
+    from scipy.special import cython_special
+
     kernel = quantum.overlap_kernel if isinstance(N, float) else quantum.box_orthonormality
     counts = {"jv": 0, "integrand": 0}
-    jv, quad = quantum.jv, quantum.quad
+    quad = quantum.quad
 
-    def counted_jv(nu, x):
-        counts["jv"] += 1
-        return jv(nu, x)
+    def counted(jv):
+        def counted_jv(nu, x):
+            counts["jv"] += 1
+            return jv(nu, x)
+
+        return counted_jv
 
     def counted_quad(f, *args, **kwargs):
         def g(r):
@@ -627,7 +634,12 @@ def test_box_overlap_evaluates_j_once_per_node_on_the_diagonal(monkeypatch, n, N
 
         return quad(g, *args, **kwargs)
 
-    monkeypatch.setattr(quantum, "jv", counted_jv)
+    if kernel is quantum.box_orthonormality:  # the zero scan's J calls are not counted
+        zeros = bessel.bessel_zeros(n, max(N, M))
+        monkeypatch.setattr(quantum, "bessel_zeros", lambda *args: zeros)
+    # every J value, array or scalar, comes through bessel._sp: still J, so no memo goes stale
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=counted(special.jv),
+                                                       jv_scalar=counted(cython_special.jv)))
     monkeypatch.setattr(quantum, "quad", counted_quad)
     quantum.box_orthonormality.cache_clear()  # a memoized value would count nothing
     # the values recorded when the diagonal evaluated J twice per node

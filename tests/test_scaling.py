@@ -27,10 +27,10 @@ scales exactly, so each law holds bit for bit:
 
 The inputs are drawn where no input, intermediate or printed value overflows,
 underflows or goes subnormal at any factor, which is what keeps the scaling exact.
-One rounding step does not scale exactly: hbar**2 goes through libm's pow, which is
-not correctly rounded, so for about 1 in 4000 pairs (hbar, f) pow(f hbar, 2) is one ulp
-off f^2 pow(hbar, 2), and the laws in hbar (`box-spectrum`, `spectrum`, `wkb`) miss by
-one ulp (hbar = 18.606542522450322, f = 1/4); none of the draws below meets such an hbar.
+hbar^2 is the product hbar * hbar, which scales exactly; libm's pow behind hbar**2 is not
+correctly rounded, and for about 1 in 4000 pairs (hbar, f) pow(f hbar, 2) is one ulp off
+f^2 pow(hbar, 2).  A pinned case runs the laws in hbar (`box-spectrum`, `spectrum`, `wkb`)
+at such a pair, hbar = 18.606542522450322 and f = 1/4.
 Each law also runs once against a library with a wrong exponent, where it must
 fail: the oracle sees the defect it guards against.
 """
@@ -280,6 +280,23 @@ def test_quadrupling_E_and_lam_keeps_x_and_doubles_p(f, **inputs):
 @given(f=FACTORS, **PHASE_INPUTS)
 def test_quartering_lam_doubles_x_and_quarters_p(f, **inputs):
     check_phase_under_lam(f, **inputs)
+
+
+#: pow(HBAR_POW_MISROUNDS / 4, 2) is one ulp off pow(HBAR_POW_MISROUNDS, 2) / 16
+HBAR_POW_MISROUNDS = 18.606542522450322
+
+
+@pytest.mark.parametrize(
+    "check, case",
+    [
+        (check_box_under_hbar, dict(n=1, n_zeros=5, eps=0.1)),
+        (check_spectrum_under_hbar, dict(alpha1=0.0, gamma1=0.75, n_max=5)),
+        (check_wkb_under_A_and_hbar, dict(n_max=5, A=1.0)),
+    ],
+    ids=["box-hbar", "spectrum-hbar", "wkb-A-hbar"],
+)
+def test_the_hbar_laws_hold_where_pow_misrounds_hbar_squared(check, case):
+    check(0.25, hbar=HBAR_POW_MISROUNDS, **case)
 
 
 def psi_with_E_for_sqrt_E(monkeypatch):
