@@ -6,8 +6,7 @@ routines behind :mod:`scipy.special` through one path: :func:`jv`,
 recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2) take any real order unchecked.
 :func:`jv_derivatives` takes an array of orders too, with J evaluated once per
 distinct order.  Every array J value, the zero scan and polish included, comes
-from :func:`_jv_array`, which runs ``_SPLIT_MIN`` values or more on two threads
-when two CPUs are allowed, with the bits of one call.  A J value at one float,
+from one ufunc call ``_sp.jv``, in the calling thread.  A J value at one float,
 as a quadrature integrand of :mod:`pdmosc.quantum` takes it at each node, comes
 from ``_sp.jv_scalar``, the same routine through
 :mod:`scipy.special.cython_special`, which skips the ufunc's per-call overhead
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
@@ -67,12 +65,6 @@ _sp = _Special()
 ORDER_MAX = 50.0
 #: and the highest argument; not a knob: scipy's J_nu has no correct digits from about 2e15
 ARGUMENT_RESOLVED_MAX = 1.0e15
-
-#: an array J evaluation of at least this many values runs in two halves on two threads.
-#: Measured on 2 vCPUs (medians of 40-60 alternating calls), the split takes 0.70-0.80 of
-#: one call's time from 1500 values up, 0.92 at 1200, where it wins half the calls, and 1.5x
-#: at 1000; 2000 keeps a margin above that break-even
-_SPLIT_MIN = 2000
 
 #: the zero polish stops once a step is below this; the error reaches 1.02e-12
 #: near x ~ 540 because the polish ends in bisection (see :func:`_polish_zero`)
@@ -113,59 +105,11 @@ def jv(nu: float, x):
     ``_sp.jv_scalar``: the same routine with the same bits, returned as a
     Python float, without the ufunc's per-call overhead; a quadrature
     integrand calls ``_sp.jv_scalar`` itself, without this dispatch.  An
-    array takes :func:`_jv_array`.
+    array takes the ufunc ``_sp.jv``.
     """
     if isinstance(x, float):
         return _sp.jv_scalar(nu, x)
-    return _jv_array(nu, x)
-
-
-def _two_cpus() -> bool:
-    """Whether the process may run on two CPUs or more (``taskset -c 0`` allows it one)."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-
-
-@functools.cache
-def _half_worker():
-    """The one-thread pool that evaluates the odd-indexed half of a split J array, made by the
-    first split; its thread lives as long as the process.  A forked child, which has no copy
-    of the thread, makes its own (see the ``register_at_fork`` below)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(1, thread_name_prefix="pdmosc-jv")
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_half_worker.cache_clear)
-
-
-def _jv_under(err: dict, nu, x):
-    """``_sp.jv(nu, x)`` under ``np.errstate(**err)``: numpy keeps errstate per thread (1.x)
-    or per context (2.x), and a worker thread starts with the default."""
-    with np.errstate(**err):
-        return _sp.jv(nu, x)
-
-
-def _jv_array(nu, x):
-    """``_sp.jv(nu, x)``; of a broadcast of _SPLIT_MIN values or more, when the process may
-    run on two CPUs, the worker of :func:`_half_worker` evaluates the odd-indexed values while
-    the caller evaluates the even ones.  A ufunc loop drops the GIL, so the halves run at
-    once, and interleaved they cost about the same on a smooth grid; J is elementwise, so the
-    result has the bits of one call.  The worker runs under the caller's ``np.errstate``, and
-    an exception it raises is raised here."""
-    grid = np.broadcast(nu, x)
-    if grid.size < _SPLIT_MIN or not _two_cpus():
-        return _sp.jv(nu, x)
-    nu, x = (np.ravel(a) for a in np.broadcast_arrays(nu, x))
-    future = _half_worker().submit(_jv_under, np.geterr(), nu[1::2], x[1::2])
-    try:
-        even = _sp.jv(nu[::2], x[::2])
-    finally:
-        future.exception()  # waits for the worker's half, whatever happened here
-    odd = future.result()
-    out = np.empty(grid.size, np.result_type(even, odd))
-    out[::2], out[1::2] = even, odd
-    return out.reshape(grid.shape)
+    return _sp.jv(nu, x)
 
 
 def yv(nu: float, x):
@@ -179,12 +123,12 @@ def jv_derivatives(nu, x):
 
     nu is one order or a 1-D array of them; for an array each of the three
     has a leading axis over nu.  J is evaluated once at each distinct order
-    nu + k, k = -2..2, in one :func:`_jv_array` call over x, so consecutive
+    nu + k, k = -2..2, in one ``_sp.jv`` call over x, so consecutive
     orders share their values and each value has the bits of its own call.
     """
     nus = np.asarray(nu, dtype=float)
     orders, at = np.unique(np.add.outer(nus, np.arange(-2.0, 3.0)), return_inverse=True)
-    table = _jv_array(orders.reshape((-1,) + (1,) * np.ndim(x)), x)
+    table = _sp.jv(orders.reshape((-1,) + (1,) * np.ndim(x)), x)
     at = at.reshape(nus.shape + (5,))  # at[..., k] is the row of order nu + k - 2
     jm2, jm1, j, jp1, jp2 = (table[at[..., k]] for k in range(5))
     return j, 0.5 * (jm1 - jp1), 0.25 * (jm2 - 2.0 * j + jp2)
@@ -217,7 +161,7 @@ def _zero_brackets(n: int, N_max: int) -> list[tuple[float, float]]:
     """
     x_max = mcmahon_zero_estimate(n, N_max) + 2.0
     xs = n + np.arange(math.ceil(x_max - n) + 1.0)
-    fs = _jv_array(n, xs)
+    fs = _sp.jv(n, xs)
     # an exact 0.0 makes both of its products 0.0, so no sign change repeats it
     ends = np.flatnonzero((fs[:-1] * fs[1:] < 0.0) | (fs[1:] == 0.0))[:N_max] + 1
     brackets = [(x, x) if f == 0.0 else (x - 1.0, x) for x, f in zip(xs[ends].tolist(), fs[ends])]
@@ -232,7 +176,7 @@ def _zero_brackets(n: int, N_max: int) -> list[tuple[float, float]]:
 def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
     """Newton iteration from the bracket midpoint, with bisection fallback
     whenever an iterate leaves the open bracket.  Stops on a step < ZERO_ABS_TOL.
-    Each iterate takes J_n, J_{n-1}, J_{n+1} (for J'_n) from one three-order :func:`_jv_array` call.
+    Each iterate takes J_n, J_{n-1}, J_{n+1} (for J'_n) from one three-order ``_sp.jv`` call.
 
     Memoized per process on (n, N, bracket), 4096 entries at most: zero N gets
     the same bracket whatever N_max is, so a hit has a fresh polish's bits.
@@ -245,10 +189,10 @@ def _polish_zero(n: int, N: int, bracket: tuple[float, float]) -> float:
     leave the 1.02e-12 error (a <= x_new <= b: 4 iterations, 3.6e-15 error).
     """
     a, b = bracket
-    fa = _jv_array(n, a)
+    fa = _sp.jv(n, a)
     x = 0.5 * (a + b)
     for _ in range(100):
-        f, jm1, jp1 = _jv_array(n + np.array([0.0, -1.0, 1.0]), x).tolist()
+        f, jm1, jp1 = _sp.jv(n + np.array([0.0, -1.0, 1.0]), x).tolist()
         if f == 0.0:
             return x
         # maintain the sign-change bracket

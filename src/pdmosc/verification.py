@@ -179,12 +179,35 @@ def check_box_orthonormality(cfg: SuiteConfig) -> Verdict:
     return verdict(worst <= 1e-8, worst, 1e-8, "DERIVED", "n = 1, eps = 0.1, N, M <= 5")
 
 
+def hermitian_bound() -> float:
+    """C with |psi(x)| <= C/x for the Hermitian state psi(x) = x^-3/2 J_1(z), z = 2/x >= 16.
+
+    z M_1(z)^2, M_1^2 = J_1^2 + Y_1^2, decreases in z for order 1 > 1/2 (Watson, *A Treatise
+    on the Theory of Bessel Functions*, §13.74), and |J_1| <= M_1, so C = sqrt(z0 M_1(z0)^2 / 2)
+    at z0 = 16, times 1 + 1e-9 for the rounding of C and J's 1e-12 error."""
+    z0 = 16.0
+    return math.sqrt(z0 * (bessel.jv(1, z0) ** 2 + bessel.yv(1, z0) ** 2) / 2.0) * (1.0 + 1e-9)
+
+
 def check_hermitian_singularity(cfg: SuiteConfig) -> Verdict:
     """Windowed maxima of the Hermitian-ordered state grow ~1/x toward 0.
 
-    Neighbouring ratios share a window: 7 windows [2^-k, 2^(1-k)] give 6 ratios."""
-    windows = (np.linspace(2.0**-k, 2.0 ** (1 - k), 4000) for k in range(4, 11))
-    peaks = [float(np.max(np.abs(quantum.hermitian_wavefunction(w, 1, 1.0)))) for w in windows]
+    Neighbouring ratios share a window: 7 windows [2^-k, 2^(1-k)] give 6 ratios.  Each peak
+    comes from a prefix of its window: z = 2/x >= 16 in every window, so |psi(x)| <= C/x with
+    C = :func:`hermitian_bound`, and as C/x decreases along a window no sample past x = C/P
+    exceeds a peak P already found.  psi is evaluated on the first 128 samples, then up to
+    that cut-off, until the cut-off lies inside what was evaluated; psi is elementwise, so
+    each peak has the bits of its whole window's maximum."""
+    bound = hermitian_bound()
+    peaks = []
+    for k in range(4, 11):
+        w = np.linspace(2.0**-k, 2.0 ** (1 - k), 4000)
+        done, cut, peak = 0, 128, 0.0
+        while cut > done:
+            psi = quantum.hermitian_wavefunction(w[done:cut], 1, 1.0)
+            done, peak = cut, max(peak, float(np.max(np.abs(psi))))
+            cut = int(w.searchsorted(bound / peak, side="right"))
+        peaks.append(peak)
     measured = min(near / far for far, near in zip(peaks, peaks[1:]))
     return verdict(
         measured >= 1.8, measured, 1.8, "DERIVED",

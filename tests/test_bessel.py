@@ -1,9 +1,5 @@
 import math
-import os
 import random
-import signal
-import time
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -389,97 +385,3 @@ def test_jv_derivatives_evaluate_each_distinct_order_once(monkeypatch):
     monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))
     bessel.jv_derivatives(np.arange(1.0, 7.0), np.linspace(1.0, 2.0, 5))
     assert calls == [list(range(-1, 9))]  # one call, 10 orders for the 30 terms of n = 1..6
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The split's CPU test passes, whatever CPUs this process may use, and every
-    ``_sp.jv`` call is recorded with the size of its result."""
-    calls = []
-
-    def jv(nu, x):
-        calls.append(np.broadcast(nu, x).size)
-        return special.jv(nu, x)
-
-    monkeypatch.setattr(bessel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))
-    return calls
-
-
-@pytest.mark.parametrize("size", [bessel._SPLIT_MIN - 1, bessel._SPLIT_MIN,
-                                  bessel._SPLIT_MIN + 1, 3 * bessel._SPLIT_MIN + 7])
-def test_the_split_has_the_bits_of_one_call(two_cpus, size):
-    xs = 2.0 / np.linspace(0.01, 3.0, size)
-    got = bessel.jv(3, xs)
-    assert same_bits(got, special.jv(3, xs))
-    # below _SPLIT_MIN one call; from it two halves, of sizes differing by at most 1
-    assert sorted(two_cpus) == ([size] if size < bessel._SPLIT_MIN else [size // 2, (size + 1) // 2])
-
-
-def test_the_split_of_an_order_table_has_the_bits_of_one_call(two_cpus):
-    orders = np.arange(-1.0, 9.0)[:, None]
-    xs = np.linspace(0.2, 40.0, bessel._SPLIT_MIN // 10 + 3)
-    assert same_bits(bessel._jv_array(orders, xs), special.jv(orders, xs))
-    assert len(two_cpus) == 2
-
-
-def test_one_cpu_makes_one_call(two_cpus, monkeypatch):
-    monkeypatch.setattr(bessel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    bessel.jv(1, np.linspace(1.0, 2.0, 2 * bessel._SPLIT_MIN))
-    assert two_cpus == [2 * bessel._SPLIT_MIN]
-
-
-def j_dividing_by_zero_at_odd_places(nu, x):
-    """J times 1/(x - x) at odd indices: the worker's half divides by zero, the caller's does not."""
-    x = np.asarray(x)
-    return special.jv(nu, x) * (1.0 / (x - x)) if x[0] == 1.0 else special.jv(nu, x)
-
-
-def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(bessel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=j_dividing_by_zero_at_odd_places))
-    xs = np.tile([2.0, 1.0], bessel._SPLIT_MIN)  # the odd half starts at 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning in either thread would raise
-        with np.errstate(all="ignore"):
-            assert np.isinf(bessel.jv(1, xs)[1::2]).all()
-        with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide by zero"):
-            bessel.jv(1, xs)
-
-
-def test_an_exception_in_the_worker_is_raised_in_the_caller(monkeypatch):
-    def jv(nu, x):
-        if np.asarray(x)[0] == 1.0:
-            raise ArithmeticError("the odd half")
-        return special.jv(nu, x)
-
-    monkeypatch.setattr(bessel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv))
-    xs = np.tile([2.0, 1.0], bessel._SPLIT_MIN)
-    with pytest.raises(ArithmeticError, match="^the odd half$"):
-        bessel.jv(1, xs)
-    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=special.jv))
-    assert same_bits(bessel.jv(1, xs), special.jv(1, xs))  # the worker serves the next split
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_splits_through_a_worker_of_its_own(two_cpus):
-    xs = np.linspace(1.0, 30.0, 2 * bessel._SPLIT_MIN + 1)
-    assert same_bits(bessel.jv(2, xs), special.jv(2, xs))  # the parent's worker thread runs
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12+: fork with a thread
-        pid = os.fork()
-    if pid == 0:  # the child has no copy of the worker thread; a split must not wait for it
-        ok = False
-        try:
-            ok = same_bits(bessel.jv(2, xs), special.jv(2, xs))
-        finally:
-            os._exit(0 if ok else 1)
-    deadline = time.monotonic() + 30.0
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert done[0] == pid, "the forked child hung in its split"
-    assert os.waitstatus_to_exitcode(done[1]) == 0

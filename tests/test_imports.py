@@ -85,8 +85,9 @@ def test_bessel_subcommands_load_no_integrator():
 
 
 def test_only_quadrature_loads_the_scalar_bessel_path():
-    # cython_special (about 1 MB of RSS) serves bessel.jv at a float, which only the
-    # quadrature integrands of verify ask for; the array subcommands never load it
+    # cython_special (about 1 MB of RSS) serves bessel.jv at a float, which only verify
+    # asks for (its quadrature integrands, and the Hermitian check's bound at z = 16);
+    # the array subcommands never load it
     codes, loaded = modules_after_cli("eigenfunction --n 1 --E 1", "box-spectrum --n 1", "wkb")
     assert codes == [0, 0, 0]
     assert "scipy.special" in loaded
@@ -116,21 +117,17 @@ def test_readme_library_example_runs():
 
 
 def test_closed_forms_and_the_default_eigenfunction_start_no_thread():
-    # the Bessel kernel hands half of a J array of bessel._SPLIT_MIN values or more to one
-    # worker thread, made on first use; the default eigenfunction grid (1,194 rows) stays
-    # below that, and a long grid starts exactly one thread.  The closed forms load no
-    # thread pool; scipy.special imports concurrent.futures itself
+    # no subcommand starts a thread: every J array is one ufunc call in the calling
+    # thread, on a long eigenfunction grid (29,991 rows) and in verify too
     code = (
         "import contextlib, io, sys, threading\n"
         "from pdmosc import cli\n"
         "for line in sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
         "        assert cli.main(line.split()) == 0, line\n"
-        "    print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        "    print(threading.active_count())\n"
     )
-    closed_forms = ["trajectory --lambda 1", "lambda-map", "phase-portrait --lambda 1", "spectrum"]
-    bessel_lines = ["eigenfunction --n 1 --E 1", "eigenfunction --n 3 --E 2 --x 0.001:3:0.0001"]
-    out = run_fresh(code, *closed_forms, *bessel_lines).splitlines()
-    two_cpus = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-    assert out[:4] == ["1 False"] * 4
-    assert [line.split()[0] for line in out[4:]] == ["1", "2" if two_cpus else "1"]
+    lines = ["trajectory --lambda 1", "lambda-map", "phase-portrait --lambda 1", "spectrum",
+             "eigenfunction --n 1 --E 1", "eigenfunction --n 3 --E 2 --x 0.001:3:0.0001", "verify"]
+    assert run_fresh(code, *lines).splitlines() == ["1"] * len(lines)

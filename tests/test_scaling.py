@@ -27,6 +27,19 @@ scales exactly, so each law holds bit for bit:
 
 The inputs are drawn where no input, intermediate or printed value overflows,
 underflows or goes subnormal at any factor, which is what keeps the scaling exact.
+The laws in hbar draw hbar from every power of ten inside such a range.  Each range is
+that of the scaled hbar in [hbar/4, 4 hbar], with hbar^2 the normal range [2^-1022, 2^1024)
+bounding the smallest and largest intermediate:
+
+- `box-spectrum`: E = hbar^2/4 j j eps eps over zeros j in [3.83, 163.1] (n <= 49,
+  N <= 30) and eps in [1e-3, 1e3], scaled too: its extremes hbar^2/4 j^2 eps^2 at the
+  smallest and largest j eps give hbar in [3.2e-151, 4.1e148], drawn from [1e-150, 1e148];
+- `spectrum`: lambda_n = (n^2 - s^2) hbar^2 / 4 with a nonzero |n^2 - s^2| in [2^-53, 900]
+  (a difference of doubles near 1 is a multiple of 2^-53; n <= 30) gives hbar in
+  [1.2e-145, 1.1e152], drawn from [1e-144, 1e152];
+- `wkb`: lambda_n = (n + 1/2)^2 hbar^2 / 4 with (n + 1/2)^2 in [1/4, 930.25] gives hbar in
+  [2.4e-153, 1.0e152], drawn from [1e-152, 1e152]; rhs = (n + 1/2) hbar pi and the
+  residual, nonzero only above an ulp of rhs, stay normal there.
 hbar^2 is the product hbar * hbar, which scales exactly; libm's pow behind hbar**2 is not
 correctly rounded, and for about 1 in 4000 pairs (hbar, f) pow(f hbar, 2) is one ulp off
 f^2 pow(hbar, 2).  A pinned case runs the laws in hbar (`box-spectrum`, `spectrum`, `wkb`)
@@ -108,17 +121,18 @@ def phase_rows(energies, lam, points, x_floor_frac):
 # z = 2 sqrt(E)/(hbar x) stays within [8e-6, 2e6], so J_n(z) is above 1e-61, at every factor
 PSI_INPUTS = dict(n=st.integers(1, 10), E=log_uniform(-4, 4), hbar=log_uniform(-2, 2),
                   start=log_uniform(-2, 0.7), step=log_uniform(-3, 0), count=st.integers(1, 20))
-# E stays within [1e-14, 1e19] and |C| within [6e-4, 7e4] at every factor
+# |C| within [6e-4, 7e4] and each partial product of E = hbar^2/4 j j eps eps normal, at
+# every factor, for hbar in [3.2e-151, 4.1e148] (see the module docstring)
 BOX_INPUTS = dict(n=st.integers(1, 49), n_zeros=st.integers(1, 30),
-                  eps=log_uniform(-3, 3), hbar=log_uniform(-3, 3))
-# |s| <= 21.5 and n <= 30, so |lambda_n| lies within [1e-24, 4e9] where it is not 0, and
-# nu^2 = s^2 + 4 lambda_n / hbar^2 stays near n^2 >= 1, at every factor
+                  eps=log_uniform(-3, 3), hbar=log_uniform(-150, 148))
+# |s| <= 21.5 and n <= 30, so |lambda_n| is normal where it is not 0, and nu^2 = s^2 +
+# 4 lambda_n / hbar^2 stays near n^2 >= 1, at every factor, for hbar in [1.2e-145, 1.1e152]
 SPECTRUM_INPUTS = dict(alpha1=st.floats(-5, 5, allow_subnormal=False),
                        gamma1=st.floats(-5, 5, allow_subnormal=False),
-                       n_max=st.integers(1, 30), hbar=log_uniform(-3, 3))
-# the cutoffs eps = (1e-2 .. 1e-5) A stay above 2e-9 and lambda_n within [1e-9, 4e9],
-# at every factor
-WKB_INPUTS = dict(n_max=st.integers(0, 30), hbar=log_uniform(-3, 3), A=log_uniform(-3, 3))
+                       n_max=st.integers(1, 30), hbar=log_uniform(-144, 152))
+# the cutoffs eps = (1e-2 .. 1e-5) A stay above 2e-9 and lambda_n normal, at every factor,
+# for hbar in [2.4e-153, 1.0e152]
+WKB_INPUTS = dict(n_max=st.integers(0, 30), hbar=log_uniform(-152, 152), A=log_uniform(-3, 3))
 
 
 

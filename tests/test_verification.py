@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from pdmosc import quantum
+from pdmosc import bessel, quantum
 from pdmosc import verification as v
 from pdmosc.classical import ModelParams
 from pdmosc.quantum import SingleTermOrdering
@@ -89,24 +91,68 @@ def test_pct_identity_checks_the_library_formulas(formula, monkeypatch):
     assert report.status == "fail"
 
 
-def test_hermitian_singularity_evaluates_each_window_once(monkeypatch):
+def hermitian_windows():
+    """The check's seven windows [2^-k, 2^(1-k)], k = 4..10, of 4000 samples each."""
+    return [np.linspace(2.0**-k, 2.0 ** (1 - k), 4000) for k in range(4, 11)]
+
+
+def test_hermitian_singularity_finds_each_whole_window_peak_from_a_prefix(monkeypatch):
     wavefunction = quantum.hermitian_wavefunction
+    windows = hermitian_windows()
+    whole_peaks = [float(np.max(np.abs(wavefunction(w, 1, 1.0)))) for w in windows]
+    slices = []  # (x, psi) of every call, in call order
 
-    def peak(x):
-        return float(np.max(np.abs(wavefunction(x, 1, 1.0))))
+    def recorded(x, *args):
+        slices.append((x, wavefunction(x, *args)))
+        return slices[-1][1]
 
-    # the growth factors as computed one window pair at a time, 12 evaluations
-    reference = min(
-        peak(np.linspace(2.0**-k / 2, 2.0**-k, 4000)) / peak(np.linspace(2.0**-k, 2 * 2.0**-k, 4000))
-        for k in range(4, 10)
-    )
-    calls = []
-    monkeypatch.setattr(
-        quantum, "hermitian_wavefunction", lambda x, *args: calls.append(x) or wavefunction(x, *args)
-    )
+    monkeypatch.setattr(quantum, "hermitian_wavefunction", recorded)
+    j_values = []
+
+    def jv(nu, x):
+        j_values.append(np.broadcast(nu, x).size)
+        return special.jv(nu, x)
+
+    def jv_scalar(nu, x):
+        j_values.append(1)
+        return special.jv(nu, x)
+
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv, jv_scalar=jv_scalar, yv=special.yv))
     (report,) = v.run_suite(["hermitian_singularity"], v.SuiteConfig())
-    assert len(calls) == 7
-    assert report.measured == reference == 1.981288630165693
+    assert report.measured == 1.981288630165693
+    assert sum(j_values) <= 2000  # of the 28,000 samples
+    # a window's calls start at its first sample, and together are a prefix of it
+    firsts = [i for i, (x, _) in enumerate(slices) if x[0] in {w[0] for w in windows}]
+    assert firsts[0] == 0 and len(firsts) == 7
+    for w, whole, a, b in zip(windows, whole_peaks, firsts, firsts[1:] + [len(slices)]):
+        xs = np.concatenate([x for x, _ in slices[a:b]])
+        assert np.array_equal(xs, w[: xs.size]) and xs.size < w.size
+        assert float(np.max(np.abs(np.concatenate([psi for _, psi in slices[a:b]])))) == whole
+
+
+def test_the_hermitian_state_lies_under_c_over_x():
+    xs = np.concatenate(hermitian_windows())
+    scaled = np.abs(quantum.hermitian_wavefunction(xs, 1, 1.0)) * xs / v.hermitian_bound()
+    assert scaled.max() <= 1.0
+    assert scaled.max() > 0.999  # tight enough to cut each window short
+
+
+def test_z_times_the_squared_bessel_modulus_decreases():
+    # Watson §13.74: z (J_1^2 + Y_1^2) decreases in z for order 1 > 1/2; at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        values = [z * (mpmath.besselj(1, z) ** 2 + mpmath.bessely(1, z) ** 2)
+                  for z in map(mpmath.mpf, np.logspace(4.0, 11.0, 300, base=2.0).tolist())]
+    assert all(far < near for near, far in zip(values, values[1:]))
+
+
+def test_hermitian_singularity_fails_on_a_bounded_state(monkeypatch):
+    # x^-1/2 J_1(2/x) stays bounded toward 0: its windowed maxima do not grow
+    monkeypatch.setattr(quantum, "hermitian_wavefunction",
+                        lambda x, n, E, hbar=1.0: quantum.general_solution(x, n, E, -0.5, hbar))
+    (report,) = v.run_suite(["hermitian_singularity"], v.SuiteConfig())
+    assert report.status == v.FAIL
+    assert report.measured < 1.1
 
 
 @pytest.mark.parametrize("hbar", [0.001, 0.1, 10.0, 100.0])
