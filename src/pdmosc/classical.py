@@ -15,6 +15,7 @@ and x blows up in finite time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -198,10 +199,12 @@ def phase_curve(E: float, lam: float, points: int, x_floor_frac: float) -> np.nd
 
 
 class _Run(NamedTuple):
-    """One :func:`solve_ivp` run: its (t, x, xdot) samples with the blow-up state last, the
-    time the run ended early (None when it reached t_end) and scipy's count of rhs calls."""
+    """One :func:`solve_ivp` run: its sample columns t, x and xdot with the blow-up state last,
+    the time the run ended early (None when it reached t_end) and scipy's count of rhs calls."""
 
-    samples: list
+    t: list
+    x: list
+    xdot: list
     end: float | None
     nfev: int
 
@@ -232,10 +235,19 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
     t_eval: the same steps, event root and samples to the bit, without solve_ivp's per-step
     event arrays, dense-output objects and bookkeeping.  scipy's DOP853 object picks the first
     step; the loop takes each step and builds each sampled step's interpolation table itself,
-    and one :func:`_dop853_interpolate` pass evaluates every sample of the run at its end.  It
-    keeps solve_ivp's name as the module attribute that a tracer may replace, reading ``nfev``
-    from what it returns (0 when building the solver overflows).  scipy is imported on first
-    use, so the closed forms load no integrator.
+    and one :func:`_dop853_interpolate` pass evaluates every sample of the run at its end.
+    Only the reductions scipy makes stay numpy calls, on the solver's own arrays through the
+    bound ``ndarray.dot`` (numpy's C routine without the ``np.dot`` dispatcher): the stage
+    dots, ``K.T . E5|E3`` divided by a 2-array ``scale``, the error norms' dots and
+    ``D . K_ext``.  Everything elementwise runs on Python floats, which round as numpy's
+    float64 does: the state y, f_new (the last stage's rhs, written into K's first row at the
+    next step), the step size, ``scale`` (with ``np.maximum``'s NaN rule), the rest of the
+    error norm and F's first three rows.  None of them raises where numpy returned inf or
+    NaN: * and / overflow to inf, ``math.sqrt(DBL_MAX) ** 2`` is finite, and the error norm's
+    one 0 / 0 (err5 = 0 while 0.01 * err3**2 underflows) is spelled out as numpy's NaN.
+    It keeps solve_ivp's name as the module attribute that a tracer may replace, reading
+    ``nfev`` from what it returns (0 when building the solver overflows).  scipy is imported
+    on first use, so the closed forms load no integrator.
     """
     from scipy.integrate import DOP853
     from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
@@ -243,15 +255,12 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
 
     def step() -> bool:
         """One accepted step as OdeSolver.step, RungeKutta._step_impl and rk_step take it, on
-        the solver's state and K; False where scipy's step size collapses.  Every reduction is
-        scipy's numpy call on the same arrays (a Python sum, a 2-term x*x + y*y or a Python **
-        can round differently); only the elementwise * h, y + dy and rhs run on floats."""
-        t, y = solver.t, solver.y
+        the solver's K and its state kept as floats; False where scipy's step size collapses."""
+        t, (x, v) = solver.t, solver.y
         if t == t_bound:  # t_end = 0: scipy finishes without a step
             solver.t_old, solver.status = t, "finished"
             return True
-        x, v = y.tolist()
-        K[0] = solver.f
+        flat[0], flat[1] = solver.f  # the first stage is the last step's f_new
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min_step if solver.h_abs < min_step else solver.h_abs
         rejected = False
@@ -261,63 +270,64 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
-            h = float(t_new - t)  # stage inputs stay floats, whose x**5 raises OverflowError
+            h = t_new - t  # a float, so each stage input is one, whose x**5 raises OverflowError
             h_abs = abs(h)
-            row = 0
             try:  # the last stage's input is y_new, its rhs f_new
-                for row, (k, a, at) in enumerate(stages, 1):
-                    dx, dv = np.dot(k, a).tolist()
+                for dot, a, at in stages:
+                    dx, dv = dot(a).tolist()
                     xs, vs = x + dx * h, v + dv * h
-                    flat[at], flat[at + 1] = rhs(xs, vs)
-            finally:  # scipy counts a call that raises
-                solver.nfev += row
-            y_new = np.array((xs, vs))
-            scale = solver.atol + np.maximum(np.abs(y), np.abs(y_new)) * solver.rtol
-            err5, err3 = np.dot(KT, E5) / scale, np.dot(KT, E3) / scale
-            err5_norm_2, err3_norm_2 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
-            error_norm = 0.0 if err5_norm_2 == 0 and err3_norm_2 == 0 else (
-                abs(h) * err5_norm_2 / np.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale)))
+                    flat[at], flat[at + 1] = f = rhs(xs, vs)
+            finally:  # scipy counts a call that raises; stage s fills flat[2 * s:2 * s + 2]
+                solver.nfev += at // 2
+            # np.maximum(|y|, |y_new|): NaN on either side is the result
+            ax, av, bx, bv = abs(x), abs(v), abs(xs), abs(vs)
+            scale = np.array((atol + (ax if ax >= bx or ax != ax else bx) * rtol,
+                              atol + (av if av >= bv or av != av else bv) * rtol))
+            err5, err3 = KT_dot(E5) / scale, KT_dot(E3) / scale
+            e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
+            else:  # the root is 0 only where e5 = 0: numpy's 0 / 0 is NaN
+                root = math.sqrt((e5 + 0.01 * e3) * 2)  # * len(scale)
+                error_norm = h_abs * e5 / root if root else math.nan
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(
-                    MAX_FACTOR, SAFETY * error_norm ** solver.error_exponent)
+                    MAX_FACTOR, SAFETY * error_norm ** exponent)
                 h_abs *= min(1, factor) if rejected else factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** solver.error_exponent)
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
             rejected = True
-        solver.h_previous, solver.y_old, solver.t_old = h, y, t
-        solver.t, solver.y, solver.h_abs, solver.f = t_new, y_new, h_abs, K[-1].copy()
+        solver.t_old, solver.y_old, solver.f_old, solver.h_previous = t, solver.y, solver.f, h
+        solver.t, solver.y, solver.f, solver.h_abs = t_new, (xs, vs), f, h_abs
         if direction * (t_new - t_bound) >= 0:
             solver.status = "finished"
         return True
 
     def table():
-        """The last step's (t_old, h, y_old, F) as DOP853._dense_output_impl builds F, with
-        its three extra stages on floats as step() takes its stages; None where t == t_old,
-        scipy's ConstantDenseOutput, whose value is y itself."""
-        t_old, y_old, h = solver.t_old, solver.y_old, solver.h_previous
+        """The last step's (t_old, h, y_old, F[:3], F[3:]) as DOP853._dense_output_impl builds
+        F, with its three extra stages on floats as step() takes its stages and F[:3] as six
+        floats; None where t == t_old, scipy's ConstantDenseOutput, whose value is y itself."""
+        t_old, h = solver.t_old, solver.h_previous
         if solver.t == t_old:
             return None
-        x, v = y_old.tolist()
-        for k, a, at in extra:
-            dx, dv = np.dot(k, a).tolist()
+        x_old, v_old = solver.y_old
+        for dot, a, at in extra:
+            dx, dv = dot(a).tolist()
             solver.nfev += 1  # before the call: scipy counts a call that raises
-            flat[at], flat[at + 1] = rhs(x + dx * h, v + dv * h)
-        F = np.empty((7, 2))
-        f_old = K_ext[0]
-        delta_y = solver.y - y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (solver.f + f_old)
-        F[3:] = h * np.dot(D, K_ext)
-        return t_old, solver.t - t_old, y_old, F
+            flat[at], flat[at + 1] = rhs(x_old + dx * h, v_old + dv * h)
+        (x, v), (fx_old, fv_old), (fx, fv) = solver.y, solver.f_old, solver.f
+        dx, dv = x - x_old, v - v_old  # delta_y
+        head = (dx, dv, h * fx_old - dx, h * fv_old - dv,
+                2 * dx - h * (fx + fx_old), 2 * dv - h * (fv + fv_old))
+        return t_old, solver.t - t_old, solver.y_old, head, h * D_dot(K_ext)
 
     def blowup(tab):
         """s -> |x(s)| - BLOWUP_BOUND on tab: Dop853DenseOutput's scalar call on floats."""
         if tab is None:
-            g = abs(solver.y[0].item()) - BLOWUP_BOUND
+            g = abs(solver.y[0]) - BLOWUP_BOUND
             return lambda s: g
-        t_old, h, y_old, F = tab
-        x_old, fs = y_old[0].item(), F[::-1, 0].tolist()
+        t_old, h, (x_old, _), head, tail = tab
+        fs = [*tail[::-1, 0].tolist(), *head[4::-2]]  # F[::-1, 0]
 
         def g(s):
             u, x = (s - t_old) / h, 0.0
@@ -336,26 +346,30 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             solver = DOP853(lambda t, y: rhs(*y.tolist()), 0.0, y0, float(t_end),
                             rtol=tol, atol=tol)
             t_bound, direction = solver.t_bound, float(solver.direction)
-            K_ext, K, D = solver.K_extended, solver.K, solver.D
-            flat, KT, E5, E3 = K_ext.reshape(-1), K.T, solver.E5, solver.E3
-            # (K rows, weights, flat index of the stage's row) of each stage
-            stages = [(K[:s].T, solver.A[s, :s], 2 * s) for s in range(1, solver.n_stages)]
-            stages.append((K[:-1].T, solver.B, 2 * solver.n_stages))
-            extra = [(K_ext[:s].T, a[:s], 2 * s)
+            atol, rtol, exponent = float(solver.atol), solver.rtol, solver.error_exponent
+            # y, f and the step size on floats from here on
+            solver.y, solver.f = solver.y.tolist(), solver.f.tolist()
+            solver.h_abs = float(solver.h_abs)
+            K_ext, K, E5, E3 = solver.K_extended, solver.K, solver.E5, solver.E3
+            flat, KT_dot, D_dot = K_ext.reshape(-1), K.T.dot, solver.D.dot
+            # (bound dot of the stage's K rows, its weights, flat index of the stage's row)
+            stages = [(K[:s].T.dot, solver.A[s, :s], 2 * s) for s in range(1, solver.n_stages)]
+            stages.append((K[:-1].T.dot, solver.B, 2 * solver.n_stages))
+            extra = [(K_ext[:s].T.dot, a[:s], 2 * s)
                      for s, a in enumerate(solver.A_EXTRA, start=solver.n_stages + 1)]
-            ahead = solver.direction * t_eval  # ascends as the solver steps
-            g = abs(y0[0]) - BLOWUP_BOUND
+            ahead = (direction * t_eval).tolist()  # ascends as the solver steps
+            g = abs(solver.y[0]) - BLOWUP_BOUND
             while solver.status == "running" and not crossed:
                 if not step():  # scipy's failure: the step size collapsed
                     raise OverflowError  # stop as an overflow in rhs does
                 t, tab, g_old = solver.t, None, g
-                g = abs(solver.y[0].item()) - BLOWUP_BOUND
+                g = abs(solver.y[0]) - BLOWUP_BOUND
                 crossed = (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0)
                 if crossed:
                     tab = table()
                     t = end = brentq(blowup(tab), solver.t_old, t,
                                      xtol=4 * np.finfo(float).eps, rtol=4 * np.finfo(float).eps)
-                j = ahead.searchsorted(solver.direction * t, side="right")
+                j = bisect_right(ahead, direction * t)
                 if j > i or crossed:  # the blow-up state is one more row on its step's table
                     tables.append(tab if crossed else table())
                     counts.append(j - i + crossed)
@@ -364,14 +378,14 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             crossed, end = False, t_eval[i - 1].item() if i > start else 0.0
     nfev = solver.nfev if solver else 0
     if crossed and tables[-1] is None:  # a constant step: only at t_end = 0, with no sample
-        return _Run([(end, *solver.y.tolist())], end, nfev)
+        return _Run([end], [solver.y[0]], [solver.y[1]], end, nfev)
     if not tables:
-        return _Run([], end, nfev)
+        return _Run([], [], [], end, nfev)
     ts = np.append(t_eval[start:i], end) if crossed else t_eval[start:i]
     at = np.repeat(np.arange(len(tables)), counts)
-    t_old, h, y_old, F = (np.array(column)[at] for column in zip(*tables))
-    y = _dop853_interpolate(ts, t_old, h, y_old, F)
-    return _Run(list(zip(ts.tolist(), *y.T.tolist())), end, nfev)
+    t_old, h, y_old, head, tail = (np.array(column)[at] for column in zip(*tables))
+    y = _dop853_interpolate(ts, t_old, h, y_old, np.concatenate((head.reshape(-1, 3, 2), tail), 1))
+    return _Run(ts.tolist(), *y.T.tolist(), end, nfev)
 
 
 def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float) -> Trajectory:
@@ -398,5 +412,6 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
         return (v, 2.0 * v * v / x - lam * x**5)
 
     run = solve_ivp(rhs, t_end, (x0, xdot0), tol)
-    states = tuple(ClassicalState(t, x, 2.0 * v / x**4) for t, x, v in run.samples)
+    ps = [2.0 * v / x**4 for x, v in zip(run.x, run.xdot)]
+    states = tuple(map(ClassicalState, run.t, run.x, ps))
     return Trajectory(states=states, blew_up=run.end is not None, singular_time=run.end)

@@ -72,6 +72,12 @@ def check_integrator_vs_exact(cfg: SuiteConfig) -> Verdict:
     p = cfg.params
     if classical.radicand(0.0, p) <= 1e-6 or classical.classify_lambda(p, (0.0, 10.0)) == "singular":
         return verdict(None, math.nan, math.nan, "DERIVED", "trajectory singular on [0, 10]")
+    # the peak x = 1/sqrt(q) sits where the radicand q, an upward parabola in t, is least on
+    # [0, 10]: at its vertex, or at the nearer end; integrate_eom stops once x reaches the bound
+    vertex = -p.c2 / math.sqrt(p.c1)
+    if classical.radicand(min(max(vertex, 0.0), 10.0), p) <= classical.BLOWUP_BOUND**-2:
+        return verdict(None, math.nan, math.nan, "DERIVED",
+                       f"peak x reaches BLOWUP_BOUND = {classical.BLOWUP_BOUND:g} on [0, 10]")
     x0 = classical.exact_solution(0.0, p)
     p0 = classical.exact_momentum(0.0, p)
     v0 = p0 * x0**4 / 2.0

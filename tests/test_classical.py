@@ -243,6 +243,19 @@ def sweep_start(lam, c1, t_minus, backward=False):
     return exact_start(lam, c1, c2)
 
 
+def sweep_draws(count, seed=20261020):
+    """(x0, xdot0, lam, t_end, tol) of kernel_sweep-shaped blow-ups: t_end = t_minus + 2 at
+    tol 1e-12, every second one backward."""
+    rng = random.Random(seed)
+    draws = []
+    for k in range(count):
+        lam, c1, t_minus = rng.uniform(-2.0, -0.1), rng.uniform(0.5, 2.0), rng.uniform(1.0, 5.0)
+        backward = k % 2 == 1
+        t_end = -(t_minus + 2.0) if backward else t_minus + 2.0
+        draws.append((*sweep_start(lam, c1, t_minus, backward), t_end, 1e-12))
+    return draws
+
+
 def random_draws(count, seed=20240607):
     """(x0, xdot0, lam, t_end, tol) on closed-form trajectories of either sign of lam."""
     rng = random.Random(seed)
@@ -271,6 +284,10 @@ EQUIVALENCE_CASES = {
     "sweep-blow-up-backward": (*sweep_start(-0.7, 1.3, 2.4, backward=True), -4.4, 1e-12),
     "sweep-rejected-steps": (*sweep_start(-1.5, 0.6, 1.2), 3.2, 1e-9),  # 200 of 402 rejected
     "sweep-tol-1e-6": (*sweep_start(-0.2, 1.9, 4.1), 6.1, 1e-6),
+    # long runs of ~470 steps into the blow-up, as a kernel_sweep study integrates
+    **{f"sweep-draw-{k}": draw for k, draw in enumerate(sweep_draws(10))},
+    # a run whose error norm rounds apart if math.sqrt(d) ** 2 becomes its product with itself
+    "norm-square": (0.6439937987960748, -0.5367359055551177, -1.01262, 10.0, 1e-12),
     # steps much longer than the sample spacing: one step's table gives many samples
     "long-steps": (1.0, 0.0, 1.0, 1000.0, 1e-6),
     **{f"draw-{k}": draw for k, draw in enumerate(random_draws(50))},
@@ -332,6 +349,46 @@ def test_the_driver_counts_each_rhs_call_and_never_calls_scipy_step(name, monkey
     if expected is not None:
         assert [struct.pack("<3d", *s) for s in traj] == [struct.pack("<3d", *s) for s in expected]
         assert repr(traj.singular_time) == repr(expected.singular_time)
+
+
+@pytest.mark.parametrize("case, nfev", [((1.0, 0.0, 1.0, 1.0, 1e-6), 74),
+                                        ((1.0, 0.3, 1.0, -2.0, 1e-9), 206)],
+                         ids=["forward", "backward"])
+def test_an_overflow_at_any_rhs_call_stops_the_run_at_its_last_sample(case, nfev, monkeypatch):
+    # the k-th rhs call raises OverflowError, for every k of the run and two past it
+    driver, counts, k = classical.solve_ivp, [], 0
+
+    def injected(rhs, *args):
+        calls = 0
+
+        def raises_at_k(*state):
+            nonlocal calls
+            calls += 1
+            if calls == k:
+                raise OverflowError
+            return rhs(*state)
+
+        run = driver(raises_at_k, *args)
+        counts.append(run.nfev)
+        return run
+
+    def packed(traj):
+        return [struct.pack("<3d", *s) for s in traj]
+
+    monkeypatch.setattr(classical, "solve_ivp", injected)
+    whole = classical.integrate_eom(*case)
+    assert counts == [nfev] and not whole.blew_up
+    for k in range(1, nfev + 3):
+        counts.clear()
+        traj = classical.integrate_eom(*case)
+        if k > nfev:  # no call raised
+            assert packed(traj) == packed(whole) and counts == [nfev]
+            assert not traj.blew_up and traj.singular_time is None
+            continue
+        # the first two calls build the solver, which then never reports its count
+        assert counts == [k if k > 2 else 0]
+        assert packed(traj) == packed(whole)[:len(traj.states)]
+        assert traj.blew_up and traj.singular_time == (traj.states[-1].t if traj.states else 0.0)
 
 
 def test_integrate_eom_at_t_end_0_samples_nothing():

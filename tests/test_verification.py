@@ -81,6 +81,19 @@ def test_integrator_check_skips_on_singular_window():
     assert reports["integrator_vs_exact"].status == "skipped"
 
 
+@pytest.mark.parametrize("lam, c1, skipped", [
+    (1e-8, 1e8, True),  # peak 1e8 at t = 5e-4: integrate_eom stops at |x| = 1e6 by contract
+    (1e-12, 1.0, True),  # peak exactly at the bound, at t = 5
+    (1.0001e-12, 1.0, False),  # just under it: the check integrates
+])
+def test_integrator_check_skips_where_the_peak_reaches_the_blow_up_bound(lam, c1, skipped):
+    cfg = v.SuiteConfig(params=ModelParams(lam=lam, c1=c1, c2=-5.0))
+    (report,) = v.run_suite(["integrator_vs_exact"], cfg)
+    assert (report.status == "skipped") == skipped
+    if skipped:
+        assert report.notes == "peak x reaches BLOWUP_BOUND = 1e+06 on [0, 10]"
+
+
 @pytest.mark.parametrize("formula", ["pct_strength", "nu_squared"])
 def test_pct_identity_checks_the_library_formulas(formula, monkeypatch):
     (report,) = v.run_suite(["pct_identity"])
