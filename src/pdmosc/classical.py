@@ -14,6 +14,7 @@ and x blows up in finite time.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -63,6 +64,10 @@ class ClassicalState(NamedTuple):
     t: float
     x: float
     p: float
+
+
+#: ClassicalState from one (t, x, p) tuple in C: namedtuple's own __new__ is a Python frame
+_new_state = functools.partial(tuple.__new__, ClassicalState)
 
 
 @dataclass(frozen=True)
@@ -239,11 +244,15 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
     Only the reductions scipy makes stay numpy calls, on the solver's own arrays through the
     bound ``ndarray.dot`` (numpy's C routine without the ``np.dot`` dispatcher): the stage
     dots, ``K.T . E5|E3`` divided by a 2-array ``scale``, the error norms' dots and
-    ``D . K_ext``.  Everything elementwise runs on Python floats, which round as numpy's
-    float64 does: the state y, f_new (the last stage's rhs, written into K's first row at the
-    next step), the step size, ``scale`` (with ``np.maximum``'s NaN rule), the rest of the
-    error norm and F's first three rows.  None of them raises where numpy returned inf or
-    NaN: * and / overflow to inf, ``math.sqrt(DBL_MAX) ** 2`` is finite, and the error norm's
+    ``D . K_ext``.  The stage dots, the dense output's three extra ones included, and
+    ``K.T . E5|E3`` write into one 2-array ``buf`` per run through ``dot``'s ``out`` argument:
+    the same gemv call as without it, so the same bits, copied by ``.tolist()`` or the
+    division by ``scale`` before the next dot.  Everything elementwise runs on Python floats,
+    which round as numpy's float64 does: the state y, f_new (the last stage's rhs, written
+    into K's first row at the next step), the step size, ``scale`` (with ``np.maximum``'s NaN
+    rule; its two floats are stored into one 2-array per run), the rest of the error norm
+    and F's first three rows.  None of them raises where numpy returned inf or NaN: * and /
+    overflow to inf, ``math.sqrt(DBL_MAX) ** 2`` is finite, and the error norm's
     one 0 / 0 (err5 = 0 while 0.01 * err3**2 underflows) is spelled out as numpy's NaN.
     It keeps solve_ivp's name as the module attribute that a tracer may replace, reading
     ``nfev`` from what it returns (0 when building the solver overflows).  scipy is imported
@@ -274,16 +283,16 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             h_abs = abs(h)
             try:  # the last stage's input is y_new, its rhs f_new
                 for dot, a, at in stages:
-                    dx, dv = dot(a).tolist()
+                    dx, dv = dot(a, buf).tolist()
                     xs, vs = x + dx * h, v + dv * h
                     flat[at], flat[at + 1] = f = rhs(xs, vs)
             finally:  # scipy counts a call that raises; stage s fills flat[2 * s:2 * s + 2]
                 solver.nfev += at // 2
             # np.maximum(|y|, |y_new|): NaN on either side is the result
             ax, av, bx, bv = abs(x), abs(v), abs(xs), abs(vs)
-            scale = np.array((atol + (ax if ax >= bx or ax != ax else bx) * rtol,
-                              atol + (av if av >= bv or av != av else bv) * rtol))
-            err5, err3 = KT_dot(E5) / scale, KT_dot(E3) / scale
+            scale[0] = atol + (ax if ax >= bx or ax != ax else bx) * rtol
+            scale[1] = atol + (av if av >= bv or av != av else bv) * rtol
+            err5, err3 = KT_dot(E5, buf) / scale, KT_dot(E3, buf) / scale
             e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
             if e5 == 0 and e3 == 0:
                 error_norm = 0.0
@@ -312,7 +321,7 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             return None
         x_old, v_old = solver.y_old
         for dot, a, at in extra:
-            dx, dv = dot(a).tolist()
+            dx, dv = dot(a, buf).tolist()
             solver.nfev += 1  # before the call: scipy counts a call that raises
             flat[at], flat[at + 1] = rhs(x_old + dx * h, v_old + dv * h)
         (x, v), (fx_old, fv_old), (fx, fv) = solver.y, solver.f_old, solver.f
@@ -352,6 +361,7 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             solver.h_abs = float(solver.h_abs)
             K_ext, K, E5, E3 = solver.K_extended, solver.K, solver.E5, solver.E3
             flat, KT_dot, D_dot = K_ext.reshape(-1), K.T.dot, solver.D.dot
+            buf, scale = np.empty(2), np.empty(2)  # this run's dot outputs and error scale
             # (bound dot of the stage's K rows, its weights, flat index of the stage's row)
             stages = [(K[:s].T.dot, solver.A[s, :s], 2 * s) for s in range(1, solver.n_stages)]
             stages.append((K[:-1].T.dot, solver.B, 2 * solver.n_stages))
@@ -413,5 +423,5 @@ def integrate_eom(x0: float, xdot0: float, lam: float, t_end: float, tol: float)
 
     run = solve_ivp(rhs, t_end, (x0, xdot0), tol)
     ps = [2.0 * v / x**4 for x, v in zip(run.x, run.xdot)]
-    states = tuple(map(ClassicalState, run.t, run.x, ps))
+    states = tuple(map(_new_state, zip(run.t, run.x, ps)))
     return Trajectory(states=states, blew_up=run.end is not None, singular_time=run.end)

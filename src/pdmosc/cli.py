@@ -44,11 +44,31 @@ EXIT_NUMERICAL = 2
 MAX_POINTS = 10**7
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each token that follows an option taking a value attached to it as
+    ``--X=token`` where it starts with '-' and is neither one of the subcommand's flags nor
+    -h/--help: argparse would read it as a flag unless it looks like -1 or -0.5, so
+    ``--c2 -1e-5`` and ``--window -2:2`` would lose their values."""
+    command = next((a for a in argv if a in SUBCOMMANDS), None)
+    if command is None:
+        return argv
+    valued = {opt.flag for opt in COMMON_OPTIONS + SUBCOMMANDS[command][2]}
+    flags = valued | {"-h", "--help", "--emit-plot-script"}
+    out = []
+    for a in argv:
+        if out and out[-1] in valued and a.startswith("-") and a not in flags:
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         """argparse reports a subcommand's unknown flags from the top-level parser,
         whose help does not list them; point to the subcommand's help instead."""
-        args, extras = self.parse_known_args(args, namespace)
+        args = sys.argv[1:] if args is None else list(args)
+        args, extras = self.parse_known_args(_attach_values(args), namespace)
         if extras:
             raise ValueError(f"unrecognized arguments: {' '.join(extras)}; "
                              f"see '{self.prog} {args.command} --help' for usage")

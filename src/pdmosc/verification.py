@@ -165,10 +165,9 @@ def check_pct_identity(cfg: SuiteConfig) -> Verdict:
     rng = np.random.default_rng(cfg.seed)
     hbar = cfg.hbar
     worst = 0.0
-    for _ in range(100):
-        a, g = rng.uniform(-2.0, 2.0, size=2)
+    # one call draws the 300 uniforms in the order that 100 rounds of (a, g), then lam, drew them
+    for a, g, lam in rng.uniform(-2.0, 2.0, size=(100, 3)).tolist():
         ordering = quantum.SingleTermOrdering.from_alpha_gamma(a, g)
-        lam = rng.uniform(-2.0, 2.0)
         strength = quantum.pct_strength(ordering, lam, hbar)
         nu_sq = quantum.nu_squared(ordering, lam, hbar)
         worst = max(worst, abs(strength + 0.25 - nu_sq))

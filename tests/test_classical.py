@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import struct
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmosc import classical, verification
-from pdmosc.classical import ModelParams, SingularTrajectoryError
+from pdmosc.classical import ClassicalState, ModelParams, SingularTrajectoryError
 from oracles import trajectory_x, trajectory_xdot, trajectory_xddot
 
 FIG1 = ModelParams(lam=1.0, c1=1.0, c2=-5.0)
@@ -311,6 +312,20 @@ def test_integrate_eom_steps_dop853_as_solve_ivp_does(case, monkeypatch):
     assert traj.blew_up == expected.blew_up
     assert repr(traj.singular_time) == repr(expected.singular_time)
     assert nfev == [expected_nfev]
+
+
+@pytest.mark.parametrize("name", ["forward-tol-1e-09", "sweep-draw-0"])
+def test_integrated_states_are_classical_states(name):
+    """integrate_eom builds its states with tuple.__new__, which skips ClassicalState's own
+    __new__; each must still be a ClassicalState with its fields, equality and pickling."""
+    traj = classical.integrate_eom(*EQUIVALENCE_CASES[name])
+    assert len(traj.states) > 1 and traj.blew_up == name.startswith("sweep")
+    for s in traj:
+        assert type(s) is ClassicalState
+        assert s._asdict() == {"t": s.t, "x": s.x, "p": s.p}
+        assert s == (s.t, s.x, s.p)
+        copy = pickle.loads(pickle.dumps(s))
+        assert type(copy) is ClassicalState and copy == s
 
 
 @pytest.mark.parametrize("name", ["sweep-rejected-steps", "blow-up-backward", "t_end-0",

@@ -394,7 +394,8 @@ def test_each_numerical_failure_exits_2(cls, monkeypatch):
         ["trajectory", "--frobnicate"],
         ["wkb", "--format", "xml"],
         ["trajectory", "--lambda", "abc"],
-        ["trajectory", "--lambda", "1", "--c2", "-1e-5"],
+        ["trajectory", "--lambda", "1", "--c2"],
+        ["trajectory", "--lambda", "1", "--c2", "--t", "0:1:0.5"],
     ],
 )
 def test_argparse_errors_print_one_line(argv):
@@ -402,6 +403,22 @@ def test_argparse_errors_print_one_line(argv):
     assert (code, out) == (1, "")
     assert err.startswith("pdmosc: ") and err.count("\n") == 1, err
     assert "--help' for usage" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "--lambda", "1", "--c2", "-1e-5"],
+        ["trajectory", "--lambda", "1", "--t", "-5:5:0.1"],
+        ["lambda-map", "--window", "-2:2"],
+        ["spectrum", "--alpha1", "-5e-1"],
+    ],
+)
+def test_a_value_starting_with_a_minus_is_read_as_its_attached_form(argv):
+    attached = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    code, out, err = run_quietly(argv)
+    assert (code, out, err) == run_quietly(attached)
+    assert code == 0 and out, err
 
 
 def test_unknown_flag_points_to_its_subcommands_help():

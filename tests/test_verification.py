@@ -104,6 +104,26 @@ def test_pct_identity_checks_the_library_formulas(formula, monkeypatch):
     assert report.status == "fail"
 
 
+def per_iteration_pct_identity(seed, hbar):
+    """check_pct_identity's measured value with its draws taken two, then one, per ordering."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        a, g = rng.uniform(-2.0, 2.0, size=2)
+        ordering = SingleTermOrdering.from_alpha_gamma(a, g)
+        lam = rng.uniform(-2.0, 2.0)
+        strength = quantum.pct_strength(ordering, lam, hbar)
+        worst = max(worst, abs(strength + 0.25 - quantum.nu_squared(ordering, lam, hbar)))
+    return worst
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0])
+def test_pct_identity_draws_the_per_iteration_stream(hbar):
+    for seed in [*range(100), v.DEFAULT_SEED]:
+        measured = v.check_pct_identity(v.SuiteConfig(seed=seed, hbar=hbar)).measured
+        assert measured == per_iteration_pct_identity(seed, hbar), seed
+
+
 def hermitian_windows():
     """The check's seven windows [2^-k, 2^(1-k)], k = 4..10, of 4000 samples each."""
     return [np.linspace(2.0**-k, 2.0 ** (1 - k), 4000) for k in range(4, 11)]
