@@ -231,134 +231,45 @@ def _dop853_interpolate(t, t_old, h, y_old, F) -> np.ndarray:
 
 def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
     """Steps DOP853 from t = 0 to t_end at rtol = atol = tol, sampling EOM_SAMPLES uniform
-    times in the order the solver steps, until |y[0]| crosses BLOWUP_BOUND or the run stops
-    early, a blow-up at the last sample (t = 0 before any): a step fails, or rhs(x, v) ->
-    (xdot, vdot) raises OverflowError (x**5 left the double range) while the solver is built
-    or while it steps.
+    times in the order it steps, until |y[0]| crosses BLOWUP_BOUND or the run stops early, a
+    blow-up at the last sample (t = 0 before any): a step fails, or rhs(x, v) -> (xdot, vdot)
+    raises OverflowError (x**5 left the double range).
 
     This is :func:`scipy.integrate.solve_ivp`'s loop cut down to one terminal event and one
-    t_eval: the same steps, event root and samples to the bit, without solve_ivp's per-step
-    event arrays, dense-output objects and bookkeeping.  scipy's DOP853 object picks the first
-    step; the loop takes each step and builds each sampled step's interpolation table itself,
-    and one :func:`_dop853_interpolate` pass evaluates every sample of the run at its end.
-    Only the reductions scipy makes stay numpy calls, on the solver's own arrays through the
-    bound ``ndarray.dot`` (numpy's C routine without the ``np.dot`` dispatcher): the stage
-    dots, ``K.T . E5|E3`` divided by a 2-array ``scale``, the error norms' dots and
-    ``D . K_ext``.  The stage dots, the dense output's three extra ones included, and
-    ``K.T . E5|E3`` write into one 2-array ``buf`` per run through ``dot``'s ``out`` argument:
-    the same gemv call as without it, so the same bits, copied by ``.tolist()`` or the
-    division by ``scale`` before the next dot.  Everything elementwise runs on Python floats,
-    which round as numpy's float64 does: the state y, f_new (the last stage's rhs, written
-    into K's first row at the next step), the step size, ``scale`` (with ``np.maximum``'s NaN
-    rule; its two floats are stored into one 2-array per run), the rest of the error norm
-    and F's first three rows.  None of them raises where numpy returned inf or NaN: * and /
-    overflow to inf, ``math.sqrt(DBL_MAX) ** 2`` is finite, and the error norm's
-    one 0 / 0 (err5 = 0 while 0.01 * err3**2 underflows) is spelled out as numpy's NaN.
-    It keeps solve_ivp's name as the module attribute that a tracer may replace, reading
-    ``nfev`` from what it returns (0 when building the solver overflows).  scipy is imported
-    on first use, so the closed forms load no integrator.
+    t_eval: the same steps, event root, samples and rhs count to the bit.  scipy's DOP853
+    object only works out f0, the first step, the tolerances and the tableau; the loop runs
+    ``RungeKutta._step_impl`` on local Python floats, which round as numpy's float64 does, and
+    keeps each sampled step's table for one :func:`_dop853_interpolate` pass at the end.  Only
+    scipy's reductions stay numpy calls, through the bound ``ndarray.dot`` (no ``np.dot``
+    dispatcher) into one 2-array ``buf``: the same gemv call, so the same bits.  No float
+    operation raises where numpy gave inf or NaN: * and / overflow to inf, and
+    ``math.sqrt(DBL_MAX) ** 2`` is finite.  It keeps solve_ivp's name as the module attribute
+    a tracer may replace, reading ``nfev`` from what it returns (0 when building the solver
+    overflows); scipy is imported on first use.
     """
     from scipy.integrate import DOP853
     from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
     from scipy.optimize import brentq
 
-    def step() -> bool:
-        """One accepted step as OdeSolver.step, RungeKutta._step_impl and rk_step take it, on
-        the solver's K and its state kept as floats; False where scipy's step size collapses."""
-        t, (x, v) = solver.t, solver.y
-        if t == t_bound:  # t_end = 0: scipy finishes without a step
-            solver.t_old, solver.status = t, "finished"
-            return True
-        flat[0], flat[1] = solver.f  # the first stage is the last step's f_new
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min_step if solver.h_abs < min_step else solver.h_abs
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return False
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t  # a float, so each stage input is one, whose x**5 raises OverflowError
-            h_abs = abs(h)
-            try:  # the last stage's input is y_new, its rhs f_new
-                for dot, a, at in stages:
-                    dx, dv = dot(a, buf).tolist()
-                    xs, vs = x + dx * h, v + dv * h
-                    flat[at], flat[at + 1] = f = rhs(xs, vs)
-            finally:  # scipy counts a call that raises; stage s fills flat[2 * s:2 * s + 2]
-                solver.nfev += at // 2
-            # np.maximum(|y|, |y_new|): NaN on either side is the result
-            ax, av, bx, bv = abs(x), abs(v), abs(xs), abs(vs)
-            scale[0] = atol + (ax if ax >= bx or ax != ax else bx) * rtol
-            scale[1] = atol + (av if av >= bv or av != av else bv) * rtol
-            err5, err3 = KT_dot(E5, buf) / scale, KT_dot(E3, buf) / scale
-            e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
-            if e5 == 0 and e3 == 0:
-                error_norm = 0.0
-            else:  # the root is 0 only where e5 = 0: numpy's 0 / 0 is NaN
-                root = math.sqrt((e5 + 0.01 * e3) * 2)  # * len(scale)
-                error_norm = h_abs * e5 / root if root else math.nan
-            if error_norm < 1:
-                factor = MAX_FACTOR if error_norm == 0 else min(
-                    MAX_FACTOR, SAFETY * error_norm ** exponent)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
-            rejected = True
-        solver.t_old, solver.y_old, solver.f_old, solver.h_previous = t, solver.y, solver.f, h
-        solver.t, solver.y, solver.f, solver.h_abs = t_new, (xs, vs), f, h_abs
-        if direction * (t_new - t_bound) >= 0:
-            solver.status = "finished"
-        return True
-
-    def table():
-        """The last step's (t_old, h, y_old, F[:3], F[3:]) as DOP853._dense_output_impl builds
-        F, with its three extra stages on floats as step() takes its stages and F[:3] as six
-        floats; None where t == t_old, scipy's ConstantDenseOutput, whose value is y itself."""
-        t_old, h = solver.t_old, solver.h_previous
-        if solver.t == t_old:
-            return None
-        x_old, v_old = solver.y_old
-        for dot, a, at in extra:
-            dx, dv = dot(a, buf).tolist()
-            solver.nfev += 1  # before the call: scipy counts a call that raises
-            flat[at], flat[at + 1] = rhs(x_old + dx * h, v_old + dv * h)
-        (x, v), (fx_old, fv_old), (fx, fv) = solver.y, solver.f_old, solver.f
-        dx, dv = x - x_old, v - v_old  # delta_y
-        head = (dx, dv, h * fx_old - dx, h * fv_old - dv,
-                2 * dx - h * (fx + fx_old), 2 * dv - h * (fv + fv_old))
-        return t_old, solver.t - t_old, solver.y_old, head, h * D_dot(K_ext)
-
-    def blowup(tab):
-        """s -> |x(s)| - BLOWUP_BOUND on tab: Dop853DenseOutput's scalar call on floats."""
-        if tab is None:
-            g = abs(solver.y[0]) - BLOWUP_BOUND
-            return lambda s: g
-        t_old, h, (x_old, _), head, tail = tab
-        fs = [*tail[::-1, 0].tolist(), *head[4::-2]]  # F[::-1, 0]
-
-        def g(s):
-            u, x = (s - t_old) / h, 0.0
-            for k, f in enumerate(fs):
-                x += f
-                x *= 1 - u if k % 2 else u
-            return abs(x + x_old) - BLOWUP_BOUND
-        return g
+    def arrays(tables, at):
+        """The tables' (t_old, h, y_old, F) as arrays, row k from tables[at[k]]."""
+        t_old, h, y_old, head, tail = (np.array(column)[at] for column in zip(*tables))
+        return t_old, h, y_old, np.concatenate((head.reshape(-1, 3, 2), tail), 1)
 
     t_eval = np.linspace(0.0, t_end, EOM_SAMPLES)
     start = i = EOM_SAMPLES if t_end == 0.0 else 0  # as in solve_ivp, t_end = 0 samples nothing
-    tables, counts, end, crossed, solver = [], [], None, False, None
+    tables, counts, end, crossed, nfev = [], [], None, False, 0
     # a failing step meets inf and NaN; the run reports it as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             solver = DOP853(lambda t, y: rhs(*y.tolist()), 0.0, y0, float(t_end),
                             rtol=tol, atol=tol)
-            t_bound, direction = solver.t_bound, float(solver.direction)
+            t, t_bound, direction = solver.t, solver.t_bound, float(solver.direction)
             atol, rtol, exponent = float(solver.atol), solver.rtol, solver.error_exponent
-            # y, f and the step size on floats from here on
-            solver.y, solver.f = solver.y.tolist(), solver.f.tolist()
-            solver.h_abs = float(solver.h_abs)
+            (x, v), f, h_abs = solver.y.tolist(), solver.f.tolist(), float(solver.h_abs)
+            nfev, g = solver.nfev, abs(x) - BLOWUP_BOUND
+            if t == t_bound:  # t_end = 0: scipy takes no step, yet checks the event at y0
+                return _Run([t], [x], [v], t, nfev) if g == 0 else _Run([], [], [], None, nfev)
             K_ext, K, E5, E3 = solver.K_extended, solver.K, solver.E5, solver.E3
             flat, KT_dot, D_dot = K_ext.reshape(-1), K.T.dot, solver.D.dot
             buf, scale = np.empty(2), np.empty(2)  # this run's dot outputs and error scale
@@ -367,34 +278,74 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
             stages.append((K[:-1].T.dot, solver.B, 2 * solver.n_stages))
             extra = [(K_ext[:s].T.dot, a[:s], 2 * s)
                      for s, a in enumerate(solver.A_EXTRA, start=solver.n_stages + 1)]
-            ahead = (direction * t_eval).tolist()  # ascends as the solver steps
-            g = abs(solver.y[0]) - BLOWUP_BOUND
-            while solver.status == "running" and not crossed:
-                if not step():  # scipy's failure: the step size collapsed
-                    raise OverflowError  # stop as an overflow in rhs does
-                t, tab, g_old = solver.t, None, g
-                g = abs(solver.y[0]) - BLOWUP_BOUND
+            ahead = (direction * t_eval).tolist()  # ascends as the run steps
+            while direction * (t - t_bound) < 0 and not crossed:
+                flat[0], flat[1] = f  # the first stage is the last step's f_new
+                min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+                h_abs = min_step if h_abs < min_step else h_abs
+                rejected = False
+                while True:  # one accepted step, as RungeKutta._step_impl and rk_step take it
+                    if h_abs < min_step:  # scipy's failure: the step size collapsed
+                        raise OverflowError  # stop as an overflow in rhs does
+                    t_new = t + h_abs * direction
+                    if direction * (t_new - t_bound) > 0:
+                        t_new = t_bound
+                    h = t_new - t  # a float, so each stage input is one, whose x**5 may raise
+                    h_abs = abs(h)
+                    try:  # the last stage's input is y_new, its rhs f_new
+                        for dot, a, at in stages:
+                            dx, dv = dot(a, buf).tolist()
+                            xs, vs = x + dx * h, v + dv * h
+                            flat[at], flat[at + 1] = f_new = rhs(xs, vs)
+                    finally:  # scipy counts a call that raises; stage s fills flat[2 * s:2 * s + 2]
+                        nfev += at // 2
+                    # np.maximum(|y|, |y_new|): NaN on either side is the result
+                    ax, av, bx, bv = abs(x), abs(v), abs(xs), abs(vs)
+                    scale[0] = atol + (ax if ax >= bx or ax != ax else bx) * rtol
+                    scale[1] = atol + (av if av >= bv or av != av else bv) * rtol
+                    err5, err3 = KT_dot(E5, buf) / scale, KT_dot(E3, buf) / scale
+                    e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
+                    if e5 == 0 and e3 == 0:
+                        error_norm = 0.0
+                    else:  # the root is 0 only where e5 = 0: numpy's 0 / 0 is NaN
+                        root = math.sqrt((e5 + 0.01 * e3) * 2)  # * len(scale)
+                        error_norm = h_abs * e5 / root if root else math.nan
+                    if error_norm < 1:
+                        factor = MAX_FACTOR if error_norm == 0 else min(
+                            MAX_FACTOR, SAFETY * error_norm ** exponent)
+                        h_abs *= min(1, factor) if rejected else factor
+                        break
+                    h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+                    rejected = True
+                t_old, x_old, v_old, f_old = t, x, v, f
+                t, x, v, f = t_new, xs, vs, f_new
+                g_old, g = g, abs(x) - BLOWUP_BOUND
                 crossed = (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0)
-                if crossed:
-                    tab = table()
-                    t = end = brentq(blowup(tab), solver.t_old, t,
-                                     xtol=4 * np.finfo(float).eps, rtol=4 * np.finfo(float).eps)
                 j = bisect_right(ahead, direction * t)
-                if j > i or crossed:  # the blow-up state is one more row on its step's table
-                    tables.append(tab if crossed else table())
+                if j > i or crossed:  # this step's table, as DOP853._dense_output_impl builds F
+                    for dot, a, at in extra:
+                        dx, dv = dot(a, buf).tolist()
+                        nfev += 1  # before the call: scipy counts a call that raises
+                        flat[at], flat[at + 1] = rhs(x_old + dx * h, v_old + dv * h)
+                    (fx_old, fv_old), (fx, fv) = f_old, f
+                    dx, dv = x - x_old, v - v_old  # delta_y
+                    head = (dx, dv, h * fx_old - dx, h * fv_old - dv,
+                            2 * dx - h * (fx + fx_old), 2 * dv - h * (fv + fv_old))
+                    tables.append((t_old, h, (x_old, v_old), head, h * D_dot(K_ext)))
+                    if crossed:  # brentq on this table alone; the blow-up state is one more row
+                        row = arrays(tables[-1:], [0])
+                        end = brentq(lambda s: abs(_dop853_interpolate(np.array([s]), *row)[0, 0])
+                                     - BLOWUP_BOUND, t_old, t,
+                                     xtol=4 * np.finfo(float).eps, rtol=4 * np.finfo(float).eps)
+                        j = bisect_right(ahead, direction * end)
                     counts.append(j - i + crossed)
                     i = j
         except OverflowError:  # the one early stop: a blow-up at the last sample
             crossed, end = False, t_eval[i - 1].item() if i > start else 0.0
-    nfev = solver.nfev if solver else 0
-    if crossed and tables[-1] is None:  # a constant step: only at t_end = 0, with no sample
-        return _Run([end], [solver.y[0]], [solver.y[1]], end, nfev)
     if not tables:
         return _Run([], [], [], end, nfev)
     ts = np.append(t_eval[start:i], end) if crossed else t_eval[start:i]
-    at = np.repeat(np.arange(len(tables)), counts)
-    t_old, h, y_old, head, tail = (np.array(column)[at] for column in zip(*tables))
-    y = _dop853_interpolate(ts, t_old, h, y_old, np.concatenate((head.reshape(-1, 3, 2), tail), 1))
+    y = _dop853_interpolate(ts, *arrays(tables, np.repeat(np.arange(len(tables)), counts)))
     return _Run(ts.tolist(), *y.T.tolist(), end, nfev)
 
 

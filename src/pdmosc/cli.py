@@ -398,10 +398,12 @@ def emit_plot_script(subcommand: str, output: str) -> Path:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="pdmosc", description=__doc__.splitlines()[0])
+    # allow_abbrev=False: _attach_values matches flags as the option table spells them,
+    # so argparse reads no prefix of one either
+    parser = _Parser(prog="pdmosc", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for opt in COMMON_OPTIONS + options:
             p.add_argument(opt.flag, dest=opt.dest, type=opt.type, choices=opt.choices, help=opt.help)
         if name in PLOTTABLE:

@@ -355,10 +355,23 @@ def test_the_driver_counts_each_rhs_call_and_never_calls_scipy_step(name, monkey
 
         return raises
 
+    class Frozen(scipy.integrate.DOP853):
+        """A DOP853 whose attributes the driver may read, but not write, once it is built."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            object.__setattr__(self, "built", True)
+
+        def __setattr__(self, attr, value):
+            if getattr(self, "built", False):
+                raise AssertionError(f"DOP853.{attr} was written")
+            super().__setattr__(attr, value)
+
     monkeypatch.setattr(classical, "solve_ivp", counted)
-    # the driver steps and interpolates itself
+    # the driver steps and interpolates itself, on its own state
     monkeypatch.setattr(scipy.integrate.DOP853, "step", no_call("step"))
     monkeypatch.setattr(scipy.integrate.DOP853, "dense_output", no_call("dense_output"))
+    monkeypatch.setattr(scipy.integrate, "DOP853", Frozen)
     traj = classical.integrate_eom(*case)
     assert nfev == [len(calls)] == [expected_nfev]
     if expected is not None:

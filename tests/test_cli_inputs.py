@@ -428,6 +428,21 @@ def test_unknown_flag_points_to_its_subcommands_help():
 
 
 @pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["trajectory", "--lam", "-1e-5", "--t", "0:1:0.5"], "--lam -1e-5"),
+        (["trajectory", "--lam", "1", "--t", "0:1:0.5"], "--lam 1"),
+        (["wkb", "--hb", "1"], "--hb 1"),
+    ],
+)
+def test_an_abbreviated_flag_is_an_unrecognized_argument(argv, flags):
+    # a flag must be spelled as the option table spells it: no prefix stands for it
+    assert run_quietly(argv) == (
+        1, "", f"pdmosc: unrecognized arguments: {flags}; "
+               f"see 'pdmosc {argv[0]} --help' for usage\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["lambda-map", "--config", "run.cfg"], "config entry count='abc': "),
