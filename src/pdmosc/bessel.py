@@ -5,12 +5,11 @@ routines behind :mod:`scipy.special` through one path: :func:`jv`,
 :func:`yv` and :func:`jv_derivatives` (J, J', J'' from the two-term
 recurrence J'_nu = (J_{nu-1} - J_{nu+1}) / 2) take any real order unchecked.
 :func:`jv_derivatives` takes an array of orders too, with J evaluated once per
-distinct order.  Every array J value, the zero scan and polish included, comes
-from one ufunc call ``_sp.jv``, in the calling thread.  A J value at one float,
-as a quadrature integrand of :mod:`pdmosc.quantum` takes it at each node, comes
-from ``_sp.jv_scalar``, the same routine through
-:mod:`scipy.special.cython_special`, which skips the ufunc's per-call overhead
-and returns the same bits as a Python float; :func:`jv` at a float takes it too.
+distinct order.  All three, the zero scan and the polish take J from the ufunc
+``_sp.jv`` in the calling thread.  Only the quadrature integrands of
+:mod:`pdmosc.quantum` take J at each float node from ``_sp.jv_scalar``, the same
+routine through :mod:`scipy.special.cython_special`: the same bits as a Python
+float, without the ufunc's per-call overhead.
 Zeros of integer-order J_n are located here, so the zero finder shares no
 code with any library zero table: one evaluation of J_n on a unit grid
 brackets every zero of an order up to the one wanted, and a safeguarded
@@ -40,9 +39,9 @@ class _Special:
     the instance, so later lookups cost what a module attribute costs.
 
     ``jv_scalar`` is ``cython_special.jv``, J_nu at one float without the
-    ufunc machinery, which the quadrature integrands look up once per integral
-    and call at each node; it is imported only when first looked up, so a run
-    that evaluates J on arrays alone never loads it."""
+    ufunc machinery, which only the quadrature integrands look up, once per
+    integral; it is imported on that first lookup, so a run without them never
+    loads it."""
 
     def __getattr__(self, name):
         if name == "jv_scalar":
@@ -101,14 +100,8 @@ def jv(nu: float, x):
     """J_nu(x) for any real order (J_{-m} = (-1)^m J_m for integer m).
 
     No order or domain check, for callers that check their own inputs.
-    A float x (``numpy.float64`` included) takes the scalar path
-    ``_sp.jv_scalar``: the same routine with the same bits, returned as a
-    Python float, without the ufunc's per-call overhead; a quadrature
-    integrand calls ``_sp.jv_scalar`` itself, without this dispatch.  An
-    array takes the ufunc ``_sp.jv``.
+    Returns what the ufunc ``_sp.jv`` returns: a ``numpy.float64`` at a scalar x.
     """
-    if isinstance(x, float):
-        return _sp.jv_scalar(nu, x)
     return _sp.jv(nu, x)
 
 

@@ -257,7 +257,7 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
         return t_old, h, y_old, np.concatenate((head.reshape(-1, 3, 2), tail), 1)
 
     t_eval = np.linspace(0.0, t_end, EOM_SAMPLES)
-    start = i = EOM_SAMPLES if t_end == 0.0 else 0  # as in solve_ivp, t_end = 0 samples nothing
+    i = 0  # t_eval[:i] is sampled
     tables, counts, end, crossed, nfev = [], [], None, False, 0
     # a failing step meets inf and NaN; the run reports it as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
@@ -341,10 +341,10 @@ def solve_ivp(rhs, t_end: float, y0: tuple, tol: float) -> _Run:
                     counts.append(j - i + crossed)
                     i = j
         except OverflowError:  # the one early stop: a blow-up at the last sample
-            crossed, end = False, t_eval[i - 1].item() if i > start else 0.0
+            crossed, end = False, t_eval[i - 1].item() if i else 0.0
     if not tables:
         return _Run([], [], [], end, nfev)
-    ts = np.append(t_eval[start:i], end) if crossed else t_eval[start:i]
+    ts = np.append(t_eval[:i], end) if crossed else t_eval[:i]
     y = _dop853_interpolate(ts, *arrays(tables, np.repeat(np.arange(len(tables)), counts)))
     return _Run(ts.tolist(), *y.T.tolist(), end, nfev)
 

@@ -153,8 +153,8 @@ def load_config(path: str) -> dict[str, str]:
 
 def _resolve(args, cfg: dict[str, str], opt: Option):
     """flag > config file entry > built-in default; whichever source gave it,
-    a float must be finite, hbar positive, a row count within [low, MAX_POINTS]
-    and a value with choices one of them."""
+    a float must be finite, hbar positive, the seed non-negative, a row count
+    within [low, MAX_POINTS] and a value with choices one of them."""
     value = getattr(args, opt.dest)
     if value is None and opt.dest in cfg:
         try:
@@ -169,6 +169,8 @@ def _resolve(args, cfg: dict[str, str], opt: Option):
         raise ValueError(f"{opt.flag} must be finite, got {value}")
     if opt.dest == "hbar" and value <= 0.0:
         raise ValueError(f"{opt.flag} must be positive, got {value}")
+    if opt.dest == "seed" and value < 0:
+        raise ValueError(f"{opt.flag} must be non-negative, got {value}")
     if opt.low is not None and not opt.low <= value <= MAX_POINTS:
         raise ValueError(f"{opt.flag} must be between {opt.low} and {MAX_POINTS}, got {value}")
     if opt.choices and value not in opt.choices:

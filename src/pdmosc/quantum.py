@@ -327,7 +327,7 @@ def _product_integral(n: int, a: float, b: float, R: float, tol: float, **option
     caller's limit, gate values and label.  For a == b J is evaluated once per node.
 
     quad passes each node as a float, so the integrand calls ``bessel._sp.jv_scalar``, looked
-    up once per integral, without :func:`jv`'s dispatch: the same routine and bits."""
+    up once per integral: the ufunc's routine and bits, without its per-call overhead."""
     jv_scalar = bessel._sp.jv_scalar
 
     def integrand(r):  # r * j * j is (r * j) * j: the bits of two evaluations

@@ -177,16 +177,16 @@ def test_vectorized_evaluation():
     assert out[1] == pytest.approx(bessel.jv(1, 1.0))
 
 
-def test_jv_at_a_float_is_the_ufunc_value_as_a_float():
+def test_the_scalar_path_is_the_ufunc_value_as_a_float_and_jv_is_the_ufunc():
+    # the quadrature integrands take J from _sp.jv_scalar; jv at a float is the ufunc's own call
     xs = np.concatenate([np.linspace(0.0, 1e3, 2001), [5e-324, 1e5, math.inf, math.nan]])
     for nu in [*range(51), -1, -2, -7, -0.5, 0.5, 1.5, 2.5, 10.5, 49.5]:
         ufunc = special.jv(nu, xs)
         for x, expected in zip(xs.tolist(), ufunc.tolist()):
-            for arg in (x, np.float64(x)):  # numpy.float64 is a float too
-                value = bessel.jv(nu, arg)
-                assert type(value) is float
-                assert value == expected or (math.isnan(value) and math.isnan(expected))
-    # an array, or an argument that is no float, keeps the ufunc and its array result
+            scalar, value = bessel._sp.jv_scalar(nu, x), bessel.jv(nu, x)
+            assert type(scalar) is float and type(value) is np.float64
+            for got in (scalar, value):
+                assert got == expected or (math.isnan(got) and math.isnan(expected))
     assert isinstance(bessel.jv(1, xs), np.ndarray)
     assert bessel.jv(1, 2) == special.jv(1, 2.0) and type(bessel.jv(1, 2)) is np.float64
 
@@ -333,7 +333,7 @@ def test_zeros_match_mpmath_to_1e_14():
 
 
 # ---------------------------------------------------------------------------
-# order tables and the two-thread split: the bits of one ufunc call per order
+# order tables: the bits of one ufunc call per order
 
 
 def per_order_derivatives(nu, x):

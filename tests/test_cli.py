@@ -421,6 +421,16 @@ def test_non_finite_config_float_exits_1(tmp_path, capsys):
     assert (code, out, err) == (1, "", "pdmosc: --eps must be finite, got nan\n")
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed", "-1", "--checks", "parity"],
+                                  ["--config", "seed.cfg"]])
+def test_negative_seed_exits_1_naming_the_flag(argv, tmp_path, capsys, monkeypatch):
+    # refused up front, from a flag or a config file, even when no check draws from the seed
+    (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["verify", *argv], capsys)
+    assert (code, out, err) == (1, "", "pdmosc: --seed must be non-negative, got -1\n")
+
+
 #: the kernels each array handler computes with, looked up as module attributes
 KERNELS = {
     "lambda-map": [(classical, "classify_lambda"), (classical, "singularity_time")],

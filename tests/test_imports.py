@@ -3,8 +3,8 @@
 The package root re-exports nothing, so a module loads only what it imports
 itself, and the README imports each name from the module that defines it.
 scipy is imported where it is first computed with, so a subcommand that
-needs no Bessel function or integrator loads no scipy, and one that evaluates
-J on arrays only loads no ``scipy.special.cython_special``.
+needs no Bessel function or integrator loads no scipy, and one that runs no
+Bessel quadrature loads no ``scipy.special.cython_special``.
 """
 
 import contextlib
@@ -85,11 +85,12 @@ def test_bessel_subcommands_load_no_integrator():
 
 
 def test_only_quadrature_loads_the_scalar_bessel_path():
-    # cython_special (about 1 MB of RSS) serves bessel.jv at a float, which only verify
-    # asks for (its quadrature integrands, and the Hermitian check's bound at z = 16);
-    # the array subcommands never load it
-    codes, loaded = modules_after_cli("eigenfunction --n 1 --E 1", "box-spectrum --n 1", "wkb")
-    assert codes == [0, 0, 0]
+    # cython_special (about 1 MB of RSS) serves bessel._sp.jv_scalar, which only verify's
+    # quadrature integrands call; the array subcommands, and verify's scalar J values (the
+    # Hermitian check's bound at z = 16, the kernel check's zero residuals), never load it
+    codes, loaded = modules_after_cli("eigenfunction --n 1 --E 1", "box-spectrum --n 1", "wkb",
+                                      "verify --checks hermitian_singularity,bessel_kernel")
+    assert codes == [0, 0, 0, 0]
     assert "scipy.special" in loaded
     assert "scipy.special.cython_special" not in loaded
     codes, loaded = modules_after_cli("verify --checks box_orthonormality")

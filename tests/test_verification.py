@@ -146,11 +146,7 @@ def test_hermitian_singularity_finds_each_whole_window_peak_from_a_prefix(monkey
         j_values.append(np.broadcast(nu, x).size)
         return special.jv(nu, x)
 
-    def jv_scalar(nu, x):
-        j_values.append(1)
-        return special.jv(nu, x)
-
-    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv, jv_scalar=jv_scalar, yv=special.yv))
+    monkeypatch.setattr(bessel, "_sp", SimpleNamespace(jv=jv, yv=special.yv))
     (report,) = v.run_suite(["hermitian_singularity"], v.SuiteConfig())
     assert report.measured == 1.981288630165693
     assert sum(j_values) <= 2000  # of the 28,000 samples
