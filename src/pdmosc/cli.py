@@ -333,7 +333,7 @@ SUBCOMMANDS = {
         Option("--E", "energy", float, None),
         Option("--hbar", "hbar", float, 1.0),
         Option("--amplitude", "amplitude", float, 1.0),
-        Option("--x", "x", str, "0.02:3:0.005", "positive half-grid start:stop:step (mirrored)"),
+        Option("--x", "x", str, "0.02:3:0.005", "start:stop:step; mirrored if start > 0, else as given"),
     ]),
     "box-spectrum": (run_box_spectrum, "box-regularized spectrum rows (n, N, eps, E, C)", [
         Option("--n", "n", int, None),

@@ -1,5 +1,5 @@
-"""mpmath accuracy budget for every numeric column that a subcommand prints
-(`verify` reports its own measurements).
+"""mpmath accuracy budget for every numeric column that a subcommand prints,
+and for the closed-form deviations that `verify` prints as measured.
 
 Each case runs the subcommand in process, parses the printed doubles, and
 compares every STRIDE-th row (and the last) with the closed form that mpmath
@@ -18,6 +18,15 @@ max |psi| on the compared rows, since it is ill-conditioned near the zeros of
 J_n.  `box-spectrum` compares every row up to N = 50, and every 75th row (and the
 last) of three cases out to N = 3000, zeros near x = 9400: its budgets record the
 error of the Bessel zeros' polish (ROADMAP item 2), which a few zeros carry.
+`verify`'s finite_part, |I + pi| over four turning points A, is absolute: at
+the smallest cutoff eps = 1e-5 A the cutoff integral and the divergence 2A/eps
+that it cancels are both 2e5 at every A, and each rounds in the last place of
+2e5.  wkb_identity's lhs - rhs is (n + 1/2) hbar times the finite part's error,
+so its budget is the largest (n + 1/2) hbar, 21, times finite_part's, plus 4
+ulp of rhs there.  pct_identity's strength + 1/4 - nu^2 is exactly 0 from the
+same doubles (mpmath checks it), so it is rounding alone, counted in ulps of
+the largest of its terms 4 lam/hbar^2, (t + 2)(t + 1) and (t + 3/2)^2,
+t = 2 alpha1 + 2 gamma1, over the check's 100 draws, at two seeds and two hbar.
 
 Each budget is the measured worst case times the margin stated beside it.
 To print the measured worst cases of the current tree:
@@ -31,6 +40,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pdmosc import cli, semiclassical
@@ -226,6 +236,38 @@ def eigenfunction_errors():
     return worst
 
 
+def pct_largest_term(seed, hbar):
+    """The largest of pct_identity's terms over its 100 draws, exact from the same doubles,
+    where (t + 2)(t + 1) + 1/4 = (t + 3/2)^2 holds exactly."""
+    largest = 0
+    # the draws of verification.check_pct_identity
+    for a, g, lam in np.random.default_rng(seed).uniform(-2.0, 2.0, size=(100, 3)).tolist():
+        t = 2 * mpmath.mpf(a) + 2 * mpmath.mpf(g)
+        product, square = (t + 2) * (t + 1), (t + 1.5) ** 2
+        assert product + 0.25 == square
+        largest = max(largest, abs(4 * mpmath.mpf(lam) / mpmath.mpf(hbar) ** 2), abs(product),
+                      square)
+    return largest
+
+
+def verify_errors():
+    rows = printed_rows(["verify", "--checks=finite_part,wkb_identity"])
+    worst = {row["check_id"]: float(row["measured"]) for row in rows}
+    worst["pct_identity"] = 0.0
+    for seed in (1234, 1):
+        for hbar in (1.0, 0.37):
+            argv = ["verify", "--checks=pct_identity", f"--seed={seed}", f"--hbar={hbar}"]
+            measured = printed_rows(argv)[0]["measured"]
+            worst["pct_identity"] = max(worst["pct_identity"],
+                                        ulps(measured, 0, pct_largest_term(seed, hbar)))
+    return worst
+
+
+#: finite_part's budget: 4 ulp of the 2e5 that its cutoff integral and divergence cancel
+FINITE_PART_BUDGET = 4 * math.ulp(2e5)
+#: wkb_identity's largest (n + 1/2) hbar, at n = 10 and hbar = 2
+WKB_FACTOR = 10.5 * 2.0
+
 #: column -> (budget, measured worst case on the cases above, numpy 2.4.6, scipy 1.17.1);
 #: the closed forms' budgets are about twice their worst case, psi's four times, since
 #: a scipy build may evaluate J_n differently.  box-spectrum's are the known defect of
@@ -239,6 +281,10 @@ BUDGETS = {
     "trajectory": {"x": (2.5, 1.00), "p": (4.0, 2.00), "E": (10.0, 5.0)},
     "phase-portrait": {"p_plus": (4.5, 2.16)},
     "box-spectrum": {"E": (4100.0, 2031.0), "C": (4900.0, 2452.0)},
+    "verify": {"finite_part": (FINITE_PART_BUDGET, 5.25e-11),
+               "wkb_identity": (WKB_FACTOR * FINITE_PART_BUDGET
+                                + 4 * math.ulp(WKB_FACTOR * math.pi), 1.10e-9),
+               "pct_identity": (4.0, 2.0)},
 }
 
 MEASURE = {
@@ -249,6 +295,7 @@ MEASURE = {
     "trajectory": trajectory_errors,
     "phase-portrait": phase_portrait_errors,
     "box-spectrum": box_spectrum_errors,
+    "verify": verify_errors,
 }
 
 

@@ -153,6 +153,20 @@ def test_eigenfunction_parity_and_zero_crossings(capsys):
         assert psi2[-x] == psi2[x]
 
 
+@pytest.mark.parametrize(
+    "grid, xs",
+    [
+        ("0.5:1:0.25", [-1.0, -0.75, -0.5, 0.5, 0.75, 1.0]),
+        ("-1:-0.5:0.25", [-1.0, -0.75, -0.5]),
+        ("-0.75:0.75:0.5", [-0.75, -0.25, 0.25, 0.75]),
+    ],
+)
+def test_eigenfunction_mirrors_a_grid_only_when_it_starts_above_zero(grid, xs, capsys):
+    code, out, err = run_cli(["eigenfunction", "--n", "1", "--E", "1", f"--x={grid}"], capsys)
+    assert (code, err) == (0, "")
+    assert [float(r["x"]) for r in read_csv(out)] == xs
+
+
 def test_box_spectrum_rows(capsys):
     code, out, _ = run_cli(["box-spectrum", "--n", "1", "--n-zeros", "3", "--eps", "0.1"], capsys)
     assert code == 0

@@ -103,7 +103,7 @@ DIGESTS = {
     "checks-nope": "a1dbf759664e3dbc70c49f7a69d40fd11a7355ff961769eea76ba150d5bfd639",
     "config-run": "4bc3e5c878fc993cb32e3bbaceba3ec1e6d71a904a35f7a8ba7bc6b8199557d3",
     "eigenfunction-csv": "3003a62397de2c2fa8bc5f55f4ee0394f8025c4bf0f007496fab1557f889a02e",
-    "eigenfunction-help": "3a871c02fea2aba740dd458ffbbedb4576c960d0854bf01361ee5fa87d59ebb4",
+    "eigenfunction-help": "d29c2a5bbce81935ba4239234c5477526ce7a942d96330eefacd0762662ff2dd",
     "eigenfunction-json": "2f54963418bc688bc20e0e3b362108052216ae7bcb3487eb626a9f66e54c7459",
     "eigenfunction-n80": "c9ed9a1c4ee8f9105fea59a4fda40b35665cd5f70d79849b785df6613d28aed0",
     "help": "cb9d32bfd8d33018660d900ec0915f2b39ebde34d36f26c18fda3fb8e191036d",
