@@ -20,6 +20,7 @@ next to the CSV instead (``--emit-plot-script``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -31,16 +32,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy import errstate
 
-from . import bessel, classical, quantum, semiclassical, verification
-from .classical import ModelParams
-from .quantum import SingleTermOrdering
-from .verification import FAIL, PASS, SKIPPED, SuiteConfig
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-#: cap on a grid's (stop - start)/step and on every row-count option (1e6 rows peak near 0.4 GB)
+#: cap on a grid's (stop - start)/step and on every row-count option (1e6 rows peak near 0.14 GB)
 MAX_POINTS = 10**7
 
 
@@ -78,26 +74,64 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{message}; see '{self.prog} --help' for usage")
 
 
-def write_rows(header: list[str], rows: list[tuple], fmt: str, output: str | None) -> None:
+#: rows per formatted chunk: bounds the cell objects and the text a large table holds at once
+CHUNK_ROWS = 100_000
+
+
+class Rows:
+    """A table's columns, broadcast to one length: build_rows returns it, write_rows prints
+    it, and its len is the row count."""
+
+    def __init__(self, columns: list[np.ndarray]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+def _csv_cell(v) -> str:
+    """One CSV cell as csv.writer prints it inside a row: a float with .17g, None empty."""
+    s = "" if v is None else format(v, ".17g") if isinstance(v, float) else str(v)
+    if not any(c in s for c in ',"\r\n'):  # a superset of what csv quotes; it decides the rest
+        return s
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([s, ""])
+    return buf.getvalue()[:-2]
+
+
+def write_rows(header: list[str], rows: Rows, fmt: str, output: str | None) -> None:
+    """Print rows as CSV or line-delimited JSON, CHUNK_ROWS at a time, each chunk one %
+    template applied to its cells in row order.  Integer columns print as %d, float columns
+    as %.17g in CSV and %r in JSON (a finite float's repr is what json.dumps prints); every
+    other cell, a string, None or a JSON column's NaN, is escaped on its own."""
+    columns = rows.columns
+    specs = [
+        "%d" if c.dtype.kind in "iu"
+        else "%.17g" if c.dtype.kind == "f" and fmt == "csv"
+        else "%r" if c.dtype.kind == "f" and np.isfinite(c).all()
+        else None
+        for c in columns
+    ]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
-        text = buf.getvalue()
-    else:  # line-delimited JSON records
-        lines = [json.dumps(dict(zip(header, row)), allow_nan=True) for row in rows]
-        text = "\n".join(lines) + ("\n" if lines else "")
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        escape, head = _csv_cell, ",".join(map(_csv_cell, header)) + "\n"
+        row = ",".join(spec or "%s" for spec in specs) + "\n"
+    else:  # json.dumps prints a NaN cell as NaN: allow_nan is its default
+        escape, head = json.dumps, ""
+        keys = [json.dumps(h).replace("%", "%%") for h in header]
+        row = "{" + ", ".join(f"{k}: {spec or '%s'}" for k, spec in zip(keys, specs)) + "}\n"
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as out:
+        out.write(head)
+        for start in range(0, len(rows), CHUNK_ROWS):
+            chunk = [c[start:start + CHUNK_ROWS].tolist() for c in columns]
+            cells = [None] * (len(chunk[0]) * len(chunk))
+            for j, (spec, column) in enumerate(zip(specs, chunk)):
+                cells[j::len(chunk)] = column if spec else map(escape, column)
+            out.write(row * len(chunk[0]) % tuple(cells))
 
 
-def build_rows(header: list[str], columns: list, refuse_non_finite: bool) -> list[tuple]:
-    """Zip a handler's columns into rows, repeating a scalar down its column.  With
-    refuse_non_finite, the first row holding a NaN or infinite float raises before
+def build_rows(header: list[str], columns: list, refuse_non_finite: bool) -> Rows:
+    """Broadcast a handler's columns to one length, repeating a scalar down its column.
+    With refuse_non_finite, the first row holding a NaN or infinite float raises before
     anything is written, naming its first such column; None is an empty cell."""
     columns = np.broadcast_arrays(*map(np.asarray, columns))
     if refuse_non_finite:  # None, an empty cell, reads as 0.0 here; strings are never refused
@@ -108,7 +142,7 @@ def build_rows(header: list[str], columns: list, refuse_non_finite: bool) -> lis
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), len(columns))  # the first row, then its first column
             raise FloatingPointError(f"non-finite {header[j]} = {float(columns[j][i])} in row {i + 1}")
-    return list(zip(*(c.tolist() for c in columns)))
+    return Rows(columns)
 
 
 class Option(NamedTuple):
@@ -208,16 +242,22 @@ def parse_window(spec: str) -> tuple[float, float]:
     parts = spec.split(":")
     if len(parts) != 2:
         raise ValueError(f"expected t0:t1, got {spec!r}")
-    return float(parts[0]), float(parts[1])
+    t0, t1 = float(parts[0]), float(parts[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite in {spec!r}")
+    return t0, t1
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the resolved options and returns (header, columns,
-# exit_code), a column being an array, a sequence or one value for every row
+# exit_code), a column being an array, a sequence or one value for every row.  Each
+# imports the library modules it computes with, so a run loads no other
 
 
 def run_trajectory(o):
-    params = ModelParams(lam=o.lam, c1=o.c1, c2=o.c2)
+    from . import classical
+
+    params = classical.ModelParams(lam=o.lam, c1=o.c1, c2=o.c2)
     ts = parse_grid(o.t)
     xs = classical.exact_solution(ts, params)
     ps = classical.exact_momentum(ts, params)
@@ -226,15 +266,20 @@ def run_trajectory(o):
 
 
 def run_lambda_map(o):
+    from . import classical
+
     window = parse_window(o.window)
     if not math.isfinite(o.lambda_max - o.lambda_min):
         raise ValueError(f"--lambda-max - --lambda-min overflows: {o.lambda_max} - {o.lambda_min}")
-    params = ModelParams(lam=np.linspace(o.lambda_min, o.lambda_max, o.count), c1=o.c1, c2=o.c2)
+    lam = np.linspace(o.lambda_min, o.lambda_max, o.count)
+    params = classical.ModelParams(lam=lam, c1=o.c1, c2=o.c2)
     status, t_star = classical.classify_lambda(params, window), classical.singularity_time(params)
     return ["lambda", "status", "singular_time"], [params.lam, status, t_star], EXIT_OK
 
 
 def run_phase_portrait(o):
+    from . import classical
+
     energies = parse_floats(o.energies)
     if not energies:
         raise ValueError("--energies must name at least one energy")
@@ -244,13 +289,17 @@ def run_phase_portrait(o):
 
 
 def run_wkb(o):
+    from . import semiclassical
+
     n = np.arange(o.n_max + 1)
     c = semiclassical.wkb_condition_check(n, o.hbar, o.turning_point)
     return ["n", "lambda_n", "lhs", "rhs", "residual"], [n, *c], EXIT_OK
 
 
 def run_spectrum(o):
-    ordering = SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
+    from . import quantum
+
+    ordering = quantum.SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
     n = np.arange(1, o.n_max + 1)
     lam = quantum.lambda_quantized(n, ordering, o.hbar)
     nu = quantum.nu_from_params(ordering, lam, o.hbar)
@@ -259,6 +308,8 @@ def run_spectrum(o):
 
 
 def run_eigenfunction(o):
+    from . import bessel, quantum
+
     if o.n > bessel.ORDER_MAX:
         raise ValueError(f"--n {o.n} needs J_{o.n}, past J's domain "
                          f"(order <= {bessel.ORDER_MAX:g})")
@@ -269,6 +320,8 @@ def run_eigenfunction(o):
 
 
 def run_box_spectrum(o):
+    from . import bessel, quantum
+
     if o.n + 1 > bessel.ORDER_MAX:  # the norms evaluate J_{n+1}
         raise ValueError(f"--n {o.n} needs J_{o.n + 1}, past J's domain "
                          f"(order <= {bessel.ORDER_MAX:g})")
@@ -277,19 +330,21 @@ def run_box_spectrum(o):
 
 
 def run_verify(o):
-    params = ModelParams(lam=o.lam, c1=o.c1, c2=o.c2)
-    ordering = SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
+    from . import classical, quantum, verification
+
+    params = classical.ModelParams(lam=o.lam, c1=o.c1, c2=o.c2)
+    ordering = quantum.SingleTermOrdering.from_alpha_gamma(o.alpha1, o.gamma1)
     if o.checks.strip() == "all":
         selection = verification.all_check_ids()
     else:
         selection = [c.strip() for c in o.checks.split(",") if c.strip()]
-    reports = verification.run_suite(
-        selection, SuiteConfig(params=params, ordering=ordering, seed=o.seed, hbar=o.hbar)
-    )
+    cfg = verification.SuiteConfig(params=params, ordering=ordering, seed=o.seed, hbar=o.hbar)
+    reports = verification.run_suite(selection, cfg)
     columns = list(zip(*reports))  # a report is a tuple of its columns
     status = columns[1]
-    print(f"verify: {status.count(PASS)} passed, {status.count(FAIL)} failed, "
-          f"{status.count(SKIPPED)} skipped", file=sys.stderr)
+    print(f"verify: {status.count(verification.PASS)} passed, "
+          f"{status.count(verification.FAIL)} failed, "
+          f"{status.count(verification.SKIPPED)} skipped", file=sys.stderr)
     code = EXIT_OK if verification.suite_passed(reports) else EXIT_NUMERICAL
     return list(verification.VerificationReport._fields), columns, code
 
@@ -343,13 +398,15 @@ SUBCOMMANDS = {
     ]),
     "verify": (run_verify, "run the named verification checks", [
         Option("--checks", "checks", str, "all", "'all' or comma-separated ids"),
-        Option("--seed", "seed", int, SuiteConfig().seed),
-        Option("--lambda", "lam", float, SuiteConfig().params.lam),
-        Option("--hbar", "hbar", float, SuiteConfig().hbar),
-        Option("--c1", "c1", float, SuiteConfig().params.c1),
-        Option("--c2", "c2", float, SuiteConfig().params.c2),
-        Option("--alpha1", "alpha1", float, SuiteConfig().ordering.alpha1),
-        Option("--gamma1", "gamma1", float, SuiteConfig().ordering.gamma1),
+        # verification.SuiteConfig()'s defaults, spelled here so that a run of another
+        # subcommand need not import the suite; tests/test_cli.py pins them to it
+        Option("--seed", "seed", int, 1234),
+        Option("--lambda", "lam", float, 1.0),
+        Option("--hbar", "hbar", float, 1.0),
+        Option("--c1", "c1", float, 1.0),
+        Option("--c2", "c2", float, -5.0),
+        Option("--alpha1", "alpha1", float, 0.0),
+        Option("--gamma1", "gamma1", float, 0.75),
     ]),
 }
 

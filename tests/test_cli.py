@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdmosc import classical, cli, quantum, semiclassical
+from pdmosc import classical, cli, quantum, semiclassical, verification
 from pdmosc.bessel import bessel_zero
 from pdmosc.quantum import SingleTermOrdering, box_spectrum, lambda_quantized
 
@@ -200,6 +200,17 @@ def test_verify_subcommand(capsys):
     code, _, err = run_cli(["verify", "--checks", "nope"], capsys)
     assert code == 1
     assert "unknown check ids" in err
+
+
+def test_verify_defaults_are_the_suite_configs():
+    # the option table spells them, so that no other subcommand imports the suite
+    cfg = verification.SuiteConfig()
+    suite = {"seed": cfg.seed, "lam": cfg.params.lam, "hbar": cfg.hbar, "c1": cfg.params.c1,
+             "c2": cfg.params.c2, "alpha1": cfg.ordering.alpha1, "gamma1": cfg.ordering.gamma1}
+    options = {opt.dest: opt for opt in cli.SUBCOMMANDS["verify"][2]}
+    assert {dest: (type(value), value) for dest, value in suite.items()} == {
+        dest: (options[dest].type, options[dest].default) for dest in suite
+    }
 
 
 def test_config_file_and_precedence(tmp_path, capsys):
@@ -479,12 +490,14 @@ def test_build_rows_broadcasts_and_names_the_first_non_finite_cell():
     t = np.array([1.5, None, math.inf], dtype=object)  # None is an empty cell, not NaN
     v = np.array([0.25, 0.5, math.nan])
     rows = cli.build_rows(header, [np.arange(1, 3), ("a", "b"), 2.0, t[:2], v[:2]], True)
-    assert rows == [(1, "a", 2.0, 1.5, 0.25), (2, "b", 2.0, None, 0.5)]
-    assert [type(x) for x in rows[0]] == [int, str, float, float, float]
+    assert len(rows) == 2
+    cells = [c.tolist() for c in rows.columns]
+    assert cells == [[1, 2], ["a", "b"], [2.0, 2.0], [1.5, None], [0.25, 0.5]]
+    assert [type(c[0]) for c in cells] == [int, str, float, float, float]
     with pytest.raises(FloatingPointError, match="^non-finite t = inf in row 3$"):
         cli.build_rows(header, [np.arange(1, 4), ("a", "b", "c"), 2.0, t, v], True)
     with pytest.raises(FloatingPointError, match="^non-finite c = -inf in row 1$"):
         cli.build_rows(header, [np.arange(1, 4), ("a", "b", "c"), -math.inf, t, v], True)
     # unchecked, as verify's skipped checks need: NaN reaches the writer
     rows = cli.build_rows(header, [np.arange(1, 4), ("a", "b", "c"), 2.0, t, v], False)
-    assert rows[2][3] == math.inf and math.isnan(rows[2][4])
+    assert rows.columns[3][2] == math.inf and math.isnan(rows.columns[4][2])

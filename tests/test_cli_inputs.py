@@ -118,6 +118,11 @@ CONTRACT = [
     # values that start with '-' but do not look like -1 or -0.5
     (["trajectory", "--lambda", "1", "--c2", "-1e-5", "--t", "-1:1:0.5"], 0, ""),
     (["lambda-map", "--window", "-2:2", "--count", "3"], 0, ""),
+    # a non-finite window end is refused as the option's value, before classifying
+    (["lambda-map", "--window", "nan:5"], 1, "pdmosc: t0 and t1 must be finite in 'nan:5'\n"),
+    (["lambda-map", "--window", "0:inf"], 1, "pdmosc: t0 and t1 must be finite in '0:inf'\n"),
+    (["lambda-map", "--window=-inf:inf"], 1,
+     "pdmosc: t0 and t1 must be finite in '-inf:inf'\n"),
     (["phase-portrait", "--lambda", "1", "--points", "2"], 1,
      f"pdmosc: --points must be between 4 and {cli.MAX_POINTS}, got 2\n"),
     # a grid from x = 0 is not mirrored, and psi is not evaluated at 0

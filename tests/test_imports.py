@@ -2,9 +2,11 @@
 
 The package root re-exports nothing, so a module loads only what it imports
 itself, and the README imports each name from the module that defines it.
-scipy is imported where it is first computed with, so a subcommand that
-needs no Bessel function or integrator loads no scipy, and one that runs no
-Bessel quadrature loads no ``scipy.special.cython_special``.
+Each CLI handler imports the pdmosc modules it computes with, so a closed
+form loads no quantum layer.  scipy is imported where it is first computed
+with, so a subcommand that needs no Bessel function or integrator loads no
+scipy, and one that runs no Bessel quadrature loads no
+``scipy.special.cython_special``.
 """
 
 import contextlib
@@ -63,6 +65,48 @@ def modules_after_cli(*command_lines: str) -> tuple[list[int], set[str]]:
     )
     codes, _, modules = run_fresh(code, *command_lines).partition("\n")
     return [int(c) for c in codes.split()], set(modules.split())
+
+
+def pdmosc_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.split(".")[0] == "pdmosc"}
+
+
+def test_importing_the_cli_loads_no_library_module():
+    assert pdmosc_modules(modules_after_import("pdmosc.cli")) == {"pdmosc", "pdmosc.cli"}
+
+
+CLOSED_FORM = {"pdmosc.bessel", "pdmosc.classical"}
+QUANTUM = {"pdmosc.bessel", "pdmosc.quantum", "pdmosc.semiclassical"}
+
+#: a command line of each subcommand -> the library modules it loads: its handler's
+#: imports and theirs (classical and semiclassical import bessel; quantum imports bessel
+#: and semiclassical); only verify loads all five
+LOADS = {
+    "trajectory --lambda 1 --t 0:1:0.5": CLOSED_FORM,
+    "lambda-map": CLOSED_FORM,
+    "phase-portrait --lambda 1": CLOSED_FORM,
+    "wkb": {"pdmosc.bessel", "pdmosc.semiclassical"},
+    "spectrum": QUANTUM,
+    "eigenfunction --n 1 --E 1": QUANTUM,
+    "box-spectrum --n 1": QUANTUM,
+    "verify --checks parity": CLOSED_FORM | QUANTUM | {"pdmosc.verification"},
+}
+
+
+@pytest.mark.parametrize("command_line", LOADS)
+def test_each_subcommand_loads_only_the_library_modules_it_computes_with(command_line):
+    codes, loaded = modules_after_cli(command_line)
+    assert codes == [0]
+    assert pdmosc_modules(loaded) == {"pdmosc", "pdmosc.cli", *LOADS[command_line]}
+
+
+def test_refused_command_lines_load_no_quantum_layer():
+    codes, loaded = modules_after_cli("trajectory --lambda 1 --t 0:1")  # malformed grid
+    assert codes == [1]
+    assert not loaded & {"pdmosc.quantum", "pdmosc.semiclassical", "pdmosc.verification"}
+    codes, loaded = modules_after_cli("trajectory --frobnicate", "verify --seed=-1")
+    assert codes == [1, 1]
+    assert pdmosc_modules(loaded) == {"pdmosc", "pdmosc.cli"}
 
 
 def test_closed_form_subcommands_and_refused_inputs_load_no_scipy():
